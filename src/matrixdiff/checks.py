@@ -119,6 +119,8 @@ def random_unit_stack(rng: np.random.Generator, count: int, d: int) -> np.ndarra
 
 
 def _blocks(total: int, block: int = _BLOCK):
+    if total < 1:
+        raise ValueError(f"sample count must be a positive integer, got {total}")
     for start in range(0, total, block):
         yield min(block, total - start)
 
@@ -230,8 +232,10 @@ def mc_isometry(a_const: SymmetricMatrix, c_const: SymmetricMatrix, x, y,
 
     Compares the Monte Carlo mean of y^T M^2 x, M the left-point integral of
     A dB C, against the exact time integral of x^T C^T C A A^T y.  Passes when
-    the gap is within three standard errors.
+    the gap is within three standard errors; needs at least two paths.
     """
+    if paths < 2:
+        raise ValueError(f"isometry needs at least 2 paths for a standard error, got {paths}")
     d = a_const.dim
     x = np.asarray(x, dtype=np.float64).reshape(-1)
     y = np.asarray(y, dtype=np.float64).reshape(-1)
@@ -247,7 +251,7 @@ def mc_isometry(a_const: SymmetricMatrix, c_const: SymmetricMatrix, x, y,
         total += float(vals.sum())
         total_sq += float((vals * vals).sum())
     mean = total / paths
-    var = max(total_sq / paths - mean * mean, 0.0) * paths / max(paths - 1, 1)
+    var = max(total_sq / paths - mean * mean, 0.0) * paths / (paths - 1)
     se = float(np.sqrt(var / paths))
     gap = abs(mean - rhs)
     return CheckReport("mc_isometry", paths, gap - 3.0 * se, 0.0, gap <= 3.0 * se,
@@ -288,19 +292,20 @@ def estimate_lemma_beta(a_const: SymmetricMatrix, c_const: SymmetricMatrix,
 def mc_trace_moment(model: SdeModel, paths: int, grid: TimeGrid, seed: int) -> CheckReport:
     """Mean trace of X_tau against trace(X_0) + drift * d * tau, at 3 SE.
 
-    Requires a constant drift coefficient (as in the Wishart model), probed by
-    evaluating b at a few points.
+    Requires a drift coefficient declared constant (as in the Wishart model)
+    and at least two paths, so that the standard error is defined.
     """
-    probe = model.b.map_eigenvalues(np.array([0.0, 1.0, 7.5]))
-    if not np.allclose(probe, probe[0], rtol=0.0, atol=1e-14):
+    if not model.b.constant:
         raise ValueError("trace-moment oracle requires a constant drift coefficient")
-    alpha = float(probe[0])
+    if paths < 2:
+        raise ValueError(f"trace-moment needs at least 2 paths for a standard error, got {paths}")
+    alpha = model.b.constant_value()
     expected = model.x0.trace() + alpha * model.dim * grid.horizon
 
     finals = euler_final_states(model, grid, seed, paths)
     traces = np.einsum("pii->p", finals)
     mean = float(traces.mean())
-    se = float(traces.std(ddof=1) / np.sqrt(paths)) if paths > 1 else 0.0
+    se = float(traces.std(ddof=1) / np.sqrt(paths))
     gap = abs(mean - expected)
     return CheckReport("trace_moment", paths, gap - 3.0 * se, 0.0, gap <= 3.0 * se,
                        details={"mean": mean, "expected": expected, "se": se, "seed": seed})

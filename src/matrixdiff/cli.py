@@ -27,6 +27,7 @@ from .brownian import TimeGrid, sample_path
 from .checks import mc_isometry, mc_trace_moment, run_inequality_suite
 from .sde import SdeModel, euler_solve, picard_solve, wishart_model
 from .symmat import (
+    EigensolverError,
     ScalarFunctionSpec,
     SymmetricMatrix,
     clipped_affine_fn,
@@ -72,9 +73,12 @@ def _resolve_seed(args, config) -> int:
     if seed is None:
         seed = os.environ.get("MATRIXDIFF_SEED", DEFAULT_SEED)
     try:
-        return int(seed)
+        seed = int(seed)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"seed must be a decimal integer, got {seed!r}") from exc
+    if not 0 <= seed < 2 ** 64:
+        raise ConfigError(f"seed must lie in [0, 2^64), got {seed}")
+    return seed
 
 
 def _parse_matrix(obj, dim: int, what: str) -> np.ndarray:
@@ -165,7 +169,7 @@ def _states_json(solutions, grid: TimeGrid, dim: int) -> str:
             row += [float(v) for v in sol.states[k][iu]]
             rows.append(row)
     doc = {"columns": _upper_triangle_header(dim, with_path), "rows": rows}
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 def _reports_text(reports, fmt: str) -> str:
@@ -177,7 +181,7 @@ def _reports_text(reports, fmt: str) -> str:
                 f"{_fmt(rep.tolerance)},{str(rep.passed).lower()}"
             )
         return "\n".join(lines) + "\n"
-    return json.dumps([rep.to_dict() for rep in reports], indent=2) + "\n"
+    return json.dumps([rep.to_dict() for rep in reports], indent=2, allow_nan=False) + "\n"
 
 
 def _cmd_simulate(args, config) -> int:
@@ -273,7 +277,7 @@ def _cmd_picard_convergence(args, config) -> int:
                 lines.append(f"{rec['path_index']},{i},{_fmt(value)}")
         text = "\n".join(lines) + "\n"
     else:
-        text = json.dumps(records, indent=2) + "\n"
+        text = json.dumps(records, indent=2, allow_nan=False) + "\n"
     _write_output(text, args.out)
     return 0 if all_converged else 1
 
@@ -348,7 +352,7 @@ def run_cli(argv=None) -> int:
     try:
         config = _load_config(args.config)
         return _COMMANDS[args.command](args, config)
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, EigensolverError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -25,6 +25,7 @@ from .brownian import BrownianPath, TimeGrid, sample_path
 from .symmat import (
     ScalarFunctionSpec,
     SymmetricMatrix,
+    _lift,
     clipped_sqrt_fn,
     constant_fn,
     is_psd,
@@ -133,22 +134,40 @@ def _lift_gfb(model: SdeModel, stack: np.ndarray):
     """Lift g, f, b over a stack of states with a single shared decomposition.
 
     Returns exactly symmetric (m, d, d) arrays plus each state's smallest
-    eigenvalue.
+    eigenvalue.  A coefficient declared constant lifts to value * I without a
+    decomposition; with all three constant the eigenvalues come back None.
     """
-    lam, vec = spectral_decompose_stack(stack)
+    specs = (model.g, model.f, model.b)
+    lam = vec = None
+    if not all(spec.constant for spec in specs):
+        lam, vec = spectral_decompose_stack(stack)
     out = []
-    for spec in (model.g, model.f, model.b):
-        mapped = spec.map_eigenvalues(lam)
-        lifted = np.einsum("mik,mk,mjk->mij", vec, mapped, vec)
-        out.append(0.5 * (lifted + lifted.transpose(0, 2, 1)))
-    return out[0], out[1], out[2], lam[:, 0]
+    for spec in specs:
+        if spec.constant:
+            eye = spec.constant_value() * np.eye(stack.shape[1])
+            out.append(np.broadcast_to(eye, stack.shape))
+        else:
+            lifted = _lift(vec, spec.map_eigenvalues(lam))
+            out.append(0.5 * (lifted + lifted.transpose(0, 2, 1)))
+    return out[0], out[1], out[2], None if lam is None else lam[:, 0]
+
+
+def _advance(model: SdeModel, x: np.ndarray, db: np.ndarray, dt: float):
+    """One Euler step on a (P, d, d) stack: X + g dB f + (g dB f)^T + b dt.
+
+    Returns the next stack and the smallest eigenvalue of each input state
+    (None when every coefficient is constant).
+    """
+    g_x, f_x, b_x, lam_min = _lift_gfb(model, x)
+    m = g_x @ db @ f_x
+    return x + (m + m.transpose(0, 2, 1)) + b_x * dt, lam_min
 
 
 def euler_step(model: SdeModel, x_k: SymmetricMatrix, db: np.ndarray, dt: float) -> SymmetricMatrix:
     """One explicit step: X + g(X) dB f(X) + f(X) dB^T g(X) + b(X) dt."""
-    g_x, f_x, b_x, _ = _lift_gfb(model, x_k.entries[None, :, :])
-    m = g_x[0] @ np.asarray(db, dtype=np.float64) @ f_x[0]
-    return SymmetricMatrix(x_k.entries + (m + m.T) + b_x[0] * dt)
+    db = np.asarray(db, dtype=np.float64)[None, :, :]
+    nxt, _ = _advance(model, x_k.entries[None, :, :], db, dt)
+    return SymmetricMatrix(nxt[0])
 
 
 def euler_solve(model: SdeModel, path: BrownianPath) -> PathSolution:
@@ -160,14 +179,14 @@ def euler_solve(model: SdeModel, path: BrownianPath) -> PathSolution:
     states = np.empty((n + 1, d, d))
     min_eigs = np.empty(n + 1)
     states[0] = model.x0.entries
-    current = states[0][None, :, :]
     for k in range(n):
-        g_x, f_x, b_x, lam_min = _lift_gfb(model, current)
+        current = states[k:k + 1]
+        nxt, lam_min = _advance(model, current, path.increments[k:k + 1], dt)
+        if lam_min is None:
+            lam_min = min_eigenvalues_stack(current)
         min_eigs[k] = lam_min[0]
-        m = g_x[0] @ path.increments[k] @ f_x[0]
-        states[k + 1] = current[0] + (m + m.T) + b_x[0] * dt
-        current = states[k + 1][None, :, :]
-    min_eigs[n] = min_eigenvalues_stack(current)[0]
+        states[k + 1] = nxt[0]
+    min_eigs[n] = min_eigenvalues_stack(states[n:])[0]
     return PathSolution(grid, states, "euler", (path.seed, path.path_index), min_eigs)
 
 
@@ -188,9 +207,7 @@ def euler_final_states(model: SdeModel, grid: TimeGrid, seed: int, n_paths: int,
             inc[i] = sample_path(grid, d, seed, path_offset + start + i).increments
         x = np.broadcast_to(model.x0.entries, (count, d, d)).copy()
         for k in range(n):
-            g_x, f_x, b_x, _ = _lift_gfb(model, x)
-            m = np.einsum("pij,pjk,pkl->pil", g_x, inc[:, k], f_x)
-            x = x + (m + m.transpose(0, 2, 1)) + b_x * dt
+            x, _ = _advance(model, x, inc[:, k], dt)
         finals[start:start + count] = x
     return finals
 
@@ -250,7 +267,7 @@ def picard_solve(model: SdeModel, path: BrownianPath, max_iter: int = 25,
     converged = False
     for _ in range(max_iter):
         g_x, f_x, b_x, _ = _lift_gfb(model, prev)
-        noise_steps = np.einsum("mij,mjk,mkl->mil", g_x[:n], path.increments, f_x[:n])
+        noise_steps = g_x[:n] @ path.increments @ f_x[:n]
         drift_prefix = np.zeros((n + 1, d, d))
         np.cumsum(b_x[:n] * dt, axis=0, out=drift_prefix[1:])
         noise_prefix = np.zeros((n + 1, d, d))
@@ -258,7 +275,7 @@ def picard_solve(model: SdeModel, path: BrownianPath, max_iter: int = 25,
         nxt = x0 + drift_prefix + noise_prefix + noise_prefix.transpose(0, 2, 1)
 
         diff = nxt - prev
-        d_iter = float(np.abs(np.einsum("vi,mij,vj->mv", tv, diff, tv)).max())
+        d_iter = float(np.abs(((diff @ tv.T) * tv.T).sum(axis=1)).max())
         distances.append(d_iter)
         prev = nxt
         if d_iter < stop_tol:

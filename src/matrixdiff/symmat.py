@@ -43,16 +43,12 @@ __all__ = [
 # anything below is treated as floating-point drift and symmetrized away.
 SYMMETRY_REJECT_RTOL = 1e-8
 
-# Jacobi sweep budget and relative off-diagonal termination threshold.
-JACOBI_MAX_SWEEPS = 50
-JACOBI_REL_TOL = 1e-12
-
 ORTHOGONALITY_TOL = 1e-10
 RECONSTRUCTION_RTOL = 1e-8
 
 
 class EigensolverError(RuntimeError):
-    """Raised when the Jacobi sweeps fail to reduce the off-diagonal residual."""
+    """Raised when an eigendecomposition fails or does not reconstruct its input."""
 
 
 class DomainPolicyError(ValueError):
@@ -60,8 +56,12 @@ class DomainPolicyError(ValueError):
 
 
 def _frobenius(a: np.ndarray) -> np.ndarray:
-    """Frobenius norm over the trailing two axes."""
-    return np.sqrt((a * a).sum(axis=(-2, -1)))
+    """Frobenius norm over the trailing two axes, scaled by each matrix's
+    largest |entry| so that squaring neither overflows nor underflows."""
+    scale = np.abs(a).max(axis=(-2, -1), initial=0.0)
+    scale = np.where(scale > 0.0, scale, 1.0)
+    unit = a / scale[..., None, None]
+    return scale * np.sqrt((unit * unit).sum(axis=(-2, -1)))
 
 
 class SymmetricMatrix:
@@ -85,7 +85,7 @@ class SymmetricMatrix:
                 f"matrix is not symmetric: ||M - M^T||_F = {skew:.3e} "
                 f"exceeds {SYMMETRY_REJECT_RTOL:.0e} * ||M||_F"
             )
-        sym = 0.5 * (arr + arr.T)
+        sym = 0.5 * arr + 0.5 * arr.T
         sym.setflags(write=False)
         self._entries = sym
 
@@ -170,13 +170,16 @@ class ScalarFunctionSpec:
     replaces negative eigenvalues by zero before evaluation, while
     `reject_outside_domain` raises on any negative eigenvalue.  `bound`, when
     set, declares sup |fn| <= bound on the admitted domain; the SDE solver
-    requires it and `bound_holds` spot-checks it by sampling.
+    requires it and `bound_holds` spot-checks it by sampling.  `constant`
+    declares that fn takes one value everywhere, so its lift is that value
+    times the identity and needs no eigendecomposition.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
     domain_policy: str = "total"
     bound: Optional[float] = None
     name: str = field(default="", compare=False)
+    constant: bool = False
 
     def __post_init__(self) -> None:
         if self.domain_policy not in DOMAIN_POLICIES:
@@ -201,6 +204,12 @@ class ScalarFunctionSpec:
             raise DomainPolicyError(f"scalar function {self.name or self.fn!r} returned non-finite values")
         return out
 
+    def constant_value(self) -> float:
+        """The value of a function declared constant."""
+        if not self.constant:
+            raise ValueError(f"scalar function {self.name or self.fn!r} is not declared constant")
+        return float(self.map_eigenvalues(np.zeros(1))[0])
+
     def bound_holds(self, low: float, high: float, samples: int = 1000, seed: int = 0) -> bool:
         """Spot-check |fn| <= bound on `samples` points of [low, high]."""
         if self.bound is None:
@@ -219,6 +228,7 @@ def constant_fn(value: float, name: str = "") -> ScalarFunctionSpec:
         domain_policy="total",
         bound=abs(value) if value != 0.0 else 1.0,
         name=name or f"constant({value})",
+        constant=True,
     )
 
 
@@ -254,72 +264,29 @@ def clipped_sqrt_fn(clip: float) -> ScalarFunctionSpec:
     )
 
 
-def _jacobi_stack(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi diagonalization of a stack of symmetric matrices.
+def _lift(vec: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Q diag(vals) Q^T for every matrix of a stack."""
+    return (vec * vals[:, None, :]) @ vec.transpose(0, 2, 1)
 
-    Sweeps rotate every (p, q) plane in fixed cyclic order until the
-    off-diagonal Frobenius norm of every matrix falls below
-    1e-12 * ||A||_F, or the 50-sweep budget is exhausted.
-    """
-    a = np.array(stack, dtype=np.float64)
-    m, d = a.shape[0], a.shape[1]
-    v = np.broadcast_to(np.eye(d), (m, d, d)).copy()
+
+def _eig_stack(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and eigenvectors: the entry for d = 1, the closed
+    form mid -+ hypot((a - c)/2, b) rotated by atan2(b, (a - c)/2)/2 for d = 2
+    (halved before subtracting, so it stays finite), LAPACK for d >= 3."""
+    m, d = stack.shape[0], stack.shape[1]
     if d == 1:
-        return a[:, :, 0].copy(), v
-
-    thresh = JACOBI_REL_TOL * _frobenius(a)
-    off_mask = ~np.eye(d, dtype=bool)
-
-    def off_norms(mat: np.ndarray) -> np.ndarray:
-        return np.sqrt((mat[:, off_mask] ** 2).sum(axis=1))
-
-    converged = False
-    for _ in range(JACOBI_MAX_SWEEPS):
-        if (off_norms(a) <= thresh).all():
-            converged = True
-            break
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = a[:, p, q]
-                rotate = np.abs(apq) > 0.0
-                if not rotate.any():
-                    continue
-                with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                    tau = (a[:, q, q] - a[:, p, p]) / (2.0 * apq)
-                    sgn = np.where(tau >= 0.0, 1.0, -1.0)
-                    t = sgn / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
-                t = np.where(rotate & np.isfinite(t), t, 0.0)
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                cc, ss = c[:, None], s[:, None]
-
-                colp, colq = a[:, :, p].copy(), a[:, :, q].copy()
-                a[:, :, p] = cc * colp - ss * colq
-                a[:, :, q] = ss * colp + cc * colq
-                rowp, rowq = a[:, p, :].copy(), a[:, q, :].copy()
-                a[:, p, :] = cc * rowp - ss * rowq
-                a[:, q, :] = ss * rowp + cc * rowq
-                # the rotation annihilates the (p, q) entry analytically
-                a[:, p, q] = np.where(rotate, 0.0, a[:, p, q])
-                a[:, q, p] = np.where(rotate, 0.0, a[:, q, p])
-
-                vp, vq = v[:, :, p].copy(), v[:, :, q].copy()
-                v[:, :, p] = cc * vp - ss * vq
-                v[:, :, q] = ss * vp + cc * vq
-
-    if not converged:
-        resid = off_norms(a)
-        if (resid > thresh).any():
-            raise EigensolverError(
-                f"Jacobi sweeps exhausted ({JACOBI_MAX_SWEEPS}): worst off-diagonal "
-                f"residual {float(resid.max()):.3e} above threshold {float(thresh.max()):.3e}"
-            )
-
-    lam = np.einsum("mii->mi", a).copy()
-    order = np.argsort(lam, axis=1, kind="stable")
-    lam = np.take_along_axis(lam, order, axis=1)
-    v = np.take_along_axis(v, order[:, None, :], axis=2)
-    return lam, v
+        return stack[:, 0, :].copy(), np.ones((m, 1, 1))
+    if d == 2:
+        a, b, c = stack[:, 0, 0], stack[:, 0, 1], stack[:, 1, 1]
+        half_gap = 0.5 * a - 0.5 * c
+        mid = 0.5 * a + 0.5 * c
+        radius = np.hypot(half_gap, b)
+        theta = 0.5 * np.arctan2(b, half_gap)
+        cos, sin = np.cos(theta), np.sin(theta)
+        lam = np.stack([mid - radius, mid + radius], axis=1)
+        vec = np.stack([np.stack([-sin, cos], axis=1), np.stack([cos, sin], axis=1)], axis=2)
+        return lam, vec
+    return np.linalg.eigh(stack)
 
 
 def spectral_decompose_stack(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -327,14 +294,16 @@ def spectral_decompose_stack(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
     Eigenvalues come back as (m, d) sorted non-decreasing per matrix, with
     eigenvector columns (m, d, d) in matching order.  Reconstruction residuals
-    are verified for the whole stack.
+    are verified for the whole stack; non-finite input, or a residual above
+    1e-8 * max(1, ||A||_F), raises `EigensolverError`.
     """
     stack = np.asarray(stack, dtype=np.float64)
-    lam, vec = _jacobi_stack(stack)
-    recon = np.einsum("mik,mk,mjk->mij", vec, lam, vec)
-    resid = _frobenius(recon - stack)
+    if not np.isfinite(stack).all():
+        raise EigensolverError("cannot decompose a matrix with non-finite entries")
+    lam, vec = _eig_stack(stack)
+    resid = _frobenius(_lift(vec, lam) - stack)
     bound = RECONSTRUCTION_RTOL * np.maximum(1.0, _frobenius(stack))
-    if (resid > bound).any():
+    if not (resid <= bound).all():
         raise EigensolverError(
             f"eigendecomposition reconstruction residual {float(resid.max()):.3e} "
             f"exceeds tolerance {float(bound.max()):.3e}"
@@ -351,8 +320,7 @@ def spectral_decompose(a: SymmetricMatrix) -> SpectralDecomposition:
 def apply_scalar_fn_stack(spec: ScalarFunctionSpec, stack: np.ndarray) -> np.ndarray:
     """Lift `spec` over a stack of symmetric matrices; exactly symmetric output."""
     lam, vec = spectral_decompose_stack(stack)
-    mapped = spec.map_eigenvalues(lam)
-    out = np.einsum("mik,mk,mjk->mij", vec, mapped, vec)
+    out = _lift(vec, spec.map_eigenvalues(lam))
     return 0.5 * (out + out.transpose(0, 2, 1))
 
 

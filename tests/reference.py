@@ -2,6 +2,9 @@
 
 import numpy as np
 
+JACOBI_MAX_SWEEPS = 50
+JACOBI_REL_TOL = 1e-12
+
 
 def entrywise_ito(a_values, c_values, increments):
     """I(i,j) = sum_k sum_r sum_m A_m(i,k) C_m(r,j) dB_m(k,r), by explicit loops."""
@@ -16,3 +19,64 @@ def entrywise_ito(a_values, c_values, increments):
                         total += a_values[m][i, k] * c_values[m][r, j] * increments[m][k, r]
             out[i, j] = total
     return out
+
+
+def jacobi_stack(stack):
+    """Cyclic Jacobi diagonalization of a stack of symmetric matrices.
+
+    Sweeps rotate every (p, q) plane in fixed cyclic order until the
+    off-diagonal Frobenius norm of every matrix falls below
+    1e-12 * ||A||_F, or the 50-sweep budget is exhausted (an AssertionError).
+    Returns (eigenvalues sorted non-decreasing, matching eigenvector columns).
+    Norms square the entries, so inputs must stay within about 1e+-150.
+    """
+    a = np.array(stack, dtype=np.float64)
+    m, d = a.shape[0], a.shape[1]
+    v = np.broadcast_to(np.eye(d), (m, d, d)).copy()
+    if d == 1:
+        return a[:, :, 0].copy(), v
+
+    thresh = JACOBI_REL_TOL * np.sqrt((a * a).sum(axis=(1, 2)))
+    off_mask = ~np.eye(d, dtype=bool)
+
+    def off_norms(mat):
+        return np.sqrt((mat[:, off_mask] ** 2).sum(axis=1))
+
+    for _ in range(JACOBI_MAX_SWEEPS):
+        if (off_norms(a) <= thresh).all():
+            break
+        for p in range(d - 1):
+            for q in range(p + 1, d):
+                apq = a[:, p, q]
+                rotate = np.abs(apq) > 0.0
+                if not rotate.any():
+                    continue
+                with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                    tau = (a[:, q, q] - a[:, p, p]) / (2.0 * apq)
+                    sgn = np.where(tau >= 0.0, 1.0, -1.0)
+                    t = sgn / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
+                t = np.where(rotate & np.isfinite(t), t, 0.0)
+                c = 1.0 / np.sqrt(1.0 + t * t)
+                s = t * c
+                cc, ss = c[:, None], s[:, None]
+
+                colp, colq = a[:, :, p].copy(), a[:, :, q].copy()
+                a[:, :, p] = cc * colp - ss * colq
+                a[:, :, q] = ss * colp + cc * colq
+                rowp, rowq = a[:, p, :].copy(), a[:, q, :].copy()
+                a[:, p, :] = cc * rowp - ss * rowq
+                a[:, q, :] = ss * rowp + cc * rowq
+                # the rotation annihilates the (p, q) entry analytically
+                a[:, p, q] = np.where(rotate, 0.0, a[:, p, q])
+                a[:, q, p] = np.where(rotate, 0.0, a[:, q, p])
+
+                vp, vq = v[:, :, p].copy(), v[:, :, q].copy()
+                v[:, :, p] = cc * vp - ss * vq
+                v[:, :, q] = ss * vp + cc * vq
+    assert (off_norms(a) <= thresh).all(), "Jacobi sweeps exhausted"
+
+    lam = np.einsum("mii->mi", a).copy()
+    order = np.argsort(lam, axis=1, kind="stable")
+    lam = np.take_along_axis(lam, order, axis=1)
+    v = np.take_along_axis(v, order[:, None, :], axis=2)
+    return lam, v

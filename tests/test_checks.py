@@ -217,6 +217,15 @@ class TestTraceMoment:
         with pytest.raises(ValueError, match="constant drift"):
             mc_trace_moment(model, 10, TimeGrid(1.0, 4), seed=33)
 
+    def test_requires_declared_constant_drift(self):
+        # -1 at every point below 99: a probe at a few small points sees a constant
+        drift = clipped_affine_fn(1.0, -100.0, 1.0)
+        np.testing.assert_array_equal(drift.map_eigenvalues(np.array([0.0, 1.0, 7.5])), -1.0)
+        model = SdeModel(g=constant_fn(0.0), f=constant_fn(0.0), b=drift,
+                         x0=SymmetricMatrix.identity(2))
+        with pytest.raises(ValueError, match="constant drift"):
+            mc_trace_moment(model, 10, TimeGrid(1.0, 4), seed=33)
+
 
 class TestCheckReport:
     def test_json_round_trip(self):

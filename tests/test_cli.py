@@ -210,3 +210,35 @@ class TestConfigHandling:
         assert code == 0
         out = capsys.readouterr().out
         assert out.startswith("t,x_1_1")
+
+
+class TestDegenerateInputs:
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--samples", "0", "--dim", "2"],
+        ["trace-moment", "--paths", "0", "--steps", "4"],
+        ["trace-moment", "--paths", "1", "--steps", "4"],
+        ["isometry", "--paths", "0", "--steps", "4"],
+        ["isometry", "--paths", "1", "--steps", "4"],
+        ["trace-moment", "--paths", "8", "--steps", "4", "--seed", "-1"],
+        ["isometry", "--paths", "8", "--steps", "4", "--seed", str(2 ** 64)],
+    ])
+    def test_exit_two_with_one_line(self, argv, capsys):
+        assert run_cli(argv + (["--seed", "1"] if "--seed" not in argv else [])) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_non_finite_states_exit_two(self, tmp_path, capsys):
+        # a constant drift of 1e308 overflows the state to inf within a few steps
+        cfg = _write_config(tmp_path, {
+            "model": "custom", "g_kind": "constant", "g_value": 0.0,
+            "f_kind": "constant", "f_value": 0.0, "b_kind": "constant", "b_value": 1e308,
+            "x0": [1e308, 0.0, 0.0, 1e308],
+        })
+        argv = ["simulate", "--dim", "2", "--steps", "8", "--seed", "1", "--format", "json",
+                "--config", str(cfg)]
+        assert run_cli(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

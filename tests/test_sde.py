@@ -10,6 +10,7 @@ from matrixdiff.integrals import MatrixProcess, symmetrized_diffusion, time_inte
 from matrixdiff.sde import (
     SdeModel,
     WallachSetWarning,
+    _lift_gfb,
     default_test_vectors,
     euler_final_states,
     euler_solve,
@@ -74,6 +75,32 @@ class TestModelValidation:
             wishart_model(0, 1.0)
         with pytest.raises(ValueError):
             wishart_model(2, 1.0, sqrt_clip_bound=0.0)
+
+
+class TestCoefficientLift:
+    def test_constant_lift_is_exactly_scaled_identity(self):
+        model = SdeModel(g=constant_fn(0.7), f=constant_fn(-1.3), b=clipped_sqrt_fn(5.0),
+                         x0=SymmetricMatrix.identity(3))
+        stack = np.random.default_rng(1).standard_normal((6, 3, 3))
+        stack = stack @ stack.transpose(0, 2, 1)
+        g_x, f_x, b_x, lam_min = _lift_gfb(model, stack)
+        for lifted, value in ((g_x, 0.7), (f_x, -1.3)):
+            assert lifted.shape == (6, 3, 3)
+            np.testing.assert_array_equal(lifted, np.broadcast_to(value * np.eye(3), (6, 3, 3)))
+        assert b_x.shape == (6, 3, 3) and lam_min.shape == (6,)
+
+    def test_all_constant_model_needs_no_decomposition(self, monkeypatch):
+        import matrixdiff.sde as sde_module
+
+        def forbidden(stack):
+            raise AssertionError("constant coefficients must not be decomposed")
+
+        monkeypatch.setattr(sde_module, "spectral_decompose_stack", forbidden)
+        model = SdeModel(g=constant_fn(0.5), f=constant_fn(2.0), b=constant_fn(-1.0),
+                         x0=SymmetricMatrix.identity(2))
+        g_x, f_x, b_x, lam_min = _lift_gfb(model, np.zeros((5, 2, 2)))
+        assert lam_min is None
+        np.testing.assert_array_equal(b_x, np.broadcast_to(-np.eye(2), (5, 2, 2)))
 
 
 class TestEulerStep:
@@ -183,9 +210,9 @@ class TestPicard:
         _, diag = picard_solve(model, sample_path(grid, 2, seed=3))
         assert diag.converged
         assert diag.iterates_kept == 2
-        # constant lifts re-evaluated through each state's eigenbasis carry
-        # round-off of order 1e-15, so the fixed point is exact only up to that
-        assert diag.d_n[1] < 1e-12
+        # constant coefficients lift to exact multiples of I, so the second
+        # iterate repeats the first bit for bit
+        assert diag.d_n[1] == 0.0
 
     def test_iterate_built_from_module_integrals(self):
         # one Picard iterate from the constant start equals the integral ops

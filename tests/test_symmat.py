@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from matrixdiff import symmat
 from matrixdiff.symmat import (
     DomainPolicyError,
+    EigensolverError,
     ScalarFunctionSpec,
     SymmetricMatrix,
     affine_fn,
@@ -24,6 +26,7 @@ from matrixdiff.symmat import (
     spectral_decompose_stack,
     unit_vector,
 )
+from reference import jacobi_stack
 
 
 def random_symmetric(rng, d, scale=1.0):
@@ -122,9 +125,59 @@ class TestSpectralDecompose:
             dec = spectral_decompose(SymmetricMatrix(stack[i]))
             np.testing.assert_allclose(lam[i], dec.eigenvalues, atol=1e-12)
 
+    def test_guard_rejects_perturbed_decomposition(self, monkeypatch):
+        solve = symmat._eig_stack
+
+        def perturbed(stack):
+            lam, vec = solve(stack)
+            return lam * (1.0 + 1e-6), vec
+
+        monkeypatch.setattr(symmat, "_eig_stack", perturbed)
+        rng = np.random.default_rng(8)
+        for d in (1, 2, 3, 5):
+            for scale in (1.0, 1e160):
+                stack = scale * (rng.standard_normal((4, d, d)) + 3.0 * np.eye(d))
+                stack = 0.5 * (stack + stack.transpose(0, 2, 1))
+                with pytest.raises(EigensolverError, match="reconstruction residual"):
+                    spectral_decompose_stack(stack)
+
+    def test_rejects_non_finite_stack(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(EigensolverError, match="non-finite"):
+                spectral_decompose_stack(np.array([[[1.0, bad], [bad, 1.0]]]))
+
     def test_min_eigenvalues_stack(self):
         stack = np.stack([np.diag([2.0, -3.0]), np.eye(2)])
         np.testing.assert_allclose(min_eigenvalues_stack(stack), [-3.0, 1.0], atol=1e-14)
+
+
+class TestExtremeScales:
+    # squaring 1e160 entries overflows and 1e-160 entries underflows, so
+    # norms that square unscaled entries blind every guard at these scales
+    @pytest.mark.parametrize("scale", [1e160, 1e-160])
+    def test_two_by_two_eigenvalues(self, scale):
+        a = SymmetricMatrix([[scale, 2 * scale], [2 * scale, scale]])
+        dec = spectral_decompose(a)
+        np.testing.assert_allclose(dec.eigenvalues, [-scale, 3 * scale], rtol=1e-14)
+        assert not is_psd(a)
+        np.testing.assert_allclose(a.frobenius_norm(), np.sqrt(10.0) * scale, rtol=1e-14)
+
+    @pytest.mark.parametrize("scale", [1e160, 1e-160])
+    def test_rejects_asymmetric(self, scale):
+        with pytest.raises(ValueError, match="not symmetric"):
+            SymmetricMatrix([[scale, 2 * scale], [-5 * scale, scale]])
+
+    def test_symmetrizes_near_the_float_limit(self):
+        a = SymmetricMatrix([[1.0, 1e308], [1e308, 1.0]])
+        np.testing.assert_array_equal(a.entries, [[1.0, 1e308], [1e308, 1.0]])
+
+    @pytest.mark.parametrize("scale", [1e160, 1e-160])
+    def test_larger_dimensions(self, scale):
+        lam = np.array([-2.0, 0.5, 1.0, 4.0])
+        q, _ = np.linalg.qr(np.random.default_rng(4).standard_normal((4, 4)))
+        a = SymmetricMatrix(scale * (q * lam) @ q.T)
+        np.testing.assert_allclose(spectral_decompose(a).eigenvalues, scale * lam, rtol=1e-12)
+        assert not is_psd(a)
 
 
 class TestFunctionalCalculus:
@@ -209,6 +262,14 @@ class TestFunctionalCalculus:
         lam = np.array([-1.0, 0.0, 2.5])
         np.testing.assert_array_equal(constant_fn(3.0).map_eigenvalues(lam), [3.0, 3.0, 3.0])
         np.testing.assert_array_equal(affine_fn(2.0, -1.0).map_eigenvalues(lam), [-3.0, -1.0, 4.0])
+
+    def test_constant_declaration(self):
+        assert constant_fn(3.0).constant and constant_fn(3.0).constant_value() == 3.0
+        for spec in (identity_fn(), affine_fn(0.0, 1.0), clipped_affine_fn(1.0, -100.0, 1.0),
+                     clipped_sqrt_fn(2.0)):
+            assert not spec.constant
+            with pytest.raises(ValueError, match="not declared constant"):
+                spec.constant_value()
 
 
 class TestOrderPredicates:
@@ -317,3 +378,37 @@ def test_spectral_mapping_property(a):
 @given(symmetric_matrices())
 def test_loewner_reflexive_property(a):
     assert loewner_leq(a, a, tol=1e-12)
+
+
+@st.composite
+def spectra(draw):
+    """Stacks Q diag(lambda) Q^T with random, repeated, near-repeated or zero spectra."""
+    d = draw(st.sampled_from((1, 2, 3, 5, 8)))
+    m = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(("random", "repeated", "near_repeated", "zero")))
+    scale = 10.0 ** draw(st.sampled_from((-150, 0, 150)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "random":
+        lam = rng.standard_normal((m, d))
+    elif kind == "repeated":
+        lam = rng.choice(rng.standard_normal(2), size=(m, d))
+    elif kind == "near_repeated":
+        lam = rng.standard_normal((m, 1)) + 1e-9 * rng.standard_normal((m, d))
+    else:
+        lam = np.zeros((m, d))
+    q, _ = np.linalg.qr(rng.standard_normal((m, d, d)))
+    stack = scale * ((q * lam[:, None, :]) @ q.transpose(0, 2, 1))
+    return 0.5 * (stack + stack.transpose(0, 2, 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(spectra())
+def test_seam_matches_jacobi_oracle(stack):
+    lam, vec = spectral_decompose_stack(stack)
+    ref_lam, ref_vec = jacobi_stack(stack)
+    tol = 1e-12 * np.linalg.norm(stack, axis=(1, 2))
+    assert (np.abs(lam - ref_lam).max(axis=1) <= tol).all()
+    recon = (vec * lam[:, None, :]) @ vec.transpose(0, 2, 1)
+    ref_recon = (ref_vec * ref_lam[:, None, :]) @ ref_vec.transpose(0, 2, 1)
+    assert (np.linalg.norm(recon - ref_recon, axis=(1, 2)) <= tol).all()
+    assert (np.linalg.norm(recon - stack, axis=(1, 2)) <= tol).all()
