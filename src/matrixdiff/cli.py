@@ -351,7 +351,9 @@ def run_cli(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _load_config(args.config)
-        return _COMMANDS[args.command](args, config)
+        # states that overflow are reported once, by the guard, not by numpy too
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _COMMANDS[args.command](args, config)
     except (ConfigError, ValueError, EigensolverError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -134,29 +134,24 @@ def _lift_gfb(model: SdeModel, stack: np.ndarray):
     """Lift g, f, b over a stack of states with a single shared decomposition.
 
     Returns exactly symmetric (m, d, d) arrays plus each state's smallest
-    eigenvalue.  A coefficient declared constant lifts to value * I without a
-    decomposition; with all three constant the eigenvalues come back None.
+    eigenvalue.  A coefficient declared constant lifts to value * I.
     """
-    specs = (model.g, model.f, model.b)
-    lam = vec = None
-    if not all(spec.constant for spec in specs):
-        lam, vec = spectral_decompose_stack(stack)
+    lam, vec = spectral_decompose_stack(stack)
     out = []
-    for spec in specs:
+    for spec in (model.g, model.f, model.b):
         if spec.constant:
             eye = spec.constant_value() * np.eye(stack.shape[1])
             out.append(np.broadcast_to(eye, stack.shape))
         else:
             lifted = _lift(vec, spec.map_eigenvalues(lam))
             out.append(0.5 * (lifted + lifted.transpose(0, 2, 1)))
-    return out[0], out[1], out[2], None if lam is None else lam[:, 0]
+    return out[0], out[1], out[2], lam[:, 0]
 
 
 def _advance(model: SdeModel, x: np.ndarray, db: np.ndarray, dt: float):
     """One Euler step on a (P, d, d) stack: X + g dB f + (g dB f)^T + b dt.
 
-    Returns the next stack and the smallest eigenvalue of each input state
-    (None when every coefficient is constant).
+    Returns the next stack and the smallest eigenvalue of each input state.
     """
     g_x, f_x, b_x, lam_min = _lift_gfb(model, x)
     m = g_x @ db @ f_x
@@ -180,10 +175,7 @@ def euler_solve(model: SdeModel, path: BrownianPath) -> PathSolution:
     min_eigs = np.empty(n + 1)
     states[0] = model.x0.entries
     for k in range(n):
-        current = states[k:k + 1]
-        nxt, lam_min = _advance(model, current, path.increments[k:k + 1], dt)
-        if lam_min is None:
-            lam_min = min_eigenvalues_stack(current)
+        nxt, lam_min = _advance(model, states[k:k + 1], path.increments[k:k + 1], dt)
         min_eigs[k] = lam_min[0]
         states[k + 1] = nxt[0]
     min_eigs[n] = min_eigenvalues_stack(states[n:])[0]

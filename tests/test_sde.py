@@ -89,19 +89,6 @@ class TestCoefficientLift:
             np.testing.assert_array_equal(lifted, np.broadcast_to(value * np.eye(3), (6, 3, 3)))
         assert b_x.shape == (6, 3, 3) and lam_min.shape == (6,)
 
-    def test_all_constant_model_needs_no_decomposition(self, monkeypatch):
-        import matrixdiff.sde as sde_module
-
-        def forbidden(stack):
-            raise AssertionError("constant coefficients must not be decomposed")
-
-        monkeypatch.setattr(sde_module, "spectral_decompose_stack", forbidden)
-        model = SdeModel(g=constant_fn(0.5), f=constant_fn(2.0), b=constant_fn(-1.0),
-                         x0=SymmetricMatrix.identity(2))
-        g_x, f_x, b_x, lam_min = _lift_gfb(model, np.zeros((5, 2, 2)))
-        assert lam_min is None
-        np.testing.assert_array_equal(b_x, np.broadcast_to(-np.eye(2), (5, 2, 2)))
-
 
 class TestEulerStep:
     def test_pure_drift(self):
