@@ -215,24 +215,35 @@ def estimate_lipschitz(spec: ScalarFunctionSpec, samples: int, d: int, seed: int
                              sampled_ratio_max=ratio_max, sample_count=kept, dims=[d])
 
 
-def _constant_step_integrals(a: np.ndarray, c: np.ndarray, grid: TimeGrid, dim: int,
-                             seed: int, n_paths: int, block: int = _BLOCK):
-    """Yield per-block left-point integral step terms A dB_m C for Philox paths."""
-    for start in range(0, n_paths, block):
-        count = min(block, n_paths - start)
+def _increment_blocks(grid: TimeGrid, dim: int, seed: int, n_paths: int):
+    """Yield the Brownian increments of Philox paths 0..n_paths-1 as
+    (count, steps, d, d) blocks of at most _BLOCK paths."""
+    for start in range(0, n_paths, _BLOCK):
+        count = min(_BLOCK, n_paths - start)
         inc = np.empty((count, grid.steps, dim, dim))
         for i in range(count):
             inc[i] = sample_path(grid, dim, seed, start + i).increments
-        yield np.einsum("ij,pmjk,kl->pmil", a, inc, c)
+        yield inc
+
+
+def _three_se_report(name: str, values: np.ndarray, target_key: str, target: float,
+                     seed: int) -> CheckReport:
+    """Pass when the mean of the per-path values is within 3 SE of the target."""
+    mean = float(values.mean())
+    se = float(values.std(ddof=1) / np.sqrt(values.size))
+    gap = abs(mean - target)
+    return CheckReport(name, values.size, gap - 3.0 * se, 0.0, gap <= 3.0 * se,
+                       details={"mean": mean, target_key: target, "se": se, "seed": seed})
 
 
 def mc_isometry(a_const: SymmetricMatrix, c_const: SymmetricMatrix, x, y,
                 paths: int, grid: TimeGrid, seed: int) -> CheckReport:
     """Second-moment identity for the integral of constant matrix processes.
 
-    Compares the Monte Carlo mean of y^T M^2 x, M the left-point integral of
-    A dB C, against the exact time integral of x^T C^T C A A^T y.  Passes when
-    the gap is within three standard errors; needs at least two paths.
+    Compares the Monte Carlo mean of y^T M^2 x, M = A B_tau C the left-point
+    integral of A dB C, against the exact time integral of x^T C^T C A A^T y.
+    Passes when the gap is within three standard errors; needs at least two
+    paths.
     """
     if paths < 2:
         raise ValueError(f"isometry needs at least 2 paths for a standard error, got {paths}")
@@ -243,19 +254,11 @@ def mc_isometry(a_const: SymmetricMatrix, c_const: SymmetricMatrix, x, y,
     proc_c = MatrixProcess.constant(grid, c_const)
     rhs = isometry_rhs(proc_a, proc_c, x, y)
 
-    total = 0.0
-    total_sq = 0.0
-    for terms in _constant_step_integrals(a_const.entries, c_const.entries, grid, d, seed, paths):
-        m = terms.sum(axis=1)
-        vals = np.einsum("i,pij,pjk,k->p", y, m, m, x)
-        total += float(vals.sum())
-        total_sq += float((vals * vals).sum())
-    mean = total / paths
-    var = max(total_sq / paths - mean * mean, 0.0) * paths / (paths - 1)
-    se = float(np.sqrt(var / paths))
-    gap = abs(mean - rhs)
-    return CheckReport("mc_isometry", paths, gap - 3.0 * se, 0.0, gap <= 3.0 * se,
-                       details={"mean": mean, "rhs": rhs, "se": se, "seed": seed})
+    vals = []
+    for inc in _increment_blocks(grid, d, seed, paths):
+        m = a_const.entries @ inc.sum(axis=1) @ c_const.entries
+        vals.append(m @ m @ x @ y)
+    return _three_se_report("mc_isometry", np.concatenate(vals), "rhs", rhs, seed)
 
 
 def estimate_lemma_beta(a_const: SymmetricMatrix, c_const: SymmetricMatrix,
@@ -272,8 +275,8 @@ def estimate_lemma_beta(a_const: SymmetricMatrix, c_const: SymmetricMatrix,
     sum_sym = np.zeros(n)
     sum_m2 = np.zeros(n)
     sum_mt2 = np.zeros(n)
-    for terms in _constant_step_integrals(a_const.entries, c_const.entries, grid, d, seed, paths):
-        prefix = np.cumsum(terms, axis=1)
+    for inc in _increment_blocks(grid, d, seed, paths):
+        prefix = a_const.entries @ np.cumsum(inc, axis=1) @ c_const.entries
         prefix_t = prefix.transpose(0, 1, 3, 2)
         sym = prefix + prefix_t
         sym_x = np.einsum("pkij,pkjl,l->pki", sym, sym, x)
@@ -303,12 +306,8 @@ def mc_trace_moment(model: SdeModel, paths: int, grid: TimeGrid, seed: int) -> C
     expected = model.x0.trace() + alpha * model.dim * grid.horizon
 
     finals = euler_final_states(model, grid, seed, paths)
-    traces = np.einsum("pii->p", finals)
-    mean = float(traces.mean())
-    se = float(traces.std(ddof=1) / np.sqrt(paths))
-    gap = abs(mean - expected)
-    return CheckReport("trace_moment", paths, gap - 3.0 * se, 0.0, gap <= 3.0 * se,
-                       details={"mean": mean, "expected": expected, "se": se, "seed": seed})
+    return _three_se_report("trace_moment", np.einsum("pii->p", finals), "expected",
+                            expected, seed)
 
 
 def run_inequality_suite(samples: int, dims, seed: int) -> list:

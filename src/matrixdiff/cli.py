@@ -68,15 +68,23 @@ def _resolve(args: argparse.Namespace, config: dict, key: str, default):
     return default
 
 
-def _resolve_seed(args, config) -> int:
-    seed = _resolve(args, config, "seed", None)
-    if seed is None:
-        seed = os.environ.get("MATRIXDIFF_SEED", DEFAULT_SEED)
+def _number(args, config, key: str, default, kind=int, low=None):
+    """The setting `key` (flag, else config, else default) as `kind`; a value
+    that does not convert (JSON null) or lies below `low` is a `ConfigError`."""
+    value = _resolve(args, config, key, default)
     try:
-        seed = int(seed)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"seed must be a decimal integer, got {seed!r}") from exc
-    if not 0 <= seed < 2 ** 64:
+        number = kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{key} must be {'an integer' if kind is int else 'a number'}, "
+                          f"got {value!r}") from exc
+    if low is not None and number < low:
+        raise ConfigError(f"{key} must be at least {low}, got {number}")
+    return number
+
+
+def _resolve_seed(args, config) -> int:
+    seed = _number(args, config, "seed", os.environ.get("MATRIXDIFF_SEED", DEFAULT_SEED), low=0)
+    if seed >= 2 ** 64:
         raise ConfigError(f"seed must lie in [0, 2^64), got {seed}")
     return seed
 
@@ -97,17 +105,17 @@ def _parse_vector(obj, dim: int, what: str) -> np.ndarray:
     return arr
 
 
-def _scalar_spec(config: dict, prefix: str) -> ScalarFunctionSpec:
+def _scalar_spec(args, config: dict, prefix: str) -> ScalarFunctionSpec:
     kind = config.get(f"{prefix}_kind")
     if kind == "constant":
-        return constant_fn(float(config.get(f"{prefix}_value", 0.0)))
+        return constant_fn(_number(args, config, f"{prefix}_value", 0.0, float))
     if kind == "clipped_sqrt":
-        return clipped_sqrt_fn(float(config.get(f"{prefix}_clip", 1e6)))
+        return clipped_sqrt_fn(_number(args, config, f"{prefix}_clip", 1e6, float))
     if kind == "clipped_affine":
         return clipped_affine_fn(
-            float(config.get(f"{prefix}_a", 1.0)),
-            float(config.get(f"{prefix}_b", 0.0)),
-            float(config.get(f"{prefix}_bound", 1e6)),
+            _number(args, config, f"{prefix}_a", 1.0, float),
+            _number(args, config, f"{prefix}_b", 0.0, float),
+            _number(args, config, f"{prefix}_bound", 1e6, float),
         )
     raise ConfigError(
         f"{prefix}_kind must be one of constant, clipped_sqrt, clipped_affine; got {kind!r}"
@@ -116,16 +124,16 @@ def _scalar_spec(config: dict, prefix: str) -> ScalarFunctionSpec:
 
 def _build_model(args, config, dim: int) -> SdeModel:
     model_name = _resolve(args, config, "model", "wishart")
-    clip = float(_resolve(args, config, "sqrt_clip_bound", 1e6))
+    clip = _number(args, config, "sqrt_clip_bound", 1e6, float)
     x0_cfg = config.get("x0")
     x0 = SymmetricMatrix(_parse_matrix(x0_cfg, dim, "x0")) if x0_cfg is not None else None
     if model_name == "wishart":
-        alpha = float(_resolve(args, config, "alpha", 1.0))
+        alpha = _number(args, config, "alpha", 1.0, float)
         return wishart_model(dim, alpha, x0=x0, sqrt_clip_bound=clip)
     if model_name == "custom":
-        g = _scalar_spec(config, "g")
-        f = _scalar_spec(config, "f")
-        b = _scalar_spec(config, "b")
+        g = _scalar_spec(args, config, "g")
+        f = _scalar_spec(args, config, "f")
+        b = _scalar_spec(args, config, "b")
         if x0 is None:
             x0 = SymmetricMatrix.zeros(dim)
         return SdeModel(g=g, f=f, b=b, x0=x0)
@@ -140,55 +148,49 @@ def _write_output(text: str, out_path) -> None:
             fh.write(text)
 
 
-def _upper_triangle_header(dim: int, with_path: bool) -> list:
-    cols = (["path"] if with_path else []) + ["t"]
-    cols += [f"x_{i + 1}_{j + 1}" for i in range(dim) for j in range(i, dim)]
-    return cols
+def _cell(value) -> str:
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, float):
+        return _fmt(value)
+    return str(value)
 
 
-def _states_csv(solutions, grid: TimeGrid, dim: int) -> str:
-    with_path = len(solutions) > 1
-    lines = [",".join(_upper_triangle_header(dim, with_path))]
-    iu = np.triu_indices(dim)
-    times = grid.times
-    for index, sol in enumerate(solutions):
-        for k in range(grid.steps + 1):
-            row = ([str(index)] if with_path else []) + [_fmt(times[k])]
-            row += [_fmt(v) for v in sol.states[k][iu]]
-            lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
-
-
-def _states_json(solutions, grid: TimeGrid, dim: int) -> str:
-    with_path = len(solutions) > 1
-    iu = np.triu_indices(dim)
-    rows = []
-    for index, sol in enumerate(solutions):
-        for k in range(grid.steps + 1):
-            row = ([index] if with_path else []) + [grid.times[k]]
-            row += [float(v) for v in sol.states[k][iu]]
-            rows.append(row)
-    doc = {"columns": _upper_triangle_header(dim, with_path), "rows": rows}
-    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+def _render(fmt: str, columns: list, rows, json_doc) -> str:
+    """`columns` and `rows` as CSV, or `json_doc` as strict indented JSON.  Only
+    the format written reads `rows`, a generator that `json_doc` may hold."""
+    if fmt == "csv":
+        lines = [",".join(columns)]
+        lines += [",".join(_cell(v) for v in row) for row in rows]
+        return "\n".join(lines) + "\n"
+    return json.dumps(json_doc, indent=2, allow_nan=False, default=list) + "\n"
 
 
 def _reports_text(reports, fmt: str) -> str:
-    if fmt == "csv":
-        lines = ["name,samples,worst_violation,tolerance,pass"]
-        for rep in reports:
-            lines.append(
-                f"{rep.name},{rep.samples},{_fmt(rep.worst_violation)},"
-                f"{_fmt(rep.tolerance)},{str(rep.passed).lower()}"
-            )
-        return "\n".join(lines) + "\n"
-    return json.dumps([rep.to_dict() for rep in reports], indent=2, allow_nan=False) + "\n"
+    columns = ["name", "samples", "worst_violation", "tolerance", "pass"]
+    rows = ([rep.name, rep.samples, rep.worst_violation, rep.tolerance, rep.passed]
+            for rep in reports)
+    return _render(fmt, columns, rows, [rep.to_dict() for rep in reports])
+
+
+def _states_text(solutions, grid: TimeGrid, dim: int, fmt: str) -> str:
+    """Upper-triangle entries of every state, one row per path and grid time."""
+    with_path = len(solutions) > 1
+    columns = (["path"] if with_path else []) + ["t"]
+    columns += [f"x_{i + 1}_{j + 1}" for i in range(dim) for j in range(i, dim)]
+    iu = np.triu_indices(dim)
+    times = grid.times.tolist()
+    rows = (([index] if with_path else []) + [t] + vals
+            for index, sol in enumerate(solutions)
+            for t, vals in zip(times, sol.states[:, iu[0], iu[1]].tolist()))
+    return _render(fmt, columns, rows, {"columns": columns, "rows": rows})
 
 
 def _cmd_simulate(args, config) -> int:
-    dim = int(_resolve(args, config, "dim", 2))
-    steps = int(_resolve(args, config, "steps", 256))
-    horizon = float(_resolve(args, config, "horizon", 1.0))
-    paths = int(_resolve(args, config, "paths", 1))
+    dim = _number(args, config, "dim", 2, low=1)
+    steps = _number(args, config, "steps", 256)
+    horizon = _number(args, config, "horizon", 1.0, float)
+    paths = _number(args, config, "paths", 1, low=1)
     method = _resolve(args, config, "method", "euler")
     seed = _resolve_seed(args, config)
     fmt = _resolve(args, config, "format", "csv")
@@ -204,27 +206,27 @@ def _cmd_simulate(args, config) -> int:
             solutions.append(solution)
         else:
             raise ConfigError(f"unknown method {method!r}")
-    text = _states_csv(solutions, grid, dim) if fmt == "csv" else _states_json(solutions, grid, dim)
-    _write_output(text, args.out)
+    _write_output(_states_text(solutions, grid, dim, fmt), args.out)
     return 0
 
 
 def _cmd_verify(args, config) -> int:
-    samples = int(_resolve(args, config, "samples", 10000))
+    samples = _number(args, config, "samples", 10000)
     seed = _resolve_seed(args, config)
     fmt = _resolve(args, config, "format", "json")
-    dim = _resolve(args, config, "dim", None)
-    dims = [int(dim)] if dim is not None else [2, 3, 5, 8]
+    dims = [2, 3, 5, 8]
+    if args.dim is not None or "dim" in config:
+        dims = [_number(args, config, "dim", None, low=1)]
     reports = run_inequality_suite(samples, dims, seed)
     _write_output(_reports_text(reports, fmt), args.out)
     return 0 if all(rep.passed for rep in reports) else 1
 
 
 def _cmd_isometry(args, config) -> int:
-    dim = int(_resolve(args, config, "dim", 2))
-    steps = int(_resolve(args, config, "steps", 16))
-    horizon = float(_resolve(args, config, "horizon", 1.0))
-    paths = int(_resolve(args, config, "paths", 20000))
+    dim = _number(args, config, "dim", 2, low=1)
+    steps = _number(args, config, "steps", 16)
+    horizon = _number(args, config, "horizon", 1.0, float)
+    paths = _number(args, config, "paths", 20000)
     seed = _resolve_seed(args, config)
     fmt = _resolve(args, config, "format", "json")
     grid = TimeGrid(horizon=horizon, steps=steps)
@@ -244,14 +246,14 @@ def _cmd_isometry(args, config) -> int:
 
 
 def _cmd_picard_convergence(args, config) -> int:
-    dim = int(_resolve(args, config, "dim", 2))
-    steps = int(_resolve(args, config, "steps", 256))
-    horizon = float(_resolve(args, config, "horizon", 1.0))
-    paths = int(_resolve(args, config, "paths", 1))
+    dim = _number(args, config, "dim", 2, low=1)
+    steps = _number(args, config, "steps", 256)
+    horizon = _number(args, config, "horizon", 1.0, float)
+    paths = _number(args, config, "paths", 1, low=1)
     seed = _resolve_seed(args, config)
     fmt = _resolve(args, config, "format", "json")
-    max_iter = int(_resolve(args, config, "max_iter", 25))
-    stop_tol = float(_resolve(args, config, "stop_tol", 1e-10))
+    max_iter = _number(args, config, "max_iter", 25)
+    stop_tol = _number(args, config, "stop_tol", 1e-10, float)
     grid = TimeGrid(horizon=horizon, steps=steps)
     model = _build_model(args, config, dim)
     records = []
@@ -270,23 +272,17 @@ def _cmd_picard_convergence(args, config) -> int:
             "d_n": [float(v) for v in diag.d_n],
             "rate_fit": fit,
         })
-    if fmt == "csv":
-        lines = ["path,iteration,d_n"]
-        for rec in records:
-            for i, value in enumerate(rec["d_n"], start=1):
-                lines.append(f"{rec['path_index']},{i},{_fmt(value)}")
-        text = "\n".join(lines) + "\n"
-    else:
-        text = json.dumps(records, indent=2, allow_nan=False) + "\n"
-    _write_output(text, args.out)
+    rows = ([rec["path_index"], i, value]
+            for rec in records for i, value in enumerate(rec["d_n"], start=1))
+    _write_output(_render(fmt, ["path", "iteration", "d_n"], rows, records), args.out)
     return 0 if all_converged else 1
 
 
 def _cmd_trace_moment(args, config) -> int:
-    dim = int(_resolve(args, config, "dim", 2))
-    steps = int(_resolve(args, config, "steps", 256))
-    horizon = float(_resolve(args, config, "horizon", 1.0))
-    paths = int(_resolve(args, config, "paths", 10000))
+    dim = _number(args, config, "dim", 2, low=1)
+    steps = _number(args, config, "steps", 256)
+    horizon = _number(args, config, "horizon", 1.0, float)
+    paths = _number(args, config, "paths", 10000)
     seed = _resolve_seed(args, config)
     fmt = _resolve(args, config, "format", "json")
     grid = TimeGrid(horizon=horizon, steps=steps)

@@ -99,13 +99,7 @@ def ito_integral(a: MatrixProcess, path: BrownianPath, c: MatrixProcess, k_end=N
 
 def ito_integral_transposed(c: MatrixProcess, path: BrownianPath, a: MatrixProcess, k_end=None) -> np.ndarray:
     """Left-point sum of C_{t_m} dB_m^T A_{t_m}; the transpose of `ito_integral`."""
-    _check_alignment(path, a, c)
-    k = _resolve_k_end(path.grid, k_end)
-    if k == 0:
-        return np.zeros((path.dim, path.dim))
-    db_t = path.increments[:k].transpose(0, 2, 1)
-    terms = np.einsum("mij,mjk,mkl->mil", c.values[:k], db_t, a.values[:k])
-    return terms.sum(axis=0)
+    return ito_integral(a, path, c, k_end).T
 
 
 def symmetrized_diffusion(a: MatrixProcess, path: BrownianPath, c: MatrixProcess, k_end=None) -> SymmetricMatrix:

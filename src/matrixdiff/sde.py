@@ -50,6 +50,10 @@ __all__ = [
 ]
 
 
+# paths stepped together by `euler_final_states`; results do not depend on it
+_EULER_BLOCK = 2048
+
+
 class WallachSetWarning(UserWarning):
     """The Wishart drift parameter lies outside the admissible set."""
 
@@ -148,14 +152,20 @@ def _lift_gfb(model: SdeModel, stack: np.ndarray):
     return out[0], out[1], out[2], lam[:, 0]
 
 
+def _increment(g_x, f_x, b_x, db: np.ndarray, dt: float) -> np.ndarray:
+    """The Euler increment g dB f + (g dB f)^T + b dt of every stacked state:
+    the summand of both the Euler step and the Picard map."""
+    m = g_x @ db @ f_x
+    return (m + m.transpose(0, 2, 1)) + b_x * dt
+
+
 def _advance(model: SdeModel, x: np.ndarray, db: np.ndarray, dt: float):
     """One Euler step on a (P, d, d) stack: X + g dB f + (g dB f)^T + b dt.
 
     Returns the next stack and the smallest eigenvalue of each input state.
     """
     g_x, f_x, b_x, lam_min = _lift_gfb(model, x)
-    m = g_x @ db @ f_x
-    return x + (m + m.transpose(0, 2, 1)) + b_x * dt, lam_min
+    return x + _increment(g_x, f_x, b_x, db, dt), lam_min
 
 
 def euler_step(model: SdeModel, x_k: SymmetricMatrix, db: np.ndarray, dt: float) -> SymmetricMatrix:
@@ -182,21 +192,19 @@ def euler_solve(model: SdeModel, path: BrownianPath) -> PathSolution:
     return PathSolution(grid, states, "euler", (path.seed, path.path_index), min_eigs)
 
 
-def euler_final_states(model: SdeModel, grid: TimeGrid, seed: int, n_paths: int,
-                       path_offset: int = 0, block: int = 2048) -> np.ndarray:
+def euler_final_states(model: SdeModel, grid: TimeGrid, seed: int, n_paths: int) -> np.ndarray:
     """Final states X_tau of many independent Euler solves, stepped in blocks.
 
-    Path `i` uses the same Philox stream as `sample_path(grid, d, seed,
-    path_offset + i)`, so results match per-path solves and are independent
-    of the blocking.
+    Path `i` uses the same Philox stream as `sample_path(grid, d, seed, i)`,
+    so results match per-path solves and are independent of the blocking.
     """
     d, n, dt = model.dim, grid.steps, grid.dt
     finals = np.empty((n_paths, d, d))
-    for start in range(0, n_paths, block):
-        count = min(block, n_paths - start)
+    for start in range(0, n_paths, _EULER_BLOCK):
+        count = min(_EULER_BLOCK, n_paths - start)
         inc = np.empty((count, n, d, d))
         for i in range(count):
-            inc[i] = sample_path(grid, d, seed, path_offset + start + i).increments
+            inc[i] = sample_path(grid, d, seed, start + i).increments
         x = np.broadcast_to(model.x0.entries, (count, d, d)).copy()
         for k in range(n):
             x, _ = _advance(model, x, inc[:, k], dt)
@@ -236,12 +244,12 @@ def picard_solve(model: SdeModel, path: BrownianPath, max_iter: int = 25,
                  test_vectors: Optional[np.ndarray] = None):
     """Fixed-point iteration of the integral equation on one frozen path.
 
-    Starting from the constant path X0, each iteration rebuilds the full grid
-    path by integrating the previous iterate's lifted coefficients (left-point
-    rule).  The per-iteration diagnostic is the sup over grid times and test
-    vectors of |x^T (X_new - X_old) x|; iteration stops once it falls below
-    `stop_tol`.  Non-convergence within `max_iter` is reported through the
-    diagnostics, not raised.
+    Starting from the constant path X0, each iteration rebuilds the grid path
+    as X0 plus the running sum of Euler increments taken at the previous
+    iterate, so the fixed point is the Euler path.  The per-iteration
+    diagnostic is the sup over grid times and test vectors of
+    |x^T (X_new - X_old) x|; iteration stops once it falls below `stop_tol`.
+    Non-convergence within `max_iter` is reported, not raised.
 
     Returns (PathSolution, PicardDiagnostics).
     """
@@ -259,12 +267,10 @@ def picard_solve(model: SdeModel, path: BrownianPath, max_iter: int = 25,
     converged = False
     for _ in range(max_iter):
         g_x, f_x, b_x, _ = _lift_gfb(model, prev)
-        noise_steps = g_x[:n] @ path.increments @ f_x[:n]
-        drift_prefix = np.zeros((n + 1, d, d))
-        np.cumsum(b_x[:n] * dt, axis=0, out=drift_prefix[1:])
-        noise_prefix = np.zeros((n + 1, d, d))
-        np.cumsum(noise_steps, axis=0, out=noise_prefix[1:])
-        nxt = x0 + drift_prefix + noise_prefix + noise_prefix.transpose(0, 2, 1)
+        steps = _increment(g_x[:n], f_x[:n], b_x[:n], path.increments, dt)
+        nxt = np.zeros((n + 1, d, d))
+        np.cumsum(steps, axis=0, out=nxt[1:])
+        nxt += x0
 
         diff = nxt - prev
         d_iter = float(np.abs(((diff @ tv.T) * tv.T).sum(axis=1)).max())

@@ -296,14 +296,15 @@ def spectral_decompose_stack(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     Eigenvalues come back as (m, d) sorted non-decreasing per matrix, with
     eigenvector columns (m, d, d) in matching order.  Reconstruction residuals
     are verified for the whole stack; non-finite input, or a residual above
-    1e-8 * max(1, ||A||_F), raises `EigensolverError`.
+    1e-8 * max(||A||_F, tiny), raises `EigensolverError`.  `tiny`, the smallest
+    normal double, keeps the relative bound positive for zero and subnormal A.
     """
     stack = np.asarray(stack, dtype=np.float64)
     if not np.isfinite(stack).all():
         raise EigensolverError("cannot decompose a matrix with non-finite entries")
     lam, vec = _eig_stack(stack)
     resid = _frobenius(_lift(vec, lam) - stack)
-    bound = RECONSTRUCTION_RTOL * np.maximum(1.0, _frobenius(stack))
+    bound = RECONSTRUCTION_RTOL * np.maximum(_frobenius(stack), np.finfo(np.float64).tiny)
     if not (resid <= bound).all():
         raise EigensolverError(
             f"eigendecomposition reconstruction residual {float(resid.max()):.3e} "

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from matrixdiff import checks, sde
 from matrixdiff.brownian import TimeGrid
 from matrixdiff.checks import (
     CheckReport,
@@ -220,6 +221,25 @@ class TestTraceMoment:
                              x0=SymmetricMatrix.identity(2))
             with pytest.raises(ValueError, match="constant drift"):
                 mc_trace_moment(model, 10, TimeGrid(1.0, 4), seed=33)
+
+
+class TestBlockSizeIndependence:
+    def test_mc_reports_do_not_depend_on_block_size(self, monkeypatch):
+        # per-path values are reduced once over all paths, so the block size,
+        # which only bounds memory, must not move a single bit of a report
+        rng = np.random.default_rng(41)
+        a = SymmetricMatrix(random_symmetric_stack(rng, 1, 3)[0])
+        c = SymmetricMatrix(random_psd_stack(rng, 1, 3)[0])
+        x, y = random_unit_stack(rng, 2, 3)
+        model = wishart_model(3, 4.0, x0=SymmetricMatrix.identity(3))
+        grid = TimeGrid(1.0, 8)
+        outcomes = []
+        for mc_block, euler_block in ((7, 7), (1000, 1000), (checks._BLOCK, sde._EULER_BLOCK)):
+            monkeypatch.setattr(checks, "_BLOCK", mc_block)
+            monkeypatch.setattr(sde, "_EULER_BLOCK", euler_block)
+            outcomes.append((mc_isometry(a, c, x, y, 2500, grid, seed=42).to_dict(),
+                             mc_trace_moment(model, 2500, grid, seed=43).to_dict()))
+        assert outcomes[0] == outcomes[1] == outcomes[2]
 
 
 class TestCheckReport:

@@ -2,10 +2,13 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import matrixdiff
 from matrixdiff.cli import run_cli
 
 
@@ -221,6 +224,11 @@ class TestDegenerateInputs:
         ["isometry", "--paths", "1", "--steps", "4"],
         ["trace-moment", "--paths", "8", "--steps", "4", "--seed", "-1"],
         ["isometry", "--paths", "8", "--steps", "4", "--seed", str(2 ** 64)],
+        ["verify", "--dim", "0", "--samples", "8"],
+        ["isometry", "--dim", "0", "--paths", "8", "--steps", "4"],
+        ["picard-convergence", "--paths", "0", "--steps", "4"],
+        ["picard-convergence", "--paths", "-3", "--steps", "4"],
+        ["simulate", "--paths", "0", "--steps", "4"],
     ])
     def test_exit_two_with_one_line(self, argv, capsys):
         assert run_cli(argv + (["--seed", "1"] if "--seed" not in argv else [])) == 2
@@ -228,16 +236,42 @@ class TestDegenerateInputs:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("key", ["dim", "alpha", "g_value", "steps", "seed"])
+    def test_null_setting_exits_two(self, key, tmp_path, capsys):
+        payload = {"model": "custom", "g_kind": "constant", "f_kind": "constant",
+                   "b_kind": "constant"} if key == "g_value" else {}
+        cfg = _write_config(tmp_path, {**payload, key: None})
+        assert run_cli(["simulate", "--config", str(cfg)]
+                       + (["--seed", "1"] if key != "seed" else [])) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {key} must be") and captured.err.count("\n") == 1
+
     def test_non_finite_states_exit_two(self, tmp_path, capsys):
-        # a constant drift of 1e308 overflows the state to inf within a few steps
-        cfg = _write_config(tmp_path, {
-            "model": "custom", "g_kind": "constant", "g_value": 0.0,
-            "f_kind": "constant", "f_value": 0.0, "b_kind": "constant", "b_value": 1e308,
-            "x0": [1e308, 0.0, 0.0, 1e308],
-        })
-        argv = ["simulate", "--dim", "2", "--steps", "8", "--seed", "1", "--format", "json",
-                "--config", str(cfg)]
+        argv = _overflow_argv(tmp_path)
         assert run_cli(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_non_finite_states_one_line_in_a_real_process(self, tmp_path):
+        # pytest collects numpy's RuntimeWarnings in process; a real run
+        # prints them to stderr unless the CLI silences them
+        src = os.path.dirname(os.path.dirname(matrixdiff.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-m", "matrixdiff.cli", *_overflow_argv(tmp_path)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+
+
+def _overflow_argv(tmp_path):
+    # a constant drift of 1e308 overflows the state to inf within a few steps
+    cfg = _write_config(tmp_path, {
+        "model": "custom", "g_kind": "constant", "g_value": 0.0,
+        "f_kind": "constant", "f_value": 0.0, "b_kind": "constant", "b_value": 1e308,
+        "x0": [1e308, 0.0, 0.0, 1e308],
+    })
+    return ["simulate", "--dim", "2", "--steps", "8", "--seed", "1", "--format", "json",
+            "--config", str(cfg)]

@@ -135,11 +135,21 @@ class TestSpectralDecompose:
         monkeypatch.setattr(symmat, "_eig_stack", perturbed)
         rng = np.random.default_rng(8)
         for d in (1, 2, 3, 5):
-            for scale in (1.0, 1e160):
+            for scale in (1.0, 1e160, 1e-160):
                 stack = scale * (rng.standard_normal((4, d, d)) + 3.0 * np.eye(d))
                 stack = 0.5 * (stack + stack.transpose(0, 2, 1))
                 with pytest.raises(EigensolverError, match="reconstruction residual"):
                     spectral_decompose_stack(stack)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("scale", [1e-315, 1e-320])
+    def test_subnormal_stacks_decompose(self, d, scale):
+        # the relative guard keeps a floor at the smallest normal double, so
+        # subnormal stacks, which reconstruct to ~1e-322 absolute, still pass
+        stack = np.random.default_rng(9).standard_normal((16, d, d))
+        stack = scale * (stack + stack.transpose(0, 2, 1))
+        lam, _ = spectral_decompose_stack(stack)
+        assert np.isfinite(lam).all()
 
     def test_rejects_non_finite_stack(self):
         for bad in (np.nan, np.inf):
