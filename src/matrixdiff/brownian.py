@@ -4,6 +4,9 @@ A path is a d x d matrix of independent scalar Brownian motions sampled as
 Gaussian increments on the grid.  Randomness comes from counter-based Philox
 streams keyed by (master seed, path index), so independent paths can be drawn
 in any order, or in parallel, and still reproduce bit-identically.
+`sample_path` keeps one Philox generator per thread and resets it to the start
+of the path's stream before drawing, so its draws equal those of a fresh
+`path_generator(seed, path_index)` without building a generator per path.
 
 The path matrices are NOT symmetric: all d^2 entries are independent motions.
 Only the diffusion states built on top of them live in the symmetric space.
@@ -12,6 +15,7 @@ Only the diffusion states built on top of them live in the symmetric space.
 from __future__ import annotations
 
 import struct
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +31,8 @@ __all__ = [
 ]
 
 _HEADER_FORMAT = "<IIdQ"  # dim, steps, horizon, seed (little-endian)
+_PHILOX_ZEROS = np.zeros(4, dtype=np.uint64)  # the state setter copies it
+_streams = threading.local()
 
 
 @dataclass(frozen=True)
@@ -51,10 +57,30 @@ class TimeGrid:
         return np.linspace(0.0, self.horizon, self.steps + 1)
 
 
+def _philox_key(seed: int, path_index: int) -> np.ndarray:
+    return np.array([np.uint64(seed), np.uint64(path_index)], dtype=np.uint64)
+
+
 def path_generator(seed: int, path_index: int = 0) -> np.random.Generator:
     """Philox generator for the stream keyed by (seed, path_index)."""
-    key = np.array([np.uint64(seed), np.uint64(path_index)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=_philox_key(seed, path_index)))
+
+
+def _stream(seed: int, path_index: int) -> np.random.Generator:
+    """This thread's generator, reset to the state of a fresh
+    `path_generator(seed, path_index)`: zero counter, the key, empty buffer."""
+    gen = getattr(_streams, "generator", None)
+    if gen is None:
+        gen = _streams.generator = np.random.Generator(np.random.Philox(0))
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _PHILOX_ZEROS, "key": _philox_key(seed, path_index)},
+        "buffer": _PHILOX_ZEROS,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return gen
 
 
 class BrownianPath:
@@ -112,7 +138,7 @@ def sample_path(grid: TimeGrid, dim: int, seed: int, path_index: int = 0) -> Bro
     """Draw one matrix Brownian path from the (seed, path_index) Philox stream."""
     if dim < 1:
         raise ValueError("dim must be a positive integer")
-    gen = path_generator(seed, path_index)
+    gen = _stream(seed, path_index)
     increments = gen.standard_normal((grid.steps, dim, dim)) * np.sqrt(grid.dt)
     return BrownianPath(grid, increments, seed=seed, path_index=path_index)
 

@@ -267,26 +267,24 @@ def estimate_lemma_beta(a_const: SymmetricMatrix, c_const: SymmetricMatrix,
 
     Estimates, at every grid time, the ratio of E[x^T (M + M^T)^2 x] to
     |E[x^T M^2 x]| + |E[x^T (M^T)^2 x]| with M the running integral of
-    A dB C, and returns the largest ratio across the grid.
+    A dB C, and returns the largest ratio across the grid.  The two
+    denominator terms are equal (x^T (M^T)^2 x is the transpose of the scalar
+    x^T M^2 x), and both quadratic forms are inner products of Mx and M^T x.
     """
     d = a_const.dim
     x = np.asarray(x, dtype=np.float64).reshape(-1)
     n = grid.steps
     sum_sym = np.zeros(n)
     sum_m2 = np.zeros(n)
-    sum_mt2 = np.zeros(n)
     for inc in _increment_blocks(grid, d, seed, paths):
         prefix = a_const.entries @ np.cumsum(inc, axis=1) @ c_const.entries
-        prefix_t = prefix.transpose(0, 1, 3, 2)
-        sym = prefix + prefix_t
-        sym_x = np.einsum("pkij,pkjl,l->pki", sym, sym, x)
-        sum_sym += np.einsum("i,pki->k", x, sym_x)
-        m2_x = np.einsum("pkij,pkjl,l->pki", prefix, prefix, x)
-        sum_m2 += np.einsum("i,pki->k", x, m2_x)
-        mt2_x = np.einsum("pkij,pkjl,l->pki", prefix_t, prefix_t, x)
-        sum_mt2 += np.einsum("i,pki->k", x, mt2_x)
+        mx = prefix @ x
+        mtx = x @ prefix
+        sym_x = mx + mtx
+        sum_sym += np.einsum("pki,pki->k", sym_x, sym_x)
+        sum_m2 += np.einsum("pki,pki->k", mtx, mx)
     num = sum_sym / paths
-    den = np.abs(sum_m2 / paths) + np.abs(sum_mt2 / paths)
+    den = 2.0 * np.abs(sum_m2 / paths)
     if (den < 1e-14 * max(1.0, float(np.abs(num).max()))).any():
         raise ValueError("second moments are numerically zero; beta is undefined")
     return float((num / den).max())

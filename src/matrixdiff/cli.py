@@ -36,6 +36,9 @@ from .symmat import (
 )
 
 DEFAULT_SEED = 12345
+_FORMATS = ("csv", "json")
+_METHODS = ("euler", "picard")
+_MODELS = ("wishart", "custom")
 
 
 class ConfigError(Exception):
@@ -82,6 +85,15 @@ def _number(args, config, key: str, default, kind=int, low=None):
     return number
 
 
+def _choice(args, config, key: str, default, choices):
+    """The setting `key` (flag, else config, else default); a value outside
+    `choices` (JSON null included) is a `ConfigError`."""
+    value = _resolve(args, config, key, default)
+    if value not in choices:
+        raise ConfigError(f"{key} must be one of {', '.join(choices)}; got {value!r}")
+    return value
+
+
 def _resolve_seed(args, config) -> int:
     seed = _number(args, config, "seed", os.environ.get("MATRIXDIFF_SEED", DEFAULT_SEED), low=0)
     if seed >= 2 ** 64:
@@ -123,21 +135,19 @@ def _scalar_spec(args, config: dict, prefix: str) -> ScalarFunctionSpec:
 
 
 def _build_model(args, config, dim: int) -> SdeModel:
-    model_name = _resolve(args, config, "model", "wishart")
+    model_name = _choice(args, config, "model", "wishart", _MODELS)
     clip = _number(args, config, "sqrt_clip_bound", 1e6, float)
     x0_cfg = config.get("x0")
     x0 = SymmetricMatrix(_parse_matrix(x0_cfg, dim, "x0")) if x0_cfg is not None else None
     if model_name == "wishart":
         alpha = _number(args, config, "alpha", 1.0, float)
         return wishart_model(dim, alpha, x0=x0, sqrt_clip_bound=clip)
-    if model_name == "custom":
-        g = _scalar_spec(args, config, "g")
-        f = _scalar_spec(args, config, "f")
-        b = _scalar_spec(args, config, "b")
-        if x0 is None:
-            x0 = SymmetricMatrix.zeros(dim)
-        return SdeModel(g=g, f=f, b=b, x0=x0)
-    raise ConfigError(f"unknown model {model_name!r}")
+    g = _scalar_spec(args, config, "g")
+    f = _scalar_spec(args, config, "f")
+    b = _scalar_spec(args, config, "b")
+    if x0 is None:
+        x0 = SymmetricMatrix.zeros(dim)
+    return SdeModel(g=g, f=f, b=b, x0=x0)
 
 
 def _write_output(text: str, out_path) -> None:
@@ -191,9 +201,9 @@ def _cmd_simulate(args, config) -> int:
     steps = _number(args, config, "steps", 256)
     horizon = _number(args, config, "horizon", 1.0, float)
     paths = _number(args, config, "paths", 1, low=1)
-    method = _resolve(args, config, "method", "euler")
+    method = _choice(args, config, "method", "euler", _METHODS)
     seed = _resolve_seed(args, config)
-    fmt = _resolve(args, config, "format", "csv")
+    fmt = _choice(args, config, "format", "csv", _FORMATS)
     grid = TimeGrid(horizon=horizon, steps=steps)
     model = _build_model(args, config, dim)
     solutions = []
@@ -201,11 +211,9 @@ def _cmd_simulate(args, config) -> int:
         path = sample_path(grid, dim, seed, index)
         if method == "euler":
             solutions.append(euler_solve(model, path))
-        elif method == "picard":
+        else:
             solution, _ = picard_solve(model, path)
             solutions.append(solution)
-        else:
-            raise ConfigError(f"unknown method {method!r}")
     _write_output(_states_text(solutions, grid, dim, fmt), args.out)
     return 0
 
@@ -213,7 +221,7 @@ def _cmd_simulate(args, config) -> int:
 def _cmd_verify(args, config) -> int:
     samples = _number(args, config, "samples", 10000)
     seed = _resolve_seed(args, config)
-    fmt = _resolve(args, config, "format", "json")
+    fmt = _choice(args, config, "format", "json", _FORMATS)
     dims = [2, 3, 5, 8]
     if args.dim is not None or "dim" in config:
         dims = [_number(args, config, "dim", None, low=1)]
@@ -228,7 +236,7 @@ def _cmd_isometry(args, config) -> int:
     horizon = _number(args, config, "horizon", 1.0, float)
     paths = _number(args, config, "paths", 20000)
     seed = _resolve_seed(args, config)
-    fmt = _resolve(args, config, "format", "json")
+    fmt = _choice(args, config, "format", "json", _FORMATS)
     grid = TimeGrid(horizon=horizon, steps=steps)
     a_mat = config.get("a_matrix")
     c_mat = config.get("c_matrix")
@@ -251,7 +259,7 @@ def _cmd_picard_convergence(args, config) -> int:
     horizon = _number(args, config, "horizon", 1.0, float)
     paths = _number(args, config, "paths", 1, low=1)
     seed = _resolve_seed(args, config)
-    fmt = _resolve(args, config, "format", "json")
+    fmt = _choice(args, config, "format", "json", _FORMATS)
     max_iter = _number(args, config, "max_iter", 25)
     stop_tol = _number(args, config, "stop_tol", 1e-10, float)
     grid = TimeGrid(horizon=horizon, steps=steps)
@@ -284,7 +292,7 @@ def _cmd_trace_moment(args, config) -> int:
     horizon = _number(args, config, "horizon", 1.0, float)
     paths = _number(args, config, "paths", 10000)
     seed = _resolve_seed(args, config)
-    fmt = _resolve(args, config, "format", "json")
+    fmt = _choice(args, config, "format", "json", _FORMATS)
     grid = TimeGrid(horizon=horizon, steps=steps)
     model = _build_model(args, config, dim)
     report = mc_trace_moment(model, paths, grid, seed)
@@ -299,11 +307,11 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--steps", type=int, default=None)
     parser.add_argument("--horizon", type=float, default=None)
     parser.add_argument("--seed", type=int, default=None, help="decimal 64-bit seed")
-    parser.add_argument("--model", choices=["wishart", "custom"], default=None)
+    parser.add_argument("--model", choices=_MODELS, default=None)
     parser.add_argument("--alpha", type=float, default=None)
     parser.add_argument("--config", default=None, help="flat JSON config file")
     parser.add_argument("--out", default=None, help="output file (default stdout)")
-    parser.add_argument("--format", choices=["csv", "json"], default=None)
+    parser.add_argument("--format", choices=_FORMATS, default=None)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -315,7 +323,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="solve the SDE and dump path states")
     _add_common(p_sim)
-    p_sim.add_argument("--method", choices=["euler", "picard"], default=None)
+    p_sim.add_argument("--method", choices=_METHODS, default=None)
 
     p_ver = sub.add_parser("verify", help="run all operator-inequality suites")
     _add_common(p_ver)

@@ -1,16 +1,20 @@
 """Matrix Brownian sampling: determinism, moments, refinement, serialization."""
 
 import io
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from matrixdiff import brownian
 from matrixdiff.brownian import (
     BrownianPath,
     TimeGrid,
     coarsen_path,
     dump_increments,
     load_increments,
+    path_generator,
     sample_path,
 )
 
@@ -87,6 +91,61 @@ class TestSampling:
         assert abs(mean - 1.0) < 3.0 * se
         # per-path relative scatter is O(1/sqrt(n))
         assert 0.5 * np.sqrt(2.0 / n) < qv.std() < 2.0 * np.sqrt(2.0 / n)
+
+
+def _fresh_increments(grid, dim, seed, index):
+    """The reference stream: a newly built `path_generator` per path."""
+    return path_generator(seed, index).standard_normal((grid.steps, dim, dim)) * np.sqrt(grid.dt)
+
+
+class TestReKeyedStream:
+    # interleaved keys, a repeated key, and the extreme keys 0, 2^63, 2^64 - 1
+    KEYS = [(0, 0), (7, 3), (2 ** 63, 0), (7, 3), (2 ** 64 - 1, 2 ** 64 - 1),
+            (0, 2 ** 63), (8, 3), (7, 4), (2 ** 64 - 1, 0)]
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_equals_fresh_generator(self, dim):
+        # steps * dim^2 draws: 1, 5 and 7 steps leave Philox's 4-word buffer part used
+        for steps in (1, 5, 7, 16):
+            grid = TimeGrid(1.0, steps)
+            for seed, index in self.KEYS:
+                drawn = sample_path(grid, dim, seed, index).increments
+                assert drawn.tobytes() == _fresh_increments(grid, dim, seed, index).tobytes()
+
+    def test_after_a_partly_consumed_stream(self):
+        grid = TimeGrid(1.0, 3)
+        for leftover in (1, 3, 6):
+            # 32-bit draws also leave a half-used word behind
+            brownian._stream(11, 12).random(leftover, dtype=np.float32)
+            drawn = sample_path(grid, 2, 11, 12).increments
+            assert drawn.tobytes() == _fresh_increments(grid, 2, 11, 12).tobytes()
+
+    def test_parallel_threads_match_serial(self):
+        # long draws release the interpreter lock, so one generator shared
+        # across threads would be re-keyed mid-draw and fail this
+        grid, dim, seed, n_threads = TimeGrid(1.0, 257), 3, 2024, 4
+        indices = [list(range(t, 64 * n_threads, n_threads)) for t in range(n_threads)]
+        drawn = [dict() for _ in range(n_threads)]
+
+        def work(t):
+            for index in indices[t]:
+                drawn[t][index] = sample_path(grid, dim, seed, index).increments.tobytes()
+
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(n_threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for t in range(n_threads):
+            assert sorted(drawn[t]) == indices[t]
+            for index in indices[t]:
+                assert drawn[t][index] == sample_path(grid, dim, seed, index).increments.tobytes()
 
 
 class TestValueAt:

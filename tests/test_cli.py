@@ -236,7 +236,8 @@ class TestDegenerateInputs:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
-    @pytest.mark.parametrize("key", ["dim", "alpha", "g_value", "steps", "seed"])
+    @pytest.mark.parametrize("key", ["dim", "alpha", "g_value", "steps", "seed",
+                                     "format", "method", "model"])
     def test_null_setting_exits_two(self, key, tmp_path, capsys):
         payload = {"model": "custom", "g_kind": "constant", "f_kind": "constant",
                    "b_kind": "constant"} if key == "g_value" else {}
@@ -246,6 +247,21 @@ class TestDegenerateInputs:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: {key} must be") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("command, key, value", [
+        *[(command, "format", "xml") for command in
+          ["simulate", "verify", "isometry", "picard-convergence", "trace-moment"]],
+        ("simulate", "method", "rk4"),
+        ("picard-convergence", "model", "heston"),
+    ])
+    def test_unknown_choice_exits_two(self, command, key, value, tmp_path, capsys):
+        cfg = _write_config(tmp_path, {key: value})
+        sizes = ["--samples", "8"] if command == "verify" else ["--steps", "4", "--paths", "2"]
+        assert run_cli([command, "--config", str(cfg), "--seed", "1"] + sizes) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {key} must be one of ")
+        assert captured.err.endswith(f"; got {value!r}\n") and captured.err.count("\n") == 1
 
     def test_non_finite_states_exit_two(self, tmp_path, capsys):
         argv = _overflow_argv(tmp_path)
