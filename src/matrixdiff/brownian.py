@@ -14,6 +14,7 @@ Only the diffusion states built on top of them live in the symmetric space.
 
 from __future__ import annotations
 
+import math
 import struct
 import threading
 from dataclasses import dataclass
@@ -43,8 +44,8 @@ class TimeGrid:
     steps: int
 
     def __post_init__(self) -> None:
-        if not self.horizon > 0:
-            raise ValueError("horizon must be positive")
+        if not (self.horizon > 0 and math.isfinite(self.horizon)):
+            raise ValueError("horizon must be positive and finite")
         if self.steps < 1:
             raise ValueError("steps must be a positive integer")
 
@@ -101,6 +102,9 @@ class BrownianPath:
             )
         if not np.isfinite(arr).all():
             raise ValueError("increments must be finite")
+        self._adopt(grid, arr, seed, path_index)
+
+    def _adopt(self, grid: TimeGrid, arr: np.ndarray, seed: int, path_index: int) -> None:
         arr.setflags(write=False)
         self.grid = grid
         self._increments = arr
@@ -138,9 +142,13 @@ def sample_path(grid: TimeGrid, dim: int, seed: int, path_index: int = 0) -> Bro
     """Draw one matrix Brownian path from the (seed, path_index) Philox stream."""
     if dim < 1:
         raise ValueError("dim must be a positive integer")
-    gen = _stream(seed, path_index)
-    increments = gen.standard_normal((grid.steps, dim, dim)) * np.sqrt(grid.dt)
-    return BrownianPath(grid, increments, seed=seed, path_index=path_index)
+    increments = _stream(seed, path_index).standard_normal((grid.steps, dim, dim))
+    increments *= np.sqrt(grid.dt)
+    # normal draws times the root of a finite dt are finite, and the array is
+    # this call's own: adopt it without the constructor's copy and check
+    path = BrownianPath.__new__(BrownianPath)
+    path._adopt(grid, increments, seed, path_index)
+    return path
 
 
 def coarsen_path(path: BrownianPath, factor: int) -> BrownianPath:

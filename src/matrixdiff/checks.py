@@ -228,9 +228,15 @@ def _increment_blocks(grid: TimeGrid, dim: int, seed: int, n_paths: int):
 
 def _three_se_report(name: str, values: np.ndarray, target_key: str, target: float,
                      seed: int) -> CheckReport:
-    """Pass when the mean of the per-path values is within 3 SE of the target."""
+    """Pass when the mean of the per-path values is within 3 SE of the target.
+
+    A mean or standard error that overflowed decides nothing, so it raises.
+    """
     mean = float(values.mean())
     se = float(values.std(ddof=1) / np.sqrt(values.size))
+    for label, value in (("mean", mean), ("standard error", se)):
+        if not np.isfinite(value):
+            raise ValueError(f"{name}: the Monte Carlo {label} is not finite ({value!r})")
     gap = abs(mean - target)
     return CheckReport(name, values.size, gap - 3.0 * se, 0.0, gap <= 3.0 * se,
                        details={"mean": mean, target_key: target, "se": se, "seed": seed})

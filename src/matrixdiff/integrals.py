@@ -93,8 +93,7 @@ def ito_integral(a: MatrixProcess, path: BrownianPath, c: MatrixProcess, k_end=N
     k = _resolve_k_end(path.grid, k_end)
     if k == 0:
         return np.zeros((path.dim, path.dim))
-    terms = np.einsum("mij,mjk,mkl->mil", a.values[:k], path.increments[:k], c.values[:k])
-    return terms.sum(axis=0)
+    return (a.values[:k] @ path.increments[:k] @ c.values[:k]).sum(axis=0)
 
 
 def ito_integral_transposed(c: MatrixProcess, path: BrownianPath, a: MatrixProcess, k_end=None) -> np.ndarray:
@@ -122,8 +121,9 @@ def isometry_rhs(a: MatrixProcess, c: MatrixProcess, x, y, k_end=None) -> float:
     x = np.asarray(x, dtype=np.float64).reshape(-1)
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     av, cv = a.values[:k], c.values[:k]
-    integrand = np.einsum("i,mji,mjk,mkl,mrl,r->m", x, cv, cv, av, av, y)
-    return float(integrand.sum() * a.grid.dt)
+    row = (cv @ x)[:, None, :]  # x^T C^T per step
+    col = (y @ av)[:, :, None]  # A^T y per step
+    return float((row @ cv @ av @ col).sum() * a.grid.dt)
 
 
 def time_integral(p: MatrixProcess, k_end=None) -> SymmetricMatrix:

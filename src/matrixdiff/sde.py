@@ -25,7 +25,7 @@ from .brownian import BrownianPath, TimeGrid, sample_path
 from .symmat import (
     ScalarFunctionSpec,
     SymmetricMatrix,
-    _lift,
+    _lift_symmetric,
     clipped_sqrt_fn,
     constant_fn,
     is_psd,
@@ -137,26 +137,34 @@ class PicardDiagnostics:
 def _lift_gfb(model: SdeModel, stack: np.ndarray):
     """Lift g, f, b over a stack of states with a single shared decomposition.
 
-    Returns exactly symmetric (m, d, d) arrays plus each state's smallest
-    eigenvalue.  A coefficient declared constant lifts to value * I.
+    Returns, per coefficient, its exactly symmetric (m, d, d) lift, or the
+    float value of a coefficient declared constant (standing for value * I),
+    plus each state's smallest eigenvalue.
     """
     lam, vec = spectral_decompose_stack(stack)
     out = []
     for spec in (model.g, model.f, model.b):
         if spec.constant:
-            eye = spec.constant_value() * np.eye(stack.shape[1])
-            out.append(np.broadcast_to(eye, stack.shape))
+            out.append(spec.constant_value())
         else:
-            lifted = _lift(vec, spec.map_eigenvalues(lam))
-            out.append(0.5 * (lifted + lifted.transpose(0, 2, 1)))
+            out.append(_lift_symmetric(vec, spec.map_eigenvalues(lam)))
     return out[0], out[1], out[2], lam[:, 0]
 
 
 def _increment(g_x, f_x, b_x, db: np.ndarray, dt: float) -> np.ndarray:
     """The Euler increment g dB f + (g dB f)^T + b dt of every stacked state:
-    the summand of both the Euler step and the Picard map."""
-    m = g_x @ db @ f_x
-    return (m + m.transpose(0, 2, 1)) + b_x * dt
+    the summand of both the Euler step and the Picard map.
+
+    A float coefficient c stands for c * I and enters as a scalar: dB * c,
+    (g dB) * c, and (c dt) * I for the drift, one (d, d) matrix broadcast
+    over the stack.  These are the bits of the products with c * I, whose
+    other terms are exact zeros, up to the sign of a zero.
+    """
+    g_db = db * g_x if isinstance(g_x, float) else g_x @ db
+    m = g_db * f_x if isinstance(f_x, float) else g_db @ f_x
+    inc = m + m.transpose(0, 2, 1)
+    inc += (b_x * dt) * np.eye(inc.shape[-1]) if isinstance(b_x, float) else b_x * dt
+    return inc
 
 
 def _advance(model: SdeModel, x: np.ndarray, db: np.ndarray, dt: float):
@@ -165,7 +173,9 @@ def _advance(model: SdeModel, x: np.ndarray, db: np.ndarray, dt: float):
     Returns the next stack and the smallest eigenvalue of each input state.
     """
     g_x, f_x, b_x, lam_min = _lift_gfb(model, x)
-    return x + _increment(g_x, f_x, b_x, db, dt), lam_min
+    nxt = _increment(g_x, f_x, b_x, db, dt)
+    nxt += x
+    return nxt, lam_min
 
 
 def euler_step(model: SdeModel, x_k: SymmetricMatrix, db: np.ndarray, dt: float) -> SymmetricMatrix:
@@ -202,12 +212,13 @@ def euler_final_states(model: SdeModel, grid: TimeGrid, seed: int, n_paths: int)
     finals = np.empty((n_paths, d, d))
     for start in range(0, n_paths, _EULER_BLOCK):
         count = min(_EULER_BLOCK, n_paths - start)
-        inc = np.empty((count, n, d, d))
+        # step-major, so that each step reads one contiguous (count, d, d) block
+        inc = np.empty((n, count, d, d))
         for i in range(count):
-            inc[i] = sample_path(grid, d, seed, start + i).increments
+            inc[:, i] = sample_path(grid, d, seed, start + i).increments
         x = np.broadcast_to(model.x0.entries, (count, d, d)).copy()
         for k in range(n):
-            x, _ = _advance(model, x, inc[:, k], dt)
+            x, _ = _advance(model, x, inc[k], dt)
         finals[start:start + count] = x
     return finals
 
@@ -266,8 +277,9 @@ def picard_solve(model: SdeModel, path: BrownianPath, max_iter: int = 25,
     distances = []
     converged = False
     for _ in range(max_iter):
-        g_x, f_x, b_x, _ = _lift_gfb(model, prev)
-        steps = _increment(g_x[:n], f_x[:n], b_x[:n], path.increments, dt)
+        # the last state's lift is not a summand; a float stands for every state
+        lifts = (c if isinstance(c, float) else c[:n] for c in _lift_gfb(model, prev)[:3])
+        steps = _increment(*lifts, path.increments, dt)
         nxt = np.zeros((n + 1, d, d))
         np.cumsum(steps, axis=0, out=nxt[1:])
         nxt += x0

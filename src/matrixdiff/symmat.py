@@ -11,6 +11,7 @@ deterministic substrate used by the stochastic layers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -46,6 +47,10 @@ SYMMETRY_REJECT_RTOL = 1e-8
 ORTHOGONALITY_TOL = 1e-10
 RECONSTRUCTION_RTOL = 1e-8
 
+# `_frobenius` squares without rescaling when the sum of squares lands here
+_SUMSQ_LOW = np.finfo(np.float64).tiny * 2.0 ** 53
+_SUMSQ_HIGH = np.finfo(np.float64).max
+
 
 class EigensolverError(RuntimeError):
     """Raised when an eigendecomposition fails or does not reconstruct its input."""
@@ -56,12 +61,26 @@ class DomainPolicyError(ValueError):
 
 
 def _frobenius(a: np.ndarray) -> np.ndarray:
-    """Frobenius norm over the trailing two axes, scaled by each matrix's
-    largest |entry| so that squaring neither overflows nor underflows."""
-    scale = np.abs(a).max(axis=(-2, -1), initial=0.0)
-    scale = np.where(scale > 0.0, scale, 1.0)
-    unit = a / scale[..., None, None]
-    return scale * np.sqrt((unit * unit).sum(axis=(-2, -1)))
+    """Frobenius norm over the trailing two axes.
+
+    A plain sum of squares inside [_SUMSQ_LOW, _SUMSQ_HIGH] had no square
+    overflow, and the rounding of squares that underflowed is negligible
+    against it.  Matrices whose sum falls outside (zero, subnormal-risk, inf,
+    nan) are rescaled by their largest |entry| before squaring instead, so
+    the norm stays relative at every scale.
+    """
+    flat = a.reshape(-1, *a.shape[-2:])
+    sumsq = np.einsum("mij,mij->m", flat, flat)
+    norm = np.sqrt(sumsq)
+    safe = (sumsq >= _SUMSQ_LOW) & (sumsq <= _SUMSQ_HIGH)
+    if not safe.all():
+        unsafe = ~safe
+        rest = flat[unsafe]
+        scale = np.abs(rest).max(axis=(-2, -1), initial=0.0)
+        scale = np.where(scale > 0.0, scale, 1.0)
+        unit = rest / scale[:, None, None]
+        norm[unsafe] = scale * np.sqrt(np.einsum("mij,mij->m", unit, unit))
+    return norm.reshape(a.shape[:-2])[()]
 
 
 class SymmetricMatrix:
@@ -208,6 +227,11 @@ class ScalarFunctionSpec:
         """The value of a function declared constant."""
         if not self.constant:
             raise ValueError(f"scalar function {self.name or self.fn!r} is not declared constant")
+        return self._constant_value
+
+    @cached_property
+    def _constant_value(self) -> float:
+        # evaluated once per spec; the Euler kernel reads it every step
         return float(self.map_eigenvalues(np.zeros(1))[0])
 
     def bound_holds(self, low: float, high: float, samples: int = 1000, seed: int = 0) -> bool:
@@ -265,9 +289,31 @@ def clipped_sqrt_fn(clip: float) -> ScalarFunctionSpec:
 
 
 def _lift(vec: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """Q diag(vals) Q^T for every matrix of a stack."""
+    """Q diag(vals) Q^T for every matrix of a stack.
+
+    For d = 2, Q must be the rotation [[-s, c], [c, s]] that `_eig_stack`
+    returns, and the product is written out: s^2 l0 + c^2 l1 and
+    c^2 l0 + s^2 l1 on the diagonal, c s (l1 - l0) off it.
+    """
+    if vec.shape[-1] == 2:
+        c, s = vec[:, 0, 1], vec[:, 1, 1]
+        lo, hi = vals[:, 0], vals[:, 1]
+        cc, ss = c * c, s * s
+        out = np.empty((vec.shape[0], 2, 2))
+        out[:, 0, 0] = ss * lo + cc * hi
+        out[:, 1, 1] = cc * lo + ss * hi
+        out[:, 0, 1] = out[:, 1, 0] = c * s * (hi - lo)
+        return out
     # stacked matmul runs about twice as fast on a contiguous Q^T as on the view
     return (vec * vals[:, None, :]) @ np.ascontiguousarray(vec.transpose(0, 2, 1))
+
+
+def _lift_symmetric(vec: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """`_lift` made exactly symmetric; for d <= 2 it already is."""
+    out = _lift(vec, vals)
+    if vec.shape[-1] <= 2:
+        return out
+    return 0.5 * (out + out.transpose(0, 2, 1))
 
 
 def _eig_stack(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -322,8 +368,7 @@ def spectral_decompose(a: SymmetricMatrix) -> SpectralDecomposition:
 def apply_scalar_fn_stack(spec: ScalarFunctionSpec, stack: np.ndarray) -> np.ndarray:
     """Lift `spec` over a stack of symmetric matrices; exactly symmetric output."""
     lam, vec = spectral_decompose_stack(stack)
-    out = _lift(vec, spec.map_eigenvalues(lam))
-    return 0.5 * (out + out.transpose(0, 2, 1))
+    return _lift_symmetric(vec, spec.map_eigenvalues(lam))
 
 
 def apply_scalar_fn(spec: ScalarFunctionSpec, a: SymmetricMatrix) -> SymmetricMatrix:

@@ -80,3 +80,13 @@ def jacobi_stack(stack):
     lam = np.take_along_axis(lam, order, axis=1)
     v = np.take_along_axis(v, order[:, None, :], axis=2)
     return lam, v
+
+
+def frobenius_max_scaled(stack):
+    """Frobenius norms of a stack, each matrix divided by its largest |entry|
+    before squaring, so no square overflows or underflows."""
+    a = np.asarray(stack, dtype=np.float64)
+    scale = np.abs(a).max(axis=(-2, -1), initial=0.0)
+    scale = np.where(scale > 0.0, scale, 1.0)
+    unit = a / scale[..., None, None]
+    return scale * np.sqrt((unit * unit).sum(axis=(-2, -1)))

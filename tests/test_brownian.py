@@ -30,6 +30,9 @@ class TestTimeGrid:
             TimeGrid(horizon=0.0, steps=4)
         with pytest.raises(ValueError):
             TimeGrid(horizon=1.0, steps=0)
+        for horizon in (float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="positive and finite"):
+                TimeGrid(horizon=horizon, steps=4)
 
     def test_value_equality(self):
         assert TimeGrid(1.0, 8) == TimeGrid(1.0, 8)

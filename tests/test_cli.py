@@ -229,6 +229,10 @@ class TestDegenerateInputs:
         ["picard-convergence", "--paths", "0", "--steps", "4"],
         ["picard-convergence", "--paths", "-3", "--steps", "4"],
         ["simulate", "--paths", "0", "--steps", "4"],
+        ["simulate", "--horizon", "inf", "--steps", "4"],
+        # Monte Carlo statistics that overflow decide nothing
+        *[[command, "--horizon", "1e200", "--paths", "200", "--steps", "8", "--format", fmt]
+          for command in ("trace-moment", "isometry") for fmt in ("csv", "json")],
     ])
     def test_exit_two_with_one_line(self, argv, capsys):
         assert run_cli(argv + (["--seed", "1"] if "--seed" not in argv else [])) == 2

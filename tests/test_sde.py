@@ -10,6 +10,8 @@ from matrixdiff.integrals import MatrixProcess, symmetrized_diffusion, time_inte
 from matrixdiff.sde import (
     SdeModel,
     WallachSetWarning,
+    _advance,
+    _increment,
     _lift_gfb,
     default_test_vectors,
     euler_final_states,
@@ -77,17 +79,83 @@ class TestModelValidation:
             wishart_model(2, 1.0, sqrt_clip_bound=0.0)
 
 
+def _scaled_identities(lifts, shape):
+    """The lifts as the c * I matrices a float coefficient stands for."""
+    return [np.broadcast_to(c * np.eye(shape[-1]), shape) if isinstance(c, float) else c
+            for c in lifts]
+
+
+def _matmul_increment(g_x, f_x, b_x, db, dt):
+    """The increment with every coefficient a matrix, as plain matmuls."""
+    m = g_x @ db @ f_x
+    return (m + m.transpose(0, 2, 1)) + b_x * dt
+
+
 class TestCoefficientLift:
     def test_constant_lift_is_exactly_scaled_identity(self):
+        # a constant coefficient lifts to its exact value, standing for value * I:
+        # the increment built from it has the bits of the product with value * I
         model = SdeModel(g=constant_fn(0.7), f=constant_fn(-1.3), b=clipped_sqrt_fn(5.0),
                          x0=SymmetricMatrix.identity(3))
-        stack = np.random.default_rng(1).standard_normal((6, 3, 3))
+        rng = np.random.default_rng(1)
+        stack = rng.standard_normal((6, 3, 3))
         stack = stack @ stack.transpose(0, 2, 1)
         g_x, f_x, b_x, lam_min = _lift_gfb(model, stack)
         for lifted, value in ((g_x, 0.7), (f_x, -1.3)):
-            assert lifted.shape == (6, 3, 3)
-            np.testing.assert_array_equal(lifted, np.broadcast_to(value * np.eye(3), (6, 3, 3)))
+            assert type(lifted) is float and lifted == value
         assert b_x.shape == (6, 3, 3) and lam_min.shape == (6,)
+        db = rng.standard_normal((6, 3, 3))
+        expected = _matmul_increment(*_scaled_identities((g_x, f_x, b_x), stack.shape), db, 0.1)
+        assert _increment(g_x, f_x, b_x, db, 0.1).tobytes() == expected.tobytes()
+
+
+def _constant_models(c):
+    """Models with the constant c in each coefficient slot the kernel treats apart."""
+    def start(d):
+        return SymmetricMatrix(np.diag(np.arange(2.0, 2.0 + d)) + 0.25)
+
+    return [
+        SdeModel(g=clipped_sqrt_fn(10.0), f=constant_fn(c), b=constant_fn(c), x0=start(2)),
+        SdeModel(g=constant_fn(c), f=clipped_affine_fn(0.5, 1.0, 4.0),
+                 b=clipped_affine_fn(-0.5, 1.0, 10.0), x0=start(3)),
+        SdeModel(g=constant_fn(c), f=constant_fn(c), b=constant_fn(c), x0=start(3)),
+    ]
+
+
+class TestScalarConstants:
+    """Constant coefficients enter the Euler kernel as scalars, with the bits of
+    the matmul by c * I."""
+
+    @pytest.mark.parametrize("c", [1.0, -1.3, 0.0])
+    def test_advance_matches_scaled_identity_product(self, c):
+        rng = np.random.default_rng(21)
+        for model in _constant_models(c):
+            d = model.dim
+            x = rng.standard_normal((64, d, d))
+            x = x @ x.transpose(0, 2, 1) + 0.1
+            db = 0.1 * rng.standard_normal((64, d, d))
+            lifts = _lift_gfb(model, x)[:3]
+            expected = x + _matmul_increment(*_scaled_identities(lifts, x.shape), db, 0.01)
+            for layout in (db, np.asfortranarray(db), db.transpose(0, 2, 1).copy().transpose(0, 2, 1)):
+                nxt, _ = _advance(model, x, layout, 0.01)
+                assert nxt.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("c", [1.0, -1.3, 0.0])
+    def test_picard_sweep_matches_scaled_identity_product(self, c):
+        grid = TimeGrid(1.0, 16)
+        for model in _constant_models(c):
+            d, n = model.dim, grid.steps
+            path = sample_path(grid, d, seed=4)
+            sol, diag = picard_solve(model, path, max_iter=2)
+            prev = np.broadcast_to(model.x0.entries, (n + 1, d, d))
+            for _ in range(diag.iterates_kept):
+                lifts = _scaled_identities(_lift_gfb(model, prev)[:3], prev.shape)
+                steps = _matmul_increment(*(lift[:n] for lift in lifts), path.increments, grid.dt)
+                nxt = np.zeros((n + 1, d, d))
+                np.cumsum(steps, axis=0, out=nxt[1:])
+                nxt += model.x0.entries
+                prev = nxt
+            assert sol.states.tobytes() == prev.tobytes()
 
 
 class TestEulerStep:

@@ -26,7 +26,7 @@ from matrixdiff.symmat import (
     spectral_decompose_stack,
     unit_vector,
 )
-from reference import jacobi_stack
+from reference import frobenius_max_scaled, jacobi_stack
 
 
 def random_symmetric(rng, d, scale=1.0):
@@ -188,6 +188,25 @@ class TestExtremeScales:
         a = SymmetricMatrix(scale * (q * lam) @ q.T)
         np.testing.assert_allclose(spectral_decompose(a).eigenvalues, scale * lam, rtol=1e-12)
         assert not is_psd(a)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_frobenius_matches_max_scaled_reference(self, d):
+        # the unscaled sum of squares overflows at 1e308 and underflows at
+        # 1e-150 and below, where only the rescaling fallback stays exact
+        rng = np.random.default_rng(11)
+        unit = rng.standard_normal((8, d, d))
+        unit /= np.linalg.norm(unit, axis=(1, 2), keepdims=True)  # so 1e308 * unit has a finite norm
+        scales = (1.0, 1e150, 1e-150, 1e308, 1e-315, 1e-320, 0.0)
+        mixed = np.concatenate([scale * unit[:2] for scale in scales])
+        lopsided = unit.copy()
+        lopsided[:, 0, 0] = 1e200
+        lopsided[:, -1, -1] = 1e-200
+        for stack in [scale * unit for scale in scales] + [mixed, lopsided, -lopsided]:
+            norms, ref = symmat._frobenius(stack), frobenius_max_scaled(stack)
+            assert norms.shape == ref.shape
+            assert (np.abs(norms - ref) <= 1e-15 * ref).all()
+            for i in range(0, stack.shape[0], 5):
+                assert symmat._frobenius(stack[i]) == norms[i]
 
 
 class TestFunctionalCalculus:
@@ -391,10 +410,10 @@ def test_loewner_reflexive_property(a):
 
 
 @st.composite
-def spectra(draw):
+def spectra(draw, dims=(1, 2, 3, 5, 8), sizes=st.integers(1, 4)):
     """Stacks Q diag(lambda) Q^T with random, repeated, near-repeated or zero spectra."""
-    d = draw(st.sampled_from((1, 2, 3, 5, 8)))
-    m = draw(st.integers(1, 4))
+    d = draw(st.sampled_from(dims))
+    m = draw(sizes)
     kind = draw(st.sampled_from(("random", "repeated", "near_repeated", "zero")))
     scale = 10.0 ** draw(st.sampled_from((-150, 0, 150)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -422,3 +441,17 @@ def test_seam_matches_jacobi_oracle(stack):
     ref_recon = (ref_vec * ref_lam[:, None, :]) @ ref_vec.transpose(0, 2, 1)
     assert (np.linalg.norm(recon - ref_recon, axis=(1, 2)) <= tol).all()
     assert (np.linalg.norm(recon - stack, axis=(1, 2)) <= tol).all()
+
+
+@settings(max_examples=100, deadline=None)
+@given(spectra(dims=(2,), sizes=st.sampled_from((1, 2048))), st.integers(0, 2**32 - 1))
+def test_two_by_two_lift_matches_matmul(stack, seed):
+    # the d = 2 lift is written out from the rotation; the matmul is its oracle
+    lam, vec = spectral_decompose_stack(stack)
+    other = np.random.default_rng(seed).standard_normal(lam.shape) * (np.abs(lam).max() or 1.0)
+    for vals in (lam, other):
+        lifted = symmat._lift(vec, vals)
+        ref = (vec * vals[:, None, :]) @ vec.transpose(0, 2, 1)
+        tol = 1e-15 * np.abs(vals).max(axis=1)
+        assert lifted.shape == ref.shape
+        assert (np.abs(lifted - ref).max(axis=(1, 2)) <= tol).all()
