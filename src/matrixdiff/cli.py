@@ -8,8 +8,10 @@ isometry            Monte Carlo second-moment identity check
 picard-convergence  per-iteration distance table and contraction rate fit
 trace-moment        Wishart mean-trace identity check
 
-Settings come from a flat JSON config file (--config) overridden by CLI
-flags; the seed falls back to the MATRIXDIFF_SEED environment variable.
+`SUBCOMMANDS` declares each subcommand's settings once; its flags and its
+resolver both come from that declaration.  A setting is taken from its flag,
+else the flat JSON config file (--config), else its default; the seed falls
+back to the MATRIXDIFF_SEED environment variable before its default.
 Exit codes: 0 all requested checks passed, 1 a check failed, 2 bad
 configuration.  Output is deterministic byte for byte under a fixed seed.
 """
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -45,6 +48,14 @@ class ConfigError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors (an unknown flag, a flag value of the wrong type) are a
+    `ConfigError` like any other bad setting: one `error:` line, exit 2."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
@@ -62,47 +73,65 @@ def _load_config(path) -> dict:
     return cfg
 
 
-def _resolve(args: argparse.Namespace, config: dict, key: str, default):
-    value = getattr(args, key.replace("-", "_"), None)
-    if value is not None:
+def _take(key: str, value, kind, low=None, high=None):
+    """`value` of setting `key` as given, or a `ConfigError`: a member of the
+    tuple `kind`, or a number that is no bool or string, integral for `int`,
+    finite for `float`, and in [low, high)."""
+    if isinstance(kind, tuple):
+        if value not in kind:
+            raise ConfigError(f"{key} must be one of {', '.join(kind)}; got {value!r}")
         return value
-    if key in config:
-        return config[key]
-    return default
-
-
-def _number(args, config, key: str, default, kind=int, low=None):
-    """The setting `key` (flag, else config, else default) as `kind`; a value
-    that does not convert (JSON null) or lies below `low` is a `ConfigError`."""
-    value = _resolve(args, config, key, default)
+    refused = ConfigError(f"{key} must be {'an integer' if kind is int else 'a finite number'}, "
+                          f"got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or kind is int and isinstance(value, float) and not value.is_integer():
+        raise refused
     try:
-        number = kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{key} must be {'an integer' if kind is int else 'a number'}, "
-                          f"got {value!r}") from exc
-    if low is not None and number < low:
-        raise ConfigError(f"{key} must be at least {low}, got {number}")
-    return number
-
-
-def _choice(args, config, key: str, default, choices):
-    """The setting `key` (flag, else config, else default); a value outside
-    `choices` (JSON null included) is a `ConfigError`."""
-    value = _resolve(args, config, key, default)
-    if value not in choices:
-        raise ConfigError(f"{key} must be one of {', '.join(choices)}; got {value!r}")
+        value = kind(value)
+    except OverflowError as exc:  # an int too large for a float
+        raise refused from exc
+    if kind is float and not math.isfinite(value):
+        raise refused
+    if low is not None and value < low:
+        raise ConfigError(f"{key} must be at least {low}, got {value}")
+    if high is not None and value >= high:
+        raise ConfigError(f"{key} must be below {high}, got {value}")
     return value
 
 
-def _resolve_seed(args, config) -> int:
-    seed = _number(args, config, "seed", os.environ.get("MATRIXDIFF_SEED", DEFAULT_SEED), low=0)
-    if seed >= 2 ** 64:
-        raise ConfigError(f"seed must lie in [0, 2^64), got {seed}")
-    return seed
+def _settings(declared: dict, args: argparse.Namespace, config: dict) -> argparse.Namespace:
+    """Every declared setting from its flag, else the config, else (the seed
+    only) MATRIXDIFF_SEED, else its default, each checked by `_take`; plus the
+    time grid of a subcommand that declares one."""
+    settings = argparse.Namespace(out=args.out)
+    for key, (kind, default, *bounds) in declared.items():
+        value = getattr(args, key)
+        if value is None and key in config:
+            value = config[key]
+        elif value is None and key == "seed" and "MATRIXDIFF_SEED" in os.environ:
+            try:
+                value = int(os.environ["MATRIXDIFF_SEED"])
+            except ValueError as exc:
+                raise ConfigError(f"seed must be an integer, got "
+                                  f"{os.environ['MATRIXDIFF_SEED']!r}") from exc
+        elif value is None:
+            setattr(settings, key, default)
+            continue
+        setattr(settings, key, _take(key, value, kind, *bounds))
+    if "steps" in declared:
+        settings.grid = TimeGrid(horizon=settings.horizon, steps=settings.steps)
+    return settings
+
+
+def _float_array(obj, what: str) -> np.ndarray:
+    try:
+        return np.asarray(obj, dtype=np.float64)
+    except (TypeError, ValueError) as exc:  # a JSON object, a ragged or non-numeric array
+        raise ConfigError(f"{what} must be an array of numbers, got {obj!r}") from exc
 
 
 def _parse_matrix(obj, dim: int, what: str) -> np.ndarray:
-    arr = np.asarray(obj, dtype=np.float64)
+    arr = _float_array(obj, what)
     if arr.ndim == 1 and arr.size == dim * dim:
         arr = arr.reshape(dim, dim)
     if arr.shape != (dim, dim):
@@ -111,40 +140,38 @@ def _parse_matrix(obj, dim: int, what: str) -> np.ndarray:
 
 
 def _parse_vector(obj, dim: int, what: str) -> np.ndarray:
-    arr = np.asarray(obj, dtype=np.float64).reshape(-1)
+    arr = _float_array(obj, what).reshape(-1)
     if arr.size != dim:
         raise ConfigError(f"{what} must have {dim} entries")
     return arr
 
 
-def _scalar_spec(args, config: dict, prefix: str) -> ScalarFunctionSpec:
+def _scalar_spec(config: dict, prefix: str) -> ScalarFunctionSpec:
+    def number(name, default):
+        return _take(f"{prefix}_{name}", config.get(f"{prefix}_{name}", default), float)
+
     kind = config.get(f"{prefix}_kind")
     if kind == "constant":
-        return constant_fn(_number(args, config, f"{prefix}_value", 0.0, float))
+        return constant_fn(number("value", 0.0))
     if kind == "clipped_sqrt":
-        return clipped_sqrt_fn(_number(args, config, f"{prefix}_clip", 1e6, float))
+        return clipped_sqrt_fn(number("clip", 1e6))
     if kind == "clipped_affine":
-        return clipped_affine_fn(
-            _number(args, config, f"{prefix}_a", 1.0, float),
-            _number(args, config, f"{prefix}_b", 0.0, float),
-            _number(args, config, f"{prefix}_bound", 1e6, float),
-        )
+        return clipped_affine_fn(number("a", 1.0), number("b", 0.0), number("bound", 1e6))
     raise ConfigError(
         f"{prefix}_kind must be one of constant, clipped_sqrt, clipped_affine; got {kind!r}"
     )
 
 
-def _build_model(args, config, dim: int) -> SdeModel:
-    model_name = _choice(args, config, "model", "wishart", _MODELS)
-    clip = _number(args, config, "sqrt_clip_bound", 1e6, float)
+def _build_model(settings, config: dict) -> SdeModel:
+    dim = settings.dim
+    clip = _take("sqrt_clip_bound", config.get("sqrt_clip_bound", 1e6), float)
     x0_cfg = config.get("x0")
     x0 = SymmetricMatrix(_parse_matrix(x0_cfg, dim, "x0")) if x0_cfg is not None else None
-    if model_name == "wishart":
-        alpha = _number(args, config, "alpha", 1.0, float)
-        return wishart_model(dim, alpha, x0=x0, sqrt_clip_bound=clip)
-    g = _scalar_spec(args, config, "g")
-    f = _scalar_spec(args, config, "f")
-    b = _scalar_spec(args, config, "b")
+    if settings.model == "wishart":
+        return wishart_model(dim, settings.alpha, x0=x0, sqrt_clip_bound=clip)
+    g = _scalar_spec(config, "g")
+    f = _scalar_spec(config, "f")
+    b = _scalar_spec(config, "b")
     if x0 is None:
         x0 = SymmetricMatrix.zeros(dim)
     return SdeModel(g=g, f=f, b=b, x0=x0)
@@ -196,48 +223,24 @@ def _states_text(solutions, grid: TimeGrid, dim: int, fmt: str) -> str:
     return _render(fmt, columns, rows, {"columns": columns, "rows": rows})
 
 
-def _cmd_simulate(args, config) -> int:
-    dim = _number(args, config, "dim", 2, low=1)
-    steps = _number(args, config, "steps", 256)
-    horizon = _number(args, config, "horizon", 1.0, float)
-    paths = _number(args, config, "paths", 1, low=1)
-    method = _choice(args, config, "method", "euler", _METHODS)
-    seed = _resolve_seed(args, config)
-    fmt = _choice(args, config, "format", "csv", _FORMATS)
-    grid = TimeGrid(horizon=horizon, steps=steps)
-    model = _build_model(args, config, dim)
-    solutions = []
-    for index in range(paths):
-        path = sample_path(grid, dim, seed, index)
-        if method == "euler":
-            solutions.append(euler_solve(model, path))
-        else:
-            solution, _ = picard_solve(model, path)
-            solutions.append(solution)
-    _write_output(_states_text(solutions, grid, dim, fmt), args.out)
+def _cmd_simulate(s, config) -> int:
+    model = _build_model(s, config)
+    paths = (sample_path(s.grid, s.dim, s.seed, index) for index in range(s.paths))
+    solutions = [euler_solve(model, path) if s.method == "euler" else picard_solve(model, path)[0]
+                 for path in paths]
+    _write_output(_states_text(solutions, s.grid, s.dim, s.format), s.out)
     return 0
 
 
-def _cmd_verify(args, config) -> int:
-    samples = _number(args, config, "samples", 10000)
-    seed = _resolve_seed(args, config)
-    fmt = _choice(args, config, "format", "json", _FORMATS)
-    dims = [2, 3, 5, 8]
-    if args.dim is not None or "dim" in config:
-        dims = [_number(args, config, "dim", None, low=1)]
-    reports = run_inequality_suite(samples, dims, seed)
-    _write_output(_reports_text(reports, fmt), args.out)
+def _cmd_verify(s, config) -> int:
+    dims = [2, 3, 5, 8] if s.dim is None else [s.dim]
+    reports = run_inequality_suite(s.samples, dims, s.seed)
+    _write_output(_reports_text(reports, s.format), s.out)
     return 0 if all(rep.passed for rep in reports) else 1
 
 
-def _cmd_isometry(args, config) -> int:
-    dim = _number(args, config, "dim", 2, low=1)
-    steps = _number(args, config, "steps", 16)
-    horizon = _number(args, config, "horizon", 1.0, float)
-    paths = _number(args, config, "paths", 20000)
-    seed = _resolve_seed(args, config)
-    fmt = _choice(args, config, "format", "json", _FORMATS)
-    grid = TimeGrid(horizon=horizon, steps=steps)
+def _cmd_isometry(s, config) -> int:
+    dim = s.dim
     a_mat = config.get("a_matrix")
     c_mat = config.get("c_matrix")
     a = SymmetricMatrix(_parse_matrix(a_mat, dim, "a_matrix")) if a_mat is not None \
@@ -248,118 +251,99 @@ def _cmd_isometry(args, config) -> int:
     e_last[-1] = 1.0
     x = _parse_vector(config["x_vector"], dim, "x_vector") if "x_vector" in config else e_last
     y = _parse_vector(config["y_vector"], dim, "y_vector") if "y_vector" in config else e_last
-    report = mc_isometry(a, c, x, y, paths, grid, seed)
-    _write_output(_reports_text([report], fmt), args.out)
+    report = mc_isometry(a, c, x, y, s.paths, s.grid, s.seed)
+    _write_output(_reports_text([report], s.format), s.out)
     return 0 if report.passed else 1
 
 
-def _cmd_picard_convergence(args, config) -> int:
-    dim = _number(args, config, "dim", 2, low=1)
-    steps = _number(args, config, "steps", 256)
-    horizon = _number(args, config, "horizon", 1.0, float)
-    paths = _number(args, config, "paths", 1, low=1)
-    seed = _resolve_seed(args, config)
-    fmt = _choice(args, config, "format", "json", _FORMATS)
-    max_iter = _number(args, config, "max_iter", 25)
-    stop_tol = _number(args, config, "stop_tol", 1e-10, float)
-    grid = TimeGrid(horizon=horizon, steps=steps)
-    model = _build_model(args, config, dim)
+def _cmd_picard_convergence(s, config) -> int:
+    model = _build_model(s, config)
     records = []
     all_converged = True
-    for index in range(paths):
-        path = sample_path(grid, dim, seed, index)
-        _, diag = picard_solve(model, path, max_iter=max_iter, stop_tol=stop_tol)
+    for index in range(s.paths):
+        path = sample_path(s.grid, s.dim, s.seed, index)
+        _, diag = picard_solve(model, path, max_iter=s.max_iter, stop_tol=s.stop_tol)
         all_converged = all_converged and diag.converged
-        fit = None
-        if diag.rate_fit is not None:
-            fit = {"c": diag.rate_fit.c, "beta": diag.rate_fit.beta}
+        fit = diag.rate_fit
         records.append({
             "path_index": index,
             "converged": diag.converged,
             "iterations": diag.iterates_kept,
             "d_n": [float(v) for v in diag.d_n],
-            "rate_fit": fit,
+            "rate_fit": None if fit is None else {"c": fit.c, "beta": fit.beta},
         })
     rows = ([rec["path_index"], i, value]
             for rec in records for i, value in enumerate(rec["d_n"], start=1))
-    _write_output(_render(fmt, ["path", "iteration", "d_n"], rows, records), args.out)
+    _write_output(_render(s.format, ["path", "iteration", "d_n"], rows, records), s.out)
     return 0 if all_converged else 1
 
 
-def _cmd_trace_moment(args, config) -> int:
-    dim = _number(args, config, "dim", 2, low=1)
-    steps = _number(args, config, "steps", 256)
-    horizon = _number(args, config, "horizon", 1.0, float)
-    paths = _number(args, config, "paths", 10000)
-    seed = _resolve_seed(args, config)
-    fmt = _choice(args, config, "format", "json", _FORMATS)
-    grid = TimeGrid(horizon=horizon, steps=steps)
-    model = _build_model(args, config, dim)
-    report = mc_trace_moment(model, paths, grid, seed)
-    _write_output(_reports_text([report], fmt), args.out)
+def _cmd_trace_moment(s, config) -> int:
+    report = mc_trace_moment(_build_model(s, config), s.paths, s.grid, s.seed)
+    _write_output(_reports_text([report], s.format), s.out)
     return 0 if report.passed else 1
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--dim", type=int, default=None)
-    parser.add_argument("--samples", type=int, default=None)
-    parser.add_argument("--paths", type=int, default=None)
-    parser.add_argument("--steps", type=int, default=None)
-    parser.add_argument("--horizon", type=float, default=None)
-    parser.add_argument("--seed", type=int, default=None, help="decimal 64-bit seed")
-    parser.add_argument("--model", choices=_MODELS, default=None)
-    parser.add_argument("--alpha", type=float, default=None)
-    parser.add_argument("--config", default=None, help="flat JSON config file")
-    parser.add_argument("--out", default=None, help="output file (default stdout)")
-    parser.add_argument("--format", choices=_FORMATS, default=None)
+# Each subcommand's settings, once: name -> (kind, default[, lowest[, first
+# refused above]]), kind int, float or a tuple of choices.  Every setting is
+# also the flag --name (underscores as dashes).  Config keys of the model's
+# coefficients and of isometry's matrices and vectors have no flag.
+_SEED = (int, DEFAULT_SEED, 0, 2 ** 64)
+_MODEL = {"model": (_MODELS, "wishart"), "alpha": (float, 1.0)}
+
+
+def _path_settings(steps: int, paths: int, min_paths=None) -> dict:
+    return {"dim": (int, 2, 1), "steps": (int, steps), "horizon": (float, 1.0),
+            "paths": (int, paths, min_paths), "seed": _SEED}
+
+
+SUBCOMMANDS = {
+    "simulate": (_cmd_simulate, "solve the SDE and dump path states", {
+        **_path_settings(256, 1, 1), **_MODEL,
+        "method": (_METHODS, "euler"), "format": (_FORMATS, "csv")}),
+    "verify": (_cmd_verify, "run all operator-inequality suites", {
+        "dim": (int, None, 1), "samples": (int, 10000), "seed": _SEED,
+        "format": (_FORMATS, "json")}),
+    "isometry": (_cmd_isometry, "Monte Carlo second-moment identity check", {
+        **_path_settings(16, 20000), "format": (_FORMATS, "json")}),
+    "picard-convergence": (_cmd_picard_convergence, "iteration distances and rate fit", {
+        **_path_settings(256, 1, 1), **_MODEL, "format": (_FORMATS, "json"),
+        "max_iter": (int, 25), "stop_tol": (float, 1e-10)}),
+    "trace-moment": (_cmd_trace_moment, "Wishart mean-trace identity check", {
+        **_path_settings(256, 10000), **_MODEL, "format": (_FORMATS, "json")}),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="matrixdiff",
         description="Simulate symmetric-matrix diffusions and verify their identities.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_sim = sub.add_parser("simulate", help="solve the SDE and dump path states")
-    _add_common(p_sim)
-    p_sim.add_argument("--method", choices=_METHODS, default=None)
-
-    p_ver = sub.add_parser("verify", help="run all operator-inequality suites")
-    _add_common(p_ver)
-
-    p_iso = sub.add_parser("isometry", help="Monte Carlo second-moment identity check")
-    _add_common(p_iso)
-
-    p_pic = sub.add_parser("picard-convergence", help="iteration distances and rate fit")
-    _add_common(p_pic)
-    p_pic.add_argument("--max-iter", type=int, default=None, dest="max_iter")
-    p_pic.add_argument("--stop-tol", type=float, default=None, dest="stop_tol")
-
-    p_trace = sub.add_parser("trace-moment", help="Wishart mean-trace identity check")
-    _add_common(p_trace)
+    for name, (_, help_text, declared) in SUBCOMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for key, (kind, *_) in declared.items():
+            flag = "--" + key.replace("_", "-")
+            if isinstance(kind, tuple):
+                command.add_argument(flag, dest=key, choices=kind)
+            else:
+                command.add_argument(flag, dest=key, type=kind)
+        command.add_argument("--config", help="flat JSON config file")
+        command.add_argument("--out", help="output file (default stdout)")
     return parser
 
 
-_COMMANDS = {
-    "simulate": _cmd_simulate,
-    "verify": _cmd_verify,
-    "isometry": _cmd_isometry,
-    "picard-convergence": _cmd_picard_convergence,
-    "trace-moment": _cmd_trace_moment,
-}
-
-
 def run_cli(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         config = _load_config(args.config)
+        run, _, declared = SUBCOMMANDS[args.command]
         # states that overflow are reported once, by the guard, not by numpy too
         with np.errstate(over="ignore", invalid="ignore"):
-            return _COMMANDS[args.command](args, config)
+            return run(_settings(declared, args, config), config)
     except (ConfigError, ValueError, EigensolverError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
+        # a newline in a quoted value (a path, an argv word) stays on the one line
+        sys.stderr.write("error: " + str(exc).replace("\n", "\\n") + "\n")
         return 2
 
 

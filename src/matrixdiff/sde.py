@@ -260,12 +260,18 @@ def picard_solve(model: SdeModel, path: BrownianPath, max_iter: int = 25,
     iterate, so the fixed point is the Euler path.  The per-iteration
     diagnostic is the sup over grid times and test vectors of
     |x^T (X_new - X_old) x|; iteration stops once it falls below `stop_tol`.
-    Non-convergence within `max_iter` is reported, not raised.
+    Non-convergence within `max_iter` is reported, not raised; `max_iter` below 1,
+    a `stop_tol` that is not positive and finite, or an iterate whose distance
+    is not finite raises `ValueError`.
 
     Returns (PathSolution, PicardDiagnostics).
     """
     if path.dim != model.dim:
         raise ValueError(f"dimension mismatch: model d={model.dim} vs path d={path.dim}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    if not (stop_tol > 0 and math.isfinite(stop_tol)):
+        raise ValueError(f"stop_tol must be positive and finite, got {stop_tol!r}")
     grid = path.grid
     n, d, dt = grid.steps, model.dim, grid.dt
     if test_vectors is None:
@@ -286,6 +292,8 @@ def picard_solve(model: SdeModel, path: BrownianPath, max_iter: int = 25,
 
         diff = nxt - prev
         d_iter = float(np.abs(((diff @ tv.T) * tv.T).sum(axis=1)).max())
+        if not math.isfinite(d_iter):  # an overflow decides nothing; stop before max_iter
+            raise ValueError(f"Picard iterate {len(distances) + 1} is not finite")
         distances.append(d_iter)
         prev = nxt
         if d_iter < stop_tol:
@@ -306,7 +314,9 @@ def picard_solve(model: SdeModel, path: BrownianPath, max_iter: int = 25,
 
 
 def in_wallach_set(alpha: float, d: int) -> bool:
-    """Membership in {1, ..., d-1} union [d-1, inf)."""
+    """Membership in {1, ..., d-1} union [d-1, inf) of a finite alpha."""
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha!r}")
     if alpha >= d - 1:
         return True
     nearest = round(alpha)

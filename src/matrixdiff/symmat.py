@@ -10,6 +10,7 @@ deterministic substrate used by the stochastic layers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional
@@ -203,8 +204,8 @@ class ScalarFunctionSpec:
     def __post_init__(self) -> None:
         if self.domain_policy not in DOMAIN_POLICIES:
             raise ValueError(f"unknown domain policy {self.domain_policy!r}")
-        if self.bound is not None and not self.bound > 0:
-            raise ValueError("bound must be positive when set")
+        if self.bound is not None and not (self.bound > 0 and math.isfinite(self.bound)):
+            raise ValueError(f"bound must be positive and finite when set, got {self.bound!r}")
 
     def map_eigenvalues(self, lam: np.ndarray) -> np.ndarray:
         lam = np.asarray(lam, dtype=np.float64)
@@ -331,7 +332,9 @@ def _eig_stack(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         theta = 0.5 * np.arctan2(b, half_gap)
         cos, sin = np.cos(theta), np.sin(theta)
         lam = np.stack([mid - radius, mid + radius], axis=1)
-        vec = np.stack([np.stack([-sin, cos], axis=1), np.stack([cos, sin], axis=1)], axis=2)
+        vec = np.empty((m, 2, 2))
+        vec[:, 0, 0], vec[:, 1, 0] = -sin, cos  # eigenvector of mid - radius
+        vec[:, 0, 1], vec[:, 1, 1] = cos, sin   # eigenvector of mid + radius
         return lam, vec
     return np.linalg.eigh(stack)
 

@@ -233,6 +233,15 @@ class TestDegenerateInputs:
         # Monte Carlo statistics that overflow decide nothing
         *[[command, "--horizon", "1e200", "--paths", "200", "--steps", "8", "--format", fmt]
           for command in ("trace-moment", "isometry") for fmt in ("csv", "json")],
+        # settings with no defined answer, and a newline inside a quoted value
+        ["simulate", "--horizon", "nan", "--steps", "4"],
+        ["simulate", "--alpha", "nan", "--steps", "4"],
+        ["trace-moment", "--alpha", "inf", "--paths", "8", "--steps", "4"],
+        ["picard-convergence", "--max-iter", "0", "--steps", "4"],
+        ["picard-convergence", "--stop-tol", "nan", "--steps", "4"],
+        ["picard-convergence", "--stop-tol", "0", "--steps", "4"],
+        ["simulate", "--dim", "2.7", "--steps", "4"],
+        ["simulate", "--steps", "4", "--out", "a\nb", "--config", "missing\n.json"],
     ])
     def test_exit_two_with_one_line(self, argv, capsys):
         assert run_cli(argv + (["--seed", "1"] if "--seed" not in argv else [])) == 2
@@ -266,6 +275,59 @@ class TestDegenerateInputs:
         assert captured.out == ""
         assert captured.err.startswith(f"error: {key} must be one of ")
         assert captured.err.endswith(f"; got {value!r}\n") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("command, text", [
+        # matrices and vectors of the wrong JSON type
+        ("isometry", '{"a_matrix": {}}'),
+        ("isometry", '{"c_matrix": [[1, 0], [0]]}'),
+        ("isometry", '{"x_vector": {"a": 1}}'),
+        ("isometry", '{"x_vector": "abc"}'),
+        ("isometry", '{"y_vector": [null, 1]}'),
+        ("simulate", '{"x0": {"a": 1}}'),
+        ("trace-moment", '{"x0": [[1, 0], {}]}'),
+        # integers that are not integral, booleans, strings
+        ("simulate", '{"dim": 2.7}'),
+        ("simulate", '{"steps": true}'),
+        ("simulate", '{"dim": "2"}'),
+        ("verify", '{"samples": 8.5}'),
+        ("trace-moment", '{"seed": "7"}'),
+        ("picard-convergence", '{"max_iter": 2.5}'),
+        # numbers that are strings or not finite; json reads 1e999 as inf
+        ("simulate", '{"horizon": "1"}'),
+        ("simulate", '{"horizon": 1e999}'),
+        ("trace-moment", '{"alpha": NaN}'),
+        ("simulate", '{"sqrt_clip_bound": 1e999}'),
+        ("simulate", '{"model": "custom", "g_kind": "clipped_sqrt", "g_clip": "inf", '
+                     '"f_kind": "constant", "b_kind": "constant"}'),
+        ("simulate", '{"model": "custom", "g_kind": "clipped_sqrt", "g_clip": 1e999, '
+                     '"f_kind": "constant", "b_kind": "constant"}'),
+        ("simulate", '{"model": "custom", "g_kind": "constant", "f_kind": "constant", '
+                     '"b_kind": "clipped_affine", "b_bound": 1e999}'),
+        # Picard settings with no defined answer
+        ("picard-convergence", '{"max_iter": 0}'),
+        ("picard-convergence", '{"stop_tol": "nan"}'),
+        ("picard-convergence", '{"stop_tol": -1e-10}'),
+        ("picard-convergence", '{"stop_tol": 1e999}'),
+    ])
+    def test_refused_config_value_exits_two(self, command, text, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(text)
+        sizes = {"samples": "8"} if command == "verify" else {"steps": "4", "paths": "2"}
+        flags = [arg for key, value in sizes.items() if f'"{key}"' not in text
+                 for arg in (f"--{key}", value)]  # a flag would override the config
+        assert run_cli([command, "--config", str(cfg)] + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["simulate", "trace-moment"])
+    def test_integral_float_is_its_integer(self, command, tmp_path, capsys):
+        argv = [command, "--seed", "3", "--paths", "2", "--config"]
+        code = run_cli(argv + [str(_write_config(tmp_path, {"dim": 2, "steps": 4}))])
+        as_int = capsys.readouterr()
+        assert code in (0, 1) and as_int.out
+        assert run_cli(argv + [str(_write_config(tmp_path, {"dim": 2.0, "steps": 4.0}))]) == code
+        assert capsys.readouterr() == as_int
 
     def test_non_finite_states_exit_two(self, tmp_path, capsys):
         argv = _overflow_argv(tmp_path)

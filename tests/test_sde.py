@@ -78,6 +78,18 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             wishart_model(2, 1.0, sqrt_clip_bound=0.0)
 
+    @pytest.mark.parametrize("clip", [float("inf"), 1e999, float("nan")])
+    def test_infinite_sqrt_clip_refused(self, clip):
+        with pytest.raises(ValueError, match="bound"):
+            wishart_model(2, 1.0, sqrt_clip_bound=clip)
+
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_alpha_refused(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            in_wallach_set(alpha, 2)
+        with pytest.raises(ValueError, match="alpha"):
+            wishart_model(2, alpha)
+
 
 def _scaled_identities(lifts, shape):
     """The lifts as the c * I matrices a float coefficient stands for."""
@@ -327,6 +339,24 @@ class TestPicard:
         _, diag = picard_solve(model, sample_path(grid, 2, seed=9), max_iter=2)
         assert not diag.converged
         assert diag.iterates_kept == 2
+
+    @pytest.mark.parametrize("max_iter, stop_tol", [
+        (0, 1e-10), (-1, 1e-10),
+        (25, 0.0), (25, -1e-10), (25, float("nan")), (25, float("inf")),
+    ])
+    def test_settings_without_an_answer_refused(self, max_iter, stop_tol):
+        model = wishart_model(2, 3.0, x0=SymmetricMatrix.identity(2), sqrt_clip_bound=10.0)
+        path = sample_path(TimeGrid(1.0, 4), 2, seed=9)
+        with pytest.raises(ValueError, match="max_iter" if max_iter < 1 else "stop_tol"):
+            picard_solve(model, path, max_iter=max_iter, stop_tol=stop_tol)
+
+    def test_overflowing_iterate_refused_at_once(self):
+        # a constant drift of 1e308 overflows the first iterate; the huge
+        # max_iter shows the solve stops there instead of iterating on
+        model = drift_only_model(SymmetricMatrix(1e308 * np.eye(2)), drift_value=1e308)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ValueError, match="Picard iterate 1 is not finite"):
+            picard_solve(model, sample_path(TimeGrid(1.0, 4), 2, seed=9), max_iter=2 ** 62)
 
     def test_drift_only_matches_closed_form_ode(self):
         # b(x) = 1 - x/2 drives each eigenvalue along l(t) = 2 + (l0 - 2) e^{-t/2}

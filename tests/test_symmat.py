@@ -292,6 +292,16 @@ class TestFunctionalCalculus:
         np.testing.assert_array_equal(constant_fn(3.0).map_eigenvalues(lam), [3.0, 3.0, 3.0])
         np.testing.assert_array_equal(affine_fn(2.0, -1.0).map_eigenvalues(lam), [-3.0, -1.0, 4.0])
 
+    @pytest.mark.parametrize("bound", [0.0, -1.0, float("nan"), float("inf"), 1e999])
+    def test_declared_bound_must_be_positive_and_finite(self, bound):
+        # json reads 1e999 as inf: an infinite bound declares nothing bounded
+        with pytest.raises(ValueError, match="bound"):
+            ScalarFunctionSpec(fn=np.tanh, bound=bound)
+        with pytest.raises(ValueError, match="bound"):
+            clipped_sqrt_fn(bound)
+        with pytest.raises(ValueError, match="bound"):
+            clipped_affine_fn(1.0, 0.0, bound)
+
     def test_constant_declaration(self):
         assert constant_fn(3.0).constant and constant_fn(3.0).constant_value() == 3.0
         for spec in (identity_fn(), affine_fn(0.0, 1.0), clipped_affine_fn(1.0, -100.0, 1.0),
