@@ -40,6 +40,7 @@ from .sde import (
     SdeModel,
     WallachSetWarning,
     euler_solve,
+    euler_solve_paths,
     euler_step,
     in_wallach_set,
     picard_solve,

@@ -28,7 +28,7 @@ import numpy as np
 
 from .brownian import TimeGrid, sample_path
 from .checks import mc_isometry, mc_trace_moment, run_inequality_suite
-from .sde import SdeModel, euler_solve, picard_solve, wishart_model
+from .sde import SdeModel, euler_solve_paths, picard_solve, wishart_model
 from .symmat import (
     EigensolverError,
     ScalarFunctionSpec,
@@ -124,9 +124,18 @@ def _settings(declared: dict, args: argparse.Namespace, config: dict) -> argpars
 
 
 def _float_array(obj, what: str) -> np.ndarray:
+    """A number or a (nested) array of numbers as floats, or a `ConfigError`: a
+    bool, string, null or object entry is refused, as `_take` refuses it."""
     try:
+        pending = [obj]  # walked without recursion: JSON nests deeper than the stack
+        while pending:
+            value = pending.pop()
+            if isinstance(value, list):
+                pending.extend(value)
+            elif isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise TypeError(f"not a number: {value!r}")
         return np.asarray(obj, dtype=np.float64)
-    except (TypeError, ValueError) as exc:  # a JSON object, a ragged or non-numeric array
+    except (TypeError, ValueError, OverflowError) as exc:  # not a number, ragged, too large
         raise ConfigError(f"{what} must be an array of numbers, got {obj!r}") from exc
 
 
@@ -225,9 +234,9 @@ def _states_text(solutions, grid: TimeGrid, dim: int, fmt: str) -> str:
 
 def _cmd_simulate(s, config) -> int:
     model = _build_model(s, config)
-    paths = (sample_path(s.grid, s.dim, s.seed, index) for index in range(s.paths))
-    solutions = [euler_solve(model, path) if s.method == "euler" else picard_solve(model, path)[0]
-                 for path in paths]
+    paths = [sample_path(s.grid, s.dim, s.seed, index) for index in range(s.paths)]
+    solutions = euler_solve_paths(model, paths) if s.method == "euler" \
+        else [picard_solve(model, path)[0] for path in paths]
     _write_output(_states_text(solutions, s.grid, s.dim, s.format), s.out)
     return 0
 
@@ -341,7 +350,7 @@ def run_cli(argv=None) -> int:
         # states that overflow are reported once, by the guard, not by numpy too
         with np.errstate(over="ignore", invalid="ignore"):
             return run(_settings(declared, args, config), config)
-    except (ConfigError, ValueError, EigensolverError) as exc:
+    except (ConfigError, ValueError, EigensolverError, MemoryError) as exc:
         # a newline in a quoted value (a path, an argv word) stays on the one line
         sys.stderr.write("error: " + str(exc).replace("\n", "\\n") + "\n")
         return 2

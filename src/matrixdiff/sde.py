@@ -2,22 +2,24 @@
 
 The model is dX = g(X) dB f(X) + f(X) dB^T g(X) + b(X) dt with g, f, b scalar
 functions lifted through the spectral calculus.  Two solvers share a Brownian
-path: explicit Euler-Maruyama stepping, and the fixed-point (Picard) iteration
-that rebuilds the whole path from the integral equation, with per-iteration
-sup-distance diagnostics and a factorial-decay rate fit.
+path: Euler-Maruyama stepping, one loop over the steps of a stack of paths,
+and the fixed-point (Picard) iteration that rebuilds the whole path from the
+integral equation, with per-iteration sup distances and a factorial-decay fit.
 
 States are assembled from exactly symmetric summands, so every state of every
 solution is exactly symmetric.  Positive semidefiniteness is NOT enforced on
-states; the per-state minimum eigenvalue is recorded instead so callers can
-see how far a discretized path strays outside the cone.
+states; each solution derives its states' minimum eigenvalues instead, so
+callers can see how far a discretized path strays outside the cone.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from collections import deque
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from itertools import accumulate
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -41,6 +43,7 @@ __all__ = [
     "PicardDiagnostics",
     "euler_step",
     "euler_solve",
+    "euler_solve_paths",
     "euler_final_states",
     "picard_solve",
     "wishart_model",
@@ -81,12 +84,11 @@ class SdeModel:
 
 
 class PathSolution:
-    """States X_{t_0}, ..., X_{t_n} of one solve, plus min-eigenvalue telemetry."""
+    """States X_{t_0}, ..., X_{t_n} of one solve; `min_eigenvalues` is derived from them."""
 
     __slots__ = ("grid", "_states", "method", "path_seed", "min_eigenvalues")
 
-    def __init__(self, grid: TimeGrid, states: np.ndarray, method: str,
-                 path_seed, min_eigenvalues: np.ndarray) -> None:
+    def __init__(self, grid: TimeGrid, states: np.ndarray, method: str, path_seed) -> None:
         states = np.asarray(states, dtype=np.float64)
         if states.shape[0] != grid.steps + 1:
             raise ValueError("states must hold one matrix per grid point")
@@ -95,7 +97,7 @@ class PathSolution:
         self._states = states
         self.method = method
         self.path_seed = path_seed
-        self.min_eigenvalues = np.asarray(min_eigenvalues, dtype=np.float64)
+        self.min_eigenvalues = min_eigenvalues_stack(states)
 
     @property
     def states(self) -> np.ndarray:
@@ -138,17 +140,12 @@ def _lift_gfb(model: SdeModel, stack: np.ndarray):
     """Lift g, f, b over a stack of states with a single shared decomposition.
 
     Returns, per coefficient, its exactly symmetric (m, d, d) lift, or the
-    float value of a coefficient declared constant (standing for value * I),
-    plus each state's smallest eigenvalue.
+    float value of a coefficient declared constant (standing for value * I).
     """
     lam, vec = spectral_decompose_stack(stack)
-    out = []
-    for spec in (model.g, model.f, model.b):
-        if spec.constant:
-            out.append(spec.constant_value())
-        else:
-            out.append(_lift_symmetric(vec, spec.map_eigenvalues(lam)))
-    return out[0], out[1], out[2], lam[:, 0]
+    return tuple(spec.constant_value() if spec.constant
+                 else _lift_symmetric(vec, spec.map_eigenvalues(lam))
+                 for spec in (model.g, model.f, model.b))
 
 
 def _increment(g_x, f_x, b_x, db: np.ndarray, dt: float) -> np.ndarray:
@@ -167,39 +164,46 @@ def _increment(g_x, f_x, b_x, db: np.ndarray, dt: float) -> np.ndarray:
     return inc
 
 
-def _advance(model: SdeModel, x: np.ndarray, db: np.ndarray, dt: float):
-    """One Euler step on a (P, d, d) stack: X + g dB f + (g dB f)^T + b dt.
-
-    Returns the next stack and the smallest eigenvalue of each input state.
-    """
-    g_x, f_x, b_x, lam_min = _lift_gfb(model, x)
-    nxt = _increment(g_x, f_x, b_x, db, dt)
+def _advance(model: SdeModel, x: np.ndarray, db: np.ndarray, dt: float) -> np.ndarray:
+    """One Euler step on a (P, d, d) stack: X + g dB f + (g dB f)^T + b dt."""
+    nxt = _increment(*_lift_gfb(model, x), db, dt)
     nxt += x
-    return nxt, lam_min
+    return nxt
+
+
+def _euler(model: SdeModel, inc: np.ndarray, dt: float) -> Iterator[np.ndarray]:
+    """The (P, d, d) stacks X0, X_{t_1}, ..., X_{t_n} of P paths with step-major
+    increments (n, P, d, d); each path's states are those it has stepped alone."""
+    x0 = np.broadcast_to(model.x0.entries, inc.shape[1:])
+    return accumulate(inc, lambda x, db: _advance(model, x, db, dt), initial=x0)
 
 
 def euler_step(model: SdeModel, x_k: SymmetricMatrix, db: np.ndarray, dt: float) -> SymmetricMatrix:
     """One explicit step: X + g(X) dB f(X) + f(X) dB^T g(X) + b(X) dt."""
     db = np.asarray(db, dtype=np.float64)[None, :, :]
-    nxt, _ = _advance(model, x_k.entries[None, :, :], db, dt)
-    return SymmetricMatrix(nxt[0])
+    return SymmetricMatrix(_advance(model, x_k.entries[None, :, :], db, dt)[0])
+
+
+def euler_solve_paths(model: SdeModel, paths: Sequence[BrownianPath]) -> list[PathSolution]:
+    """Euler-Maruyama recursion over paths on one grid, stepped as one stack; no
+    paths, paths on two grids or of a dimension not the model's raise `ValueError`."""
+    if not paths:
+        raise ValueError("euler_solve_paths needs at least one path")
+    grid = paths[0].grid
+    for path in paths:
+        if path.dim != model.dim:
+            raise ValueError(f"dimension mismatch: model d={model.dim} vs path d={path.dim}")
+        if path.grid != grid:
+            raise ValueError(f"paths must share one time grid: {path.grid} vs {grid}")
+    inc = np.stack([path.increments for path in paths], axis=1)
+    states = np.stack(list(_euler(model, inc, grid.dt)), axis=1)  # (P, n + 1, d, d)
+    return [PathSolution(grid, path_states, "euler", (path.seed, path.path_index))
+            for path, path_states in zip(paths, states)]
 
 
 def euler_solve(model: SdeModel, path: BrownianPath) -> PathSolution:
     """Euler-Maruyama recursion over the whole path."""
-    if path.dim != model.dim:
-        raise ValueError(f"dimension mismatch: model d={model.dim} vs path d={path.dim}")
-    grid = path.grid
-    n, d, dt = grid.steps, model.dim, grid.dt
-    states = np.empty((n + 1, d, d))
-    min_eigs = np.empty(n + 1)
-    states[0] = model.x0.entries
-    for k in range(n):
-        nxt, lam_min = _advance(model, states[k:k + 1], path.increments[k:k + 1], dt)
-        min_eigs[k] = lam_min[0]
-        states[k + 1] = nxt[0]
-    min_eigs[n] = min_eigenvalues_stack(states[n:])[0]
-    return PathSolution(grid, states, "euler", (path.seed, path.path_index), min_eigs)
+    return euler_solve_paths(model, [path])[0]
 
 
 def euler_final_states(model: SdeModel, grid: TimeGrid, seed: int, n_paths: int) -> np.ndarray:
@@ -216,10 +220,7 @@ def euler_final_states(model: SdeModel, grid: TimeGrid, seed: int, n_paths: int)
         inc = np.empty((n, count, d, d))
         for i in range(count):
             inc[:, i] = sample_path(grid, d, seed, start + i).increments
-        x = np.broadcast_to(model.x0.entries, (count, d, d)).copy()
-        for k in range(n):
-            x, _ = _advance(model, x, inc[k], dt)
-        finals[start:start + count] = x
+        finals[start:start + count] = deque(_euler(model, inc, dt), maxlen=1).pop()
     return finals
 
 
@@ -284,7 +285,7 @@ def picard_solve(model: SdeModel, path: BrownianPath, max_iter: int = 25,
     converged = False
     for _ in range(max_iter):
         # the last state's lift is not a summand; a float stands for every state
-        lifts = (c if isinstance(c, float) else c[:n] for c in _lift_gfb(model, prev)[:3])
+        lifts = (c if isinstance(c, float) else c[:n] for c in _lift_gfb(model, prev))
         steps = _increment(*lifts, path.increments, dt)
         nxt = np.zeros((n + 1, d, d))
         np.cumsum(steps, axis=0, out=nxt[1:])
@@ -301,8 +302,7 @@ def picard_solve(model: SdeModel, path: BrownianPath, max_iter: int = 25,
             break
 
     rate = fit_contraction_rate(distances, grid.horizon)
-    solution = PathSolution(grid, prev, "picard", (path.seed, path.path_index),
-                            min_eigenvalues_stack(prev))
+    solution = PathSolution(grid, prev, "picard", (path.seed, path.path_index))
     diagnostics = PicardDiagnostics(
         iterates_kept=len(distances),
         d_n=np.array(distances),

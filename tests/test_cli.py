@@ -242,6 +242,10 @@ class TestDegenerateInputs:
         ["picard-convergence", "--stop-tol", "0", "--steps", "4"],
         ["simulate", "--dim", "2.7", "--steps", "4"],
         ["simulate", "--steps", "4", "--out", "a\nb", "--config", "missing\n.json"],
+        # arrays too large to allocate; only sizes that no machine can hold
+        ["simulate", "--steps", "1000000000000000"],
+        ["simulate", "--dim", "100000000"],
+        ["verify", "--dim", "100000000", "--samples", "1"],
     ])
     def test_exit_two_with_one_line(self, argv, capsys):
         assert run_cli(argv + (["--seed", "1"] if "--seed" not in argv else [])) == 2
@@ -285,6 +289,14 @@ class TestDegenerateInputs:
         ("isometry", '{"y_vector": [null, 1]}'),
         ("simulate", '{"x0": {"a": 1}}'),
         ("trace-moment", '{"x0": [[1, 0], {}]}'),
+        # matrices and vectors with entries that are no numbers
+        ("simulate", '{"x0": ["16", "0", "0", true]}'),
+        ("simulate", '{"x0": [16, 0, 0, true]}'),
+        ("trace-moment", '{"x0": [[1, false], [false, 1]]}'),
+        ("isometry", '{"a_matrix": [1, 0, 0, "2"]}'),
+        ("isometry", '{"c_matrix": [[1, 0], [0, true]]}'),
+        ("isometry", '{"x_vector": [true, 0]}'),
+        ("isometry", '{"y_vector": ["0", "1"]}'),
         # integers that are not integral, booleans, strings
         ("simulate", '{"dim": 2.7}'),
         ("simulate", '{"steps": true}'),

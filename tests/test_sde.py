@@ -16,6 +16,7 @@ from matrixdiff.sde import (
     default_test_vectors,
     euler_final_states,
     euler_solve,
+    euler_solve_paths,
     euler_step,
     fit_contraction_rate,
     in_wallach_set,
@@ -27,6 +28,7 @@ from matrixdiff.symmat import (
     clipped_affine_fn,
     clipped_sqrt_fn,
     constant_fn,
+    min_eigenvalues_stack,
 )
 
 
@@ -112,10 +114,10 @@ class TestCoefficientLift:
         rng = np.random.default_rng(1)
         stack = rng.standard_normal((6, 3, 3))
         stack = stack @ stack.transpose(0, 2, 1)
-        g_x, f_x, b_x, lam_min = _lift_gfb(model, stack)
+        g_x, f_x, b_x = _lift_gfb(model, stack)
         for lifted, value in ((g_x, 0.7), (f_x, -1.3)):
             assert type(lifted) is float and lifted == value
-        assert b_x.shape == (6, 3, 3) and lam_min.shape == (6,)
+        assert b_x.shape == (6, 3, 3)
         db = rng.standard_normal((6, 3, 3))
         expected = _matmul_increment(*_scaled_identities((g_x, f_x, b_x), stack.shape), db, 0.1)
         assert _increment(g_x, f_x, b_x, db, 0.1).tobytes() == expected.tobytes()
@@ -146,10 +148,10 @@ class TestScalarConstants:
             x = rng.standard_normal((64, d, d))
             x = x @ x.transpose(0, 2, 1) + 0.1
             db = 0.1 * rng.standard_normal((64, d, d))
-            lifts = _lift_gfb(model, x)[:3]
+            lifts = _lift_gfb(model, x)
             expected = x + _matmul_increment(*_scaled_identities(lifts, x.shape), db, 0.01)
             for layout in (db, np.asfortranarray(db), db.transpose(0, 2, 1).copy().transpose(0, 2, 1)):
-                nxt, _ = _advance(model, x, layout, 0.01)
+                nxt = _advance(model, x, layout, 0.01)
                 assert nxt.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("c", [1.0, -1.3, 0.0])
@@ -257,7 +259,62 @@ class TestEulerSolve:
         finals = euler_final_states(model, grid, seed=31, n_paths=5)
         for i in range(5):
             sol = euler_solve(model, sample_path(grid, 2, seed=31, path_index=i))
-            assert np.abs(finals[i] - sol.states[-1]).max() < 1e-12
+            assert np.array_equal(finals[i], sol.states[-1])
+
+
+def _stepwise_euler(model, path):
+    """States and min eigenvalues of one path stepped one state at a time: the
+    reference for the stacked solve."""
+    n, dt = path.grid.steps, path.grid.dt
+    states = np.empty((n + 1, model.dim, model.dim))
+    states[0] = model.x0.entries
+    for k in range(n):
+        states[k + 1] = _advance(model, states[k:k + 1], path.increments[k:k + 1], dt)[0]
+    return states, np.array([min_eigenvalues_stack(states[k:k + 1])[0] for k in range(n + 1)])
+
+
+def _stack_model(kind, d):
+    if kind == "wishart":
+        return wishart_model(d, 3.0, x0=SymmetricMatrix.identity(d))
+    return SdeModel(g=clipped_affine_fn(0.5, 1.0, 4.0), f=clipped_sqrt_fn(10.0), b=constant_fn(0.3),
+                    x0=SymmetricMatrix(np.diag(np.arange(2.0, 2.0 + d)) + 0.25))
+
+
+class TestEulerStack:
+    """`euler_solve_paths` steps all its paths as one stack, with the bits of
+    each path stepped alone."""
+
+    @pytest.mark.parametrize("kind", ["wishart", "custom"])
+    @pytest.mark.parametrize("n_paths", [1, 5])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_stack_matches_each_path_alone(self, d, n_paths, kind):
+        model = _stack_model(kind, d)
+        grid = TimeGrid(1.0, 16)
+        paths = [sample_path(grid, d, seed=52, path_index=i) for i in range(n_paths)]
+        solutions = euler_solve_paths(model, paths)
+        assert len(solutions) == n_paths
+        for path, sol in zip(paths, solutions):
+            states, min_eigs = _stepwise_euler(model, path)
+            alone = euler_solve(model, path)
+            assert sol.states.tobytes() == alone.states.tobytes() == states.tobytes()
+            assert sol.min_eigenvalues.tobytes() == alone.min_eigenvalues.tobytes() \
+                == min_eigs.tobytes()
+            assert sol.method == "euler" and sol.path_seed == (52, path.path_index)
+        finals = euler_final_states(model, grid, seed=52, n_paths=n_paths)
+        assert finals.tobytes() == np.stack([sol.states[-1] for sol in solutions]).tobytes()
+
+    @pytest.mark.parametrize("other, match", [
+        (None, "at least one path"),
+        ((TimeGrid(2.0, 8), 2), "grid"),
+        ((TimeGrid(1.0, 4), 2), "grid"),
+        ((TimeGrid(1.0, 8), 3), "dimension"),
+    ])
+    def test_refusals(self, other, match):
+        model = drift_only_model(SymmetricMatrix.zeros(2))
+        path = sample_path(TimeGrid(1.0, 8), 2, seed=2)
+        paths = [] if other is None else [path, sample_path(*other, seed=2, path_index=1)]
+        with pytest.raises(ValueError, match=match):
+            euler_solve_paths(model, paths)
 
 
 class TestPicard:
