@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .brownian import BrownianPath, TimeGrid
-from .symmat import SymmetricMatrix
+from .symmat import SymmetricMatrix, _symmetric
 
 __all__ = [
     "MatrixProcess",
@@ -28,7 +28,8 @@ class MatrixProcess:
 
     `values[k]` is the state at t_k, so a process on an n-step grid holds
     n + 1 matrices.  Adaptedness is structural: solvers only ever build
-    values[k] from path information up to t_k.
+    values[k] from path information up to t_k.  The values pass the symmetry
+    rule of `SymmetricMatrix`, matrix by matrix.
     """
 
     __slots__ = ("grid", "_values")
@@ -39,15 +40,8 @@ class MatrixProcess:
             raise ValueError(
                 f"values must have shape (steps + 1, d, d) = ({grid.steps + 1}, d, d), got {arr.shape}"
             )
-        if not np.isfinite(arr).all():
-            raise ValueError("process values must be finite")
-        skew = np.abs(arr - arr.transpose(0, 2, 1)).max()
-        if skew > 1e-8 * max(1.0, np.abs(arr).max()):
-            raise ValueError(f"process values must be symmetric (worst asymmetry {skew:.3e})")
-        arr = 0.5 * (arr + arr.transpose(0, 2, 1))
-        arr.setflags(write=False)
         self.grid = grid
-        self._values = arr
+        self._values = _symmetric(arr)
 
     @property
     def dim(self) -> int:

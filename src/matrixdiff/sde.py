@@ -104,16 +104,6 @@ class PathSolution:
         """Read-only (steps + 1, d, d) array of states."""
         return self._states
 
-    @property
-    def dim(self) -> int:
-        return self._states.shape[1]
-
-    def state_at(self, k: int) -> SymmetricMatrix:
-        return SymmetricMatrix(self._states[k])
-
-    def final_state(self) -> SymmetricMatrix:
-        return SymmetricMatrix(self._states[-1])
-
 
 @dataclass(frozen=True)
 class ContractionFit:
@@ -131,7 +121,6 @@ class ContractionFit:
 class PicardDiagnostics:
     iterates_kept: int
     d_n: np.ndarray
-    test_vectors: np.ndarray
     converged: bool
     rate_fit: Optional[ContractionFit]
 
@@ -234,16 +223,15 @@ def default_test_vectors(d: int, extra: int = 8, seed: int = 0) -> np.ndarray:
     return np.vstack(vecs)
 
 
-def fit_contraction_rate(d_n: Sequence[float], horizon: float,
-                         skip: int = 2, min_points: int = 3) -> Optional[ContractionFit]:
+def fit_contraction_rate(d_n: Sequence[float], horizon: float) -> Optional[ContractionFit]:
     """Fit c * (beta * horizon)^n / n! to the tail of a distance sequence.
 
     Fits log d_n + log n! linearly in n over the strictly positive entries
-    past the first `skip`; returns None when too few points remain.
+    past the first two; returns None when fewer than three points remain.
     """
     pts = [(k, v) for k, v in enumerate(d_n, start=1) if v > 0.0]
-    pts = pts[skip:]
-    if len(pts) < min_points:
+    pts = pts[2:]
+    if len(pts) < 3:
         return None
     ks = np.array([k for k, _ in pts], dtype=np.float64)
     ys = np.array([math.log(v) + math.lgamma(k + 1) for k, v in pts])
@@ -252,14 +240,13 @@ def fit_contraction_rate(d_n: Sequence[float], horizon: float,
 
 
 def picard_solve(model: SdeModel, path: BrownianPath, max_iter: int = 25,
-                 stop_tol: float = 1e-10,
-                 test_vectors: Optional[np.ndarray] = None):
+                 stop_tol: float = 1e-10):
     """Fixed-point iteration of the integral equation on one frozen path.
 
     Starting from the constant path X0, each iteration rebuilds the grid path
     as X0 plus the running sum of Euler increments taken at the previous
     iterate, so the fixed point is the Euler path.  The per-iteration
-    diagnostic is the sup over grid times and test vectors of
+    diagnostic is the sup over grid times and `default_test_vectors(d)` of
     |x^T (X_new - X_old) x|; iteration stops once it falls below `stop_tol`.
     Non-convergence within `max_iter` is reported, not raised; `max_iter` below 1,
     a `stop_tol` that is not positive and finite, or an iterate whose distance
@@ -275,9 +262,7 @@ def picard_solve(model: SdeModel, path: BrownianPath, max_iter: int = 25,
         raise ValueError(f"stop_tol must be positive and finite, got {stop_tol!r}")
     grid = path.grid
     n, d, dt = grid.steps, model.dim, grid.dt
-    if test_vectors is None:
-        test_vectors = default_test_vectors(d)
-    tv = np.asarray(test_vectors, dtype=np.float64)
+    tv = default_test_vectors(d)
 
     x0 = model.x0.entries
     prev = np.broadcast_to(x0, (n + 1, d, d)).copy()
@@ -306,7 +291,6 @@ def picard_solve(model: SdeModel, path: BrownianPath, max_iter: int = 25,
     diagnostics = PicardDiagnostics(
         iterates_kept=len(distances),
         d_n=np.array(distances),
-        test_vectors=tv,
         converged=converged,
         rate_fit=rate,
     )

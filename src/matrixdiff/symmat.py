@@ -41,7 +41,7 @@ __all__ = [
     "unit_vector",
 ]
 
-# Construction rejects inputs whose asymmetry exceeds this relative threshold;
+# `_symmetric` refuses a matrix whose asymmetry exceeds this relative threshold;
 # anything below is treated as floating-point drift and symmetrized away.
 SYMMETRY_REJECT_RTOL = 1e-8
 
@@ -84,12 +84,34 @@ def _frobenius(a: np.ndarray) -> np.ndarray:
     return norm.reshape(a.shape[:-2])[()]
 
 
-class SymmetricMatrix:
-    """Immutable real symmetric matrix.
+def _symmetric(arr: np.ndarray) -> np.ndarray:
+    """The (..., d, d) float array `arr` read-only and exactly symmetric, or a
+    `ValueError`: the one symmetry rule, applied to each matrix M on its own.
 
-    Inputs are symmetrized as (M + M^T)/2; genuinely asymmetric data
-    (relative asymmetry above 1e-8) and non-finite entries are rejected.
+    Non-finite entries refuse M, and so does an asymmetry ||M - M^T||_F above
+    SYMMETRY_REJECT_RTOL * ||M||_F or one that is not finite (M - M^T
+    overflowed).  An entry with the bits of its transpose partner is kept;
+    any other becomes 0.5 M + 0.5 M^T, which cannot overflow.
     """
+    if not np.isfinite(arr).all():
+        raise ValueError("matrix entries must be finite")
+    flip = np.swapaxes(arr, -1, -2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        skew = _frobenius(arr - flip)
+        refused = ~(skew <= SYMMETRY_REJECT_RTOL * _frobenius(arr))  # NaN is refused
+    if refused.any():
+        worst = np.nan_to_num(np.max(skew, where=refused, initial=0.0), nan=np.inf)
+        raise ValueError(
+            f"matrix is not symmetric: ||M - M^T||_F = {worst:.3e} "
+            f"exceeds {SYMMETRY_REJECT_RTOL:.0e} * ||M||_F"
+        )
+    sym = np.where(arr.view(np.int64) == flip.view(np.int64), arr, 0.5 * arr + 0.5 * flip)
+    sym.setflags(write=False)
+    return sym
+
+
+class SymmetricMatrix:
+    """Immutable real symmetric matrix, checked and symmetrized by `_symmetric`."""
 
     __slots__ = ("_entries",)
 
@@ -97,17 +119,7 @@ class SymmetricMatrix:
         arr = np.array(entries, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise ValueError("matrix entries must be finite")
-        skew = _frobenius(arr - arr.T)
-        if skew > SYMMETRY_REJECT_RTOL * _frobenius(arr):
-            raise ValueError(
-                f"matrix is not symmetric: ||M - M^T||_F = {skew:.3e} "
-                f"exceeds {SYMMETRY_REJECT_RTOL:.0e} * ||M||_F"
-            )
-        sym = 0.5 * arr + 0.5 * arr.T
-        sym.setflags(write=False)
-        self._entries = sym
+        self._entries = _symmetric(arr)
 
     @property
     def dim(self) -> int:

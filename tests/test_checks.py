@@ -192,6 +192,11 @@ class TestLemmaBeta:
         b2 = estimate_lemma_beta(2.0 * ident, 2.0 * ident, 3000, TimeGrid(1.0, 8), x, seed=22)
         assert abs(b1 - b2) < 1e-12
 
+    def test_zero_direction_has_no_beta(self):
+        ident = SymmetricMatrix.identity(2)
+        with pytest.raises(ValueError, match="numerically zero"):
+            estimate_lemma_beta(ident, ident, 16, TimeGrid(1.0, 4), [0.0, 0.0], seed=24)
+
     def test_identity_anchor_dimension_two(self):
         ident = SymmetricMatrix.identity(2)
         beta = estimate_lemma_beta(ident, ident, 40000, TimeGrid(1.0, 16), [1.0, 0.0], seed=23)

@@ -208,6 +208,13 @@ class TestConfigHandling:
                                   ["simulate", "--dim", "2", "--steps", "8", "--seed", "77"])
         assert via_env == via_flag
 
+    def test_env_seed_not_an_integer_exits_two(self, monkeypatch, capsys):
+        monkeypatch.setenv("MATRIXDIFF_SEED", "abc")
+        assert run_cli(["simulate", "--dim", "2", "--steps", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: seed must be an integer, got 'abc'\n"
+
     def test_stdout_output(self, capsys):
         code = run_cli(["simulate", "--dim", "2", "--steps", "2", "--seed", "1"])
         assert code == 0
@@ -320,6 +327,15 @@ class TestDegenerateInputs:
         ("picard-convergence", '{"stop_tol": "nan"}'),
         ("picard-convergence", '{"stop_tol": -1e-10}'),
         ("picard-convergence", '{"stop_tol": 1e999}'),
+        # JSON that is no object, or nested deeper than the interpreter stack
+        ("simulate", "[1]"),
+        pytest.param("simulate", "[" * 100000, id="simulate-100000-nested-arrays"),
+        # a number too large for a float, a vector of the wrong length
+        pytest.param("simulate", '{"alpha": 1' + "0" * 400 + "}", id="simulate-alpha-401-digits"),
+        ("isometry", '{"x_vector": [1, 0, 0]}'),
+        # matrices whose asymmetry M - M^T overflows
+        ("isometry", '{"a_matrix": [0, 1e308, -1e308, 0]}'),
+        ("simulate", '{"x0": [0, 1e308, -1e308, 0]}'),
     ])
     def test_refused_config_value_exits_two(self, command, text, tmp_path, capsys):
         cfg = tmp_path / "config.json"

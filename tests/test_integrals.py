@@ -35,6 +35,21 @@ class TestMatrixProcess:
         with pytest.raises(ValueError, match="symmetric"):
             MatrixProcess(grid, bad)
 
+    @pytest.mark.parametrize("values", [
+        # an asymmetry of 1e-9 in matrices of scale 1e-9: the bound is relative
+        np.stack([1e-9 * np.array([[0.0, 1.0], [0.0, 0.0]])] * 2),
+        # each matrix is judged at its own scale, not at the process's largest
+        np.stack([1e6 * np.eye(2), np.array([[0.0, 1e-3], [0.0, 0.0]])]),
+    ])
+    def test_rejects_asymmetry_relative_to_each_matrix(self, values):
+        with pytest.raises(ValueError, match="not symmetric"):
+            MatrixProcess(TimeGrid(1.0, 1), values)
+
+    def test_keeps_symmetric_values_near_the_float_limit(self):
+        # (M + M^T) / 2 would overflow to inf here
+        values = np.stack([np.array([[1.0, 1.7e308], [1.7e308, 1.0]])] * 2)
+        assert MatrixProcess(TimeGrid(1.0, 1), values).values.tobytes() == values.tobytes()
+
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError):
             MatrixProcess(TimeGrid(1.0, 4), np.zeros((4, 2, 2)))
@@ -82,6 +97,12 @@ class TestItoIntegral:
         proc = MatrixProcess.constant(TimeGrid(1.0, 8), SymmetricMatrix.identity(2))
         with pytest.raises(ValueError, match="grid mismatch"):
             ito_integral(proc, path, proc)
+
+    def test_dimension_mismatch_raises(self):
+        grid = TimeGrid(1.0, 4)
+        proc = MatrixProcess.constant(grid, SymmetricMatrix.identity(3))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            ito_integral(proc, sample_path(grid, 2, seed=6), proc)
 
     def test_entrywise_oracle_equivalence(self):
         rng = np.random.default_rng(101)
@@ -189,6 +210,22 @@ class TestIsometryRhs:
         ident = MatrixProcess.constant(grid, SymmetricMatrix.identity(2))
         e2 = [0.0, 1.0]
         assert abs(isometry_rhs(a, ident, e2, e2) - 4.0) < 1e-14
+
+
+    def test_k_end_zero_is_zero(self):
+        ident = MatrixProcess.constant(TimeGrid(1.0, 4), SymmetricMatrix.identity(2))
+        assert isometry_rhs(ident, ident, [1.0, 0.0], [1.0, 0.0], k_end=0) == 0.0
+
+    @pytest.mark.parametrize("grid, d", [
+        (TimeGrid(1.0, 4), 3),
+        (TimeGrid(2.0, 4), 2),
+        (TimeGrid(1.0, 8), 2),
+    ])
+    def test_processes_must_share_grid_and_dimension(self, grid, d):
+        a = MatrixProcess.constant(TimeGrid(1.0, 4), SymmetricMatrix.identity(2))
+        c = MatrixProcess.constant(grid, SymmetricMatrix.identity(d))
+        with pytest.raises(ValueError, match="share grid and dimension"):
+            isometry_rhs(a, c, [1.0, 0.0], [1.0, 0.0])
 
 
 class TestTimeIntegral:

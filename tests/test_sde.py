@@ -8,6 +8,7 @@ import pytest
 from matrixdiff.brownian import BrownianPath, TimeGrid, coarsen_path, sample_path
 from matrixdiff.integrals import MatrixProcess, symmetrized_diffusion, time_integral
 from matrixdiff.sde import (
+    PathSolution,
     SdeModel,
     WallachSetWarning,
     _advance,
@@ -228,6 +229,10 @@ class TestEulerSolve:
         with pytest.raises(ValueError, match="dimension"):
             euler_solve(model, sample_path(TimeGrid(1.0, 4), 3, seed=2))
 
+    def test_solution_needs_one_state_per_grid_point(self):
+        with pytest.raises(ValueError, match="one matrix per grid point"):
+            PathSolution(TimeGrid(1.0, 4), np.zeros((4, 2, 2)), "euler", (0, 0))
+
     def test_self_refinement_strong_convergence(self):
         # halving the step shrinks the gap to the next refinement level
         model = wishart_model(2, 3.0, x0=SymmetricMatrix(4.0 * np.eye(2)), sqrt_clip_bound=100.0)
@@ -389,6 +394,11 @@ class TestPicard:
         model = wishart_model(2, 3.0, x0=SymmetricMatrix(9.0 * np.eye(2)), sqrt_clip_bound=10.0)
         sol, _ = picard_solve(model, sample_path(grid, 2, seed=8))
         assert (sol.states == sol.states.transpose(0, 2, 1)).all()
+
+    def test_dimension_mismatch(self):
+        model = drift_only_model(SymmetricMatrix.zeros(2))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            picard_solve(model, sample_path(TimeGrid(1.0, 4), 3, seed=2))
 
     def test_non_convergence_reported_not_raised(self):
         grid = TimeGrid(1.0, 32)

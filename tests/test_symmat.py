@@ -6,10 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matrixdiff import symmat
+from matrixdiff.brownian import TimeGrid
+from matrixdiff.integrals import MatrixProcess
 from matrixdiff.symmat import (
     DomainPolicyError,
     EigensolverError,
     ScalarFunctionSpec,
+    SpectralDecomposition,
     SymmetricMatrix,
     affine_fn,
     apply_scalar_fn,
@@ -49,6 +52,17 @@ class TestConstruction:
             SymmetricMatrix([[np.nan, 0.0], [0.0, 1.0]])
         with pytest.raises(ValueError, match="finite"):
             SymmetricMatrix([[np.inf, 0.0], [0.0, 1.0]])
+
+    def test_rejects_an_asymmetry_that_overflows(self):
+        # M - M^T overflows to inf, and its norm to NaN: refused, not read as 0
+        with pytest.raises(ValueError, match="not symmetric: .* = inf exceeds"):
+            SymmetricMatrix([[0.0, 1e308], [-1e308, 0.0]])
+
+    @pytest.mark.parametrize("value", [1.5e-323, 5e-324])
+    def test_keeps_subnormal_entries(self, value):
+        # halving and re-adding would round them to an even number of ulps
+        assert SymmetricMatrix([[value, value], [value, value]]).entries[0, 0] == value
+        assert SymmetricMatrix([[value]]).entries[0, 0] == value
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):
@@ -384,6 +398,84 @@ class TestQuadraticForm:
         np.testing.assert_array_equal(v, [0.0, 1.0])
         with pytest.raises(ValueError):
             unit_vector([0.0, 0.0])
+
+
+@pytest.mark.parametrize("call, error, match", [
+    pytest.param(lambda: ScalarFunctionSpec(fn=np.tanh, domain_policy="clip"),
+                 ValueError, "unknown domain policy", id="unknown-policy"),
+    pytest.param(lambda: ScalarFunctionSpec(fn=np.sum).map_eigenvalues(np.ones(3)),
+                 ValueError, "elementwise", id="not-elementwise"),
+    pytest.param(lambda: ScalarFunctionSpec(fn=lambda x: np.full_like(x, np.inf))
+                 .map_eigenvalues(np.ones(3)), DomainPolicyError, "non-finite", id="non-finite"),
+    pytest.param(lambda: identity_fn().bound_holds(0.0, 1.0),
+                 ValueError, "no bound declared", id="bound-holds-without-bound"),
+    pytest.param(lambda: quadratic_form([0.0, 0.0, 1.0], SymmetricMatrix.identity(2)),
+                 ValueError, "does not match dim", id="quadratic-form-length"),
+    pytest.param(lambda: SpectralDecomposition(np.array([2.0, 1.0]), np.eye(2)),
+                 ValueError, "sorted", id="unsorted-eigenvalues"),
+    pytest.param(lambda: SpectralDecomposition(np.array([1.0, 2.0]), np.ones((2, 2))),
+                 ValueError, "orthonormal", id="non-orthonormal-vectors"),
+])
+def test_refusals_name_their_cause(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
+# every finite magnitude, from the smallest subnormal to near the float limit
+_ENTRIES = st.floats(-1.7e308, 1.7e308, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def square_stacks(draw, mirrored_only=False):
+    """Stacks of 2 to 4 (d, d) matrices, d in {1, 2, 3}, each either mirrored
+    (exactly symmetric) or with its lower triangle moved off the mirror: by
+    one ulp, by a relative 5e-9 to 2e-8 around the refusal threshold, or freely."""
+    d = draw(st.sampled_from((1, 2, 3)))
+    m = draw(st.integers(2, 4))
+    raw = np.array(draw(st.lists(_ENTRIES, min_size=m * d * d, max_size=m * d * d)))
+    raw = raw.reshape(m, d, d)
+    lower = np.tril(np.ones((d, d), dtype=bool), -1)
+    stack = np.where(lower, raw.transpose(0, 2, 1), raw)  # mirrored bit for bit
+    kinds = ("mirror",) if mirrored_only else ("mirror", "ulp", "relative", "free")
+    for k in range(m):
+        kind = draw(st.sampled_from(kinds))
+        upper = stack[k].T[lower]
+        if kind == "ulp":
+            stack[k][lower] = np.nextafter(upper, np.inf)
+        elif kind == "relative":
+            stack[k][lower] = upper * (1.0 + draw(st.sampled_from((5e-9, 1e-8, 2e-8))))
+        elif kind == "free":
+            stack[k][lower] = raw[k][lower]
+    return stack
+
+
+def _refused(make):
+    try:
+        return make(), False
+    except ValueError:
+        return None, True
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_stacks(mirrored_only=True))
+def test_exactly_symmetric_input_is_kept_bit_for_bit(stack):
+    # RuntimeWarnings are errors under pytest, so none escapes construction
+    grid = TimeGrid(1.0, stack.shape[0] - 1)
+    assert MatrixProcess(grid, stack).values.tobytes() == stack.tobytes()
+    for matrix in stack:
+        assert SymmetricMatrix(matrix).entries.tobytes() == matrix.tobytes()
+
+
+@settings(max_examples=400, deadline=None)
+@given(square_stacks())
+def test_process_refuses_exactly_when_a_matrix_is_refused(stack):
+    grid = TimeGrid(1.0, stack.shape[0] - 1)
+    singles = [_refused(lambda: SymmetricMatrix(matrix).entries) for matrix in stack]
+    values, refused = _refused(lambda: MatrixProcess(grid, stack).values)
+    assert refused == any(single_refused for _, single_refused in singles)
+    if not refused:
+        assert values.tobytes() == np.stack([entries for entries, _ in singles]).tobytes()
+        assert (values == values.transpose(0, 2, 1)).all()
 
 
 @st.composite
