@@ -9,8 +9,8 @@ checks are statistical and use a three-standard-error acceptance band.
 Sampling conventions: random symmetric matrices are symmetrized standard
 Gaussians, PSD variants are Gram matrices G^T G, and unit vectors are
 normalized Gaussian vectors (uniform on the sphere).  Monte Carlo drivers
-consume per-path Philox streams in fixed-size blocks, so results do not
-depend on scheduling and are reproducible bit for bit.
+draw every path from `_increment_blocks`, per-path Philox streams in blocks,
+so results depend on neither scheduling nor block size, bit for bit.
 """
 
 from __future__ import annotations
@@ -47,7 +47,8 @@ __all__ = [
     "run_inequality_suite",
 ]
 
-_BLOCK = 4096
+_BLOCK = 4096  # inequality samples per block; `verify`'s draws depend on it
+_PATH_BLOCK = 2048  # Monte Carlo paths per block; results do not depend on it
 
 
 @dataclass
@@ -125,8 +126,9 @@ def _blocks(total: int, block: int = _BLOCK):
         yield min(block, total - start)
 
 
-def check_inq2(samples: int, d: int, seed: int, tol: float = 1e-10) -> CheckReport:
-    """(A + B)^2 <= 2A^2 + 2B^2: smallest eigenvalue of the gap stays >= -tol."""
+def check_inq2(samples: int, d: int, seed: int) -> CheckReport:
+    """(A + B)^2 <= 2A^2 + 2B^2: smallest eigenvalue of the gap stays >= -1e-10."""
+    tol = 1e-10
     rng = np.random.default_rng(seed)
     worst = -np.inf
     for count in _blocks(samples):
@@ -145,8 +147,9 @@ def check_inq2(samples: int, d: int, seed: int, tol: float = 1e-10) -> CheckRepo
                        details={"dim": d, "seed": seed})
 
 
-def check_inq_nice(samples: int, d: int, seed: int, tol: float = 1e-12) -> CheckReport:
-    """(x^T A x)^2 <= x^T A^2 x for unit x."""
+def check_inq_nice(samples: int, d: int, seed: int) -> CheckReport:
+    """(x^T A x)^2 <= x^T A^2 x for unit x, to within 1e-12."""
+    tol = 1e-12
     rng = np.random.default_rng(seed)
     worst = -np.inf
     for count in _blocks(samples):
@@ -160,15 +163,15 @@ def check_inq_nice(samples: int, d: int, seed: int, tol: float = 1e-12) -> Check
                        details={"dim": d, "seed": seed})
 
 
-def check_prop_cauchy(process_samples: int, d: int, n: int, seed: int,
-                      horizon: float = 1.0, tol: float = 1e-10) -> CheckReport:
-    """Integral Cauchy inequality on piecewise-constant matrix processes.
+def check_prop_cauchy(process_samples: int, d: int, n: int, seed: int) -> CheckReport:
+    """Integral Cauchy inequality on piecewise-constant matrix processes on [0, 1].
 
-    Verifies t * sum_k x^T A_k^2 x dt - (sum_k x^T A_k x dt)^2 >= -tol,
+    Verifies sum_k x^T A_k^2 x dt - (sum_k x^T A_k x dt)^2 >= -1e-10, dt = 1 / n,
     the discrete form whose refinement limit is the continuous inequality.
     """
+    tol = 1e-10
     rng = np.random.default_rng(seed)
-    dt = horizon / n
+    dt = 1.0 / n
     worst = -np.inf
     for count in _blocks(process_samples, block=max(1, _BLOCK // max(1, n // 8))):
         a = rng.standard_normal((count, n, d, d))
@@ -177,7 +180,7 @@ def check_prop_cauchy(process_samples: int, d: int, n: int, seed: int,
         ax = np.einsum("mkij,mj->mki", a, x)
         lin = np.einsum("mi,mki->m", x, ax) * dt
         sq = np.einsum("mki,mki->m", ax, ax) * dt
-        worst = max(worst, float((lin * lin - horizon * sq).max()))
+        worst = max(worst, float((lin * lin - sq).max()))
     return CheckReport("prop_cauchy", process_samples, worst, tol, worst <= tol,
                        details={"dim": d, "steps": n, "seed": seed})
 
@@ -216,27 +219,32 @@ def estimate_lipschitz(spec: ScalarFunctionSpec, samples: int, d: int, seed: int
 
 
 def _increment_blocks(grid: TimeGrid, dim: int, seed: int, n_paths: int):
-    """Yield the Brownian increments of Philox paths 0..n_paths-1 as
-    (count, steps, d, d) blocks of at most _BLOCK paths."""
-    for start in range(0, n_paths, _BLOCK):
-        count = min(_BLOCK, n_paths - start)
-        inc = np.empty((count, grid.steps, dim, dim))
+    """Yield the Brownian increments of Philox paths 0..n_paths-1 as step-major
+    (steps, count, d, d) blocks of at most `_PATH_BLOCK` paths: views of one
+    buffer that the next block overwrites, so use each before asking for the next."""
+    buf = np.empty((grid.steps, min(_PATH_BLOCK, n_paths), dim, dim))
+    for start in range(0, n_paths, _PATH_BLOCK):
+        count = min(_PATH_BLOCK, n_paths - start)
         for i in range(count):
-            inc[i] = sample_path(grid, dim, seed, start + i).increments
-        yield inc
+            buf[:, i] = sample_path(grid, dim, seed, start + i).increments
+        yield buf[:, :count]
 
 
 def _three_se_report(name: str, values: np.ndarray, target_key: str, target: float,
                      seed: int) -> CheckReport:
     """Pass when the mean of the per-path values is within 3 SE of the target.
 
-    A mean or standard error that overflowed decides nothing, so it raises.
+    A mean or standard error that overflowed decides nothing, and neither does
+    a standard error of 0 (every path gave the same value), so both raise.
     """
     mean = float(values.mean())
     se = float(values.std(ddof=1) / np.sqrt(values.size))
     for label, value in (("mean", mean), ("standard error", se)):
         if not np.isfinite(value):
             raise ValueError(f"{name}: the Monte Carlo {label} is not finite ({value!r})")
+    if se == 0.0:
+        raise ValueError(f"{name}: the Monte Carlo standard error is 0, so the check "
+                         "certifies nothing")
     gap = abs(mean - target)
     return CheckReport(name, values.size, gap - 3.0 * se, 0.0, gap <= 3.0 * se,
                        details={"mean": mean, target_key: target, "se": se, "seed": seed})
@@ -262,7 +270,7 @@ def mc_isometry(a_const: SymmetricMatrix, c_const: SymmetricMatrix, x, y,
 
     vals = []
     for inc in _increment_blocks(grid, d, seed, paths):
-        m = a_const.entries @ inc.sum(axis=1) @ c_const.entries
+        m = a_const.entries @ inc.sum(axis=0) @ c_const.entries
         vals.append(m @ m @ x @ y)
     return _three_se_report("mc_isometry", np.concatenate(vals), "rhs", rhs, seed)
 
@@ -283,12 +291,12 @@ def estimate_lemma_beta(a_const: SymmetricMatrix, c_const: SymmetricMatrix,
     sum_sym = np.zeros(n)
     sum_m2 = np.zeros(n)
     for inc in _increment_blocks(grid, d, seed, paths):
-        prefix = a_const.entries @ np.cumsum(inc, axis=1) @ c_const.entries
+        prefix = a_const.entries @ np.cumsum(inc, axis=0) @ c_const.entries
         mx = prefix @ x
         mtx = x @ prefix
         sym_x = mx + mtx
-        sum_sym += np.einsum("pki,pki->k", sym_x, sym_x)
-        sum_m2 += np.einsum("pki,pki->k", mtx, mx)
+        sum_sym += np.einsum("kpi,kpi->k", sym_x, sym_x)
+        sum_m2 += np.einsum("kpi,kpi->k", mtx, mx)
     num = sum_sym / paths
     den = 2.0 * np.abs(sum_m2 / paths)
     if (den < 1e-14 * max(1.0, float(np.abs(num).max()))).any():
@@ -309,9 +317,9 @@ def mc_trace_moment(model: SdeModel, paths: int, grid: TimeGrid, seed: int) -> C
     alpha = model.b.constant_value()
     expected = model.x0.trace() + alpha * model.dim * grid.horizon
 
-    finals = euler_final_states(model, grid, seed, paths)
-    return _three_se_report("trace_moment", np.einsum("pii->p", finals), "expected",
-                            expected, seed)
+    traces = [np.einsum("pii->p", euler_final_states(model, grid, inc))
+              for inc in _increment_blocks(grid, model.dim, seed, paths)]
+    return _three_se_report("trace_moment", np.concatenate(traces), "expected", expected, seed)
 
 
 def run_inequality_suite(samples: int, dims, seed: int) -> list:

@@ -23,7 +23,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .brownian import BrownianPath, TimeGrid, sample_path
+from .brownian import BrownianPath, TimeGrid
 from .symmat import (
     ScalarFunctionSpec,
     SymmetricMatrix,
@@ -51,10 +51,6 @@ __all__ = [
     "default_test_vectors",
     "fit_contraction_rate",
 ]
-
-
-# paths stepped together by `euler_final_states`; results do not depend on it
-_EULER_BLOCK = 2048
 
 
 class WallachSetWarning(UserWarning):
@@ -195,32 +191,24 @@ def euler_solve(model: SdeModel, path: BrownianPath) -> PathSolution:
     return euler_solve_paths(model, [path])[0]
 
 
-def euler_final_states(model: SdeModel, grid: TimeGrid, seed: int, n_paths: int) -> np.ndarray:
-    """Final states X_tau of many independent Euler solves, stepped in blocks.
+def euler_final_states(model: SdeModel, grid: TimeGrid, increments: np.ndarray) -> np.ndarray:
+    """Final states X_tau of P paths on `grid`, stepped as one stack.
 
-    Path `i` uses the same Philox stream as `sample_path(grid, d, seed, i)`,
-    so results match per-path solves and are independent of the blocking.
+    `increments` are step-major, (grid.steps, P, d, d) with d the model's
+    dimension, and any other shape raises `ValueError`.  Each path's final
+    state has the bits of the path stepped alone.
     """
-    d, n, dt = model.dim, grid.steps, grid.dt
-    finals = np.empty((n_paths, d, d))
-    for start in range(0, n_paths, _EULER_BLOCK):
-        count = min(_EULER_BLOCK, n_paths - start)
-        # step-major, so that each step reads one contiguous (count, d, d) block
-        inc = np.empty((n, count, d, d))
-        for i in range(count):
-            inc[:, i] = sample_path(grid, d, seed, start + i).increments
-        finals[start:start + count] = deque(_euler(model, inc, dt), maxlen=1).pop()
-    return finals
+    inc = np.asarray(increments, dtype=np.float64)
+    if inc.ndim != 4 or inc.shape[0] != grid.steps or inc.shape[2:] != (model.dim, model.dim):
+        raise ValueError(f"increments must have shape (steps, P, d, d) = "
+                         f"({grid.steps}, P, {model.dim}, {model.dim}), got {inc.shape}")
+    return deque(_euler(model, inc, grid.dt), maxlen=1).pop()
 
 
-def default_test_vectors(d: int, extra: int = 8, seed: int = 0) -> np.ndarray:
-    """Canonical basis plus `extra` random unit vectors, fixed by seed."""
-    rng = np.random.default_rng(seed)
-    vecs = [np.eye(d)]
-    if extra > 0:
-        raw = rng.standard_normal((extra, d))
-        vecs.append(raw / np.linalg.norm(raw, axis=1, keepdims=True))
-    return np.vstack(vecs)
+def default_test_vectors(d: int) -> np.ndarray:
+    """Canonical basis plus 8 random unit vectors, fixed by seed 0."""
+    raw = np.random.default_rng(0).standard_normal((8, d))
+    return np.vstack([np.eye(d), raw / np.linalg.norm(raw, axis=1, keepdims=True)])
 
 
 def fit_contraction_rate(d_n: Sequence[float], horizon: float) -> Optional[ContractionFit]:

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from matrixdiff import checks, sde
-from matrixdiff.brownian import TimeGrid
+from matrixdiff import checks
+from matrixdiff.brownian import TimeGrid, sample_path
 from matrixdiff.checks import (
     CheckReport,
     check_inq2,
@@ -19,7 +19,7 @@ from matrixdiff.checks import (
     random_unit_stack,
     run_inequality_suite,
 )
-from matrixdiff.sde import SdeModel, wishart_model
+from matrixdiff.sde import SdeModel, euler_solve, wishart_model
 from matrixdiff.symmat import (
     ScalarFunctionSpec,
     SymmetricMatrix,
@@ -216,6 +216,11 @@ class TestTraceMoment:
         assert rep.passed
         assert rep.details["expected"] == 2.0
 
+    def test_deterministic_paths_are_refused(self):
+        # X stays 0 on every path, so the standard error is 0 and certifies nothing
+        with pytest.raises(ValueError, match="standard error is 0"):
+            mc_trace_moment(wishart_model(1, 0.0), 100, TimeGrid(1.0, 4), seed=34)
+
     def test_requires_constant_drift(self):
         # the second drift reads -1 at every point below 99, so probing b at a
         # few small points would take it for a constant
@@ -239,12 +244,35 @@ class TestBlockSizeIndependence:
         model = wishart_model(3, 4.0, x0=SymmetricMatrix.identity(3))
         grid = TimeGrid(1.0, 8)
         outcomes = []
-        for mc_block, euler_block in ((7, 7), (1000, 1000), (checks._BLOCK, sde._EULER_BLOCK)):
-            monkeypatch.setattr(checks, "_BLOCK", mc_block)
-            monkeypatch.setattr(sde, "_EULER_BLOCK", euler_block)
+        for block in (7, 1000, checks._PATH_BLOCK):
+            monkeypatch.setattr(checks, "_PATH_BLOCK", block)
             outcomes.append((mc_isometry(a, c, x, y, 2500, grid, seed=42).to_dict(),
                              mc_trace_moment(model, 2500, grid, seed=43).to_dict()))
         assert outcomes[0] == outcomes[1] == outcomes[2]
+
+    def test_mc_reports_match_per_path_computation(self, monkeypatch):
+        # blocks of 7 over 20 paths end in a short block; each path drawn and
+        # solved alone must give the same bits
+        monkeypatch.setattr(checks, "_PATH_BLOCK", 7)
+        grid, paths = TimeGrid(1.0, 8), 20
+        model = wishart_model(2, 3.0, x0=SymmetricMatrix.identity(2))
+        traces = np.array([np.trace(euler_solve(model, sample_path(grid, 2, 43, i)).states[-1])
+                           for i in range(paths)])
+        expected = checks._three_se_report("trace_moment", traces, "expected", 8.0, 43)
+        assert mc_trace_moment(model, paths, grid, seed=43).to_dict() == expected.to_dict()
+
+        rng = np.random.default_rng(41)
+        a = SymmetricMatrix(random_symmetric_stack(rng, 1, 3)[0])
+        c = SymmetricMatrix(random_psd_stack(rng, 1, 3)[0])
+        x, y = random_unit_stack(rng, 2, 3)
+        m_x = []
+        for i in range(paths):
+            m = a.entries @ sample_path(grid, 3, 42, i).increments.sum(axis=0) @ c.entries
+            m_x.append(m @ m @ x)
+        # the last product runs over all paths at once, as in the check: numpy
+        # takes (1, d) @ (d,) through another BLAS kernel than (P, d) @ (d,)
+        report = mc_isometry(a, c, x, y, paths, grid, seed=42)
+        assert report.details["mean"] == float((np.array(m_x) @ y).mean())
 
 
 class TestCheckReport:

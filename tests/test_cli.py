@@ -333,6 +333,9 @@ class TestDegenerateInputs:
         # a number too large for a float, a vector of the wrong length
         pytest.param("simulate", '{"alpha": 1' + "0" * 400 + "}", id="simulate-alpha-401-digits"),
         ("isometry", '{"x_vector": [1, 0, 0]}'),
+        # Monte Carlo values equal on every path: a standard error of 0 certifies nothing
+        ("isometry", '{"x_vector": [0, 0]}'),
+        ("isometry", '{"a_matrix": [0, 0, 0, 0]}'),
         # matrices whose asymmetry M - M^T overflows
         ("isometry", '{"a_matrix": [0, 1e308, -1e308, 0]}'),
         ("simulate", '{"x0": [0, 1e308, -1e308, 0]}'),

@@ -261,10 +261,16 @@ class TestEulerSolve:
     def test_batch_matches_per_path(self):
         model = wishart_model(2, 3.0, x0=SymmetricMatrix.identity(2))
         grid = TimeGrid(1.0, 32)
-        finals = euler_final_states(model, grid, seed=31, n_paths=5)
-        for i in range(5):
-            sol = euler_solve(model, sample_path(grid, 2, seed=31, path_index=i))
-            assert np.array_equal(finals[i], sol.states[-1])
+        paths = [sample_path(grid, 2, seed=31, path_index=i) for i in range(5)]
+        finals = euler_final_states(model, grid, np.stack([path.increments for path in paths], axis=1))
+        for path, final in zip(paths, finals):
+            assert np.array_equal(final, euler_solve(model, path).states[-1])
+
+    @pytest.mark.parametrize("shape", [(8, 3, 2, 2), (16, 3, 3, 3), (16, 3, 2, 3), (16, 2, 2)])
+    def test_final_states_refuse_a_block_of_another_shape(self, shape):
+        model = wishart_model(2, 3.0)
+        with pytest.raises(ValueError, match="increments must have shape"):
+            euler_final_states(model, TimeGrid(1.0, 16), np.zeros(shape))
 
 
 def _stepwise_euler(model, path):
@@ -305,7 +311,7 @@ class TestEulerStack:
             assert sol.min_eigenvalues.tobytes() == alone.min_eigenvalues.tobytes() \
                 == min_eigs.tobytes()
             assert sol.method == "euler" and sol.path_seed == (52, path.path_index)
-        finals = euler_final_states(model, grid, seed=52, n_paths=n_paths)
+        finals = euler_final_states(model, grid, np.stack([path.increments for path in paths], axis=1))
         assert finals.tobytes() == np.stack([sol.states[-1] for sol in solutions]).tobytes()
 
     @pytest.mark.parametrize("other, match", [
@@ -442,10 +448,11 @@ class TestPicard:
         assert np.abs(sol.states[-1] - closed).max() < 5.0 / n
 
     def test_custom_test_vectors(self):
-        tv = default_test_vectors(3, extra=4, seed=1)
-        assert tv.shape == (7, 3)
-        np.testing.assert_allclose(np.linalg.norm(tv, axis=1), np.ones(7), atol=1e-12)
-        np.testing.assert_array_equal(tv, default_test_vectors(3, extra=4, seed=1))
+        tv = default_test_vectors(3)
+        assert tv.shape == (11, 3)
+        np.testing.assert_array_equal(tv[:3], np.eye(3))
+        np.testing.assert_allclose(np.linalg.norm(tv, axis=1), np.ones(11), atol=1e-12)
+        np.testing.assert_array_equal(tv, default_test_vectors(3))
 
 
 class TestRateFit:
