@@ -1,16 +1,16 @@
 """Numerical certification of the operator inequalities and moment identities.
 
-Each check draws its own samples from a seeded generator, measures the worst
-violation over all samples, and reports pass/fail against a declared
-tolerance.  The operator inequalities are theorems, so any violation beyond
-floating-point tolerance indicates an implementation bug; the Monte Carlo
-checks are statistical and use a three-standard-error acceptance band.
+Every check runs through one of two drivers.  `_worst_case` draws the samples
+of an operator inequality in blocks from one seeded generator and judges the
+worst violation its kernel reports against a declared tolerance (a theorem's
+violation beyond rounding is an implementation bug).  `_per_path` draws at
+least 2 Monte Carlo paths from per-path Philox streams in blocks and returns
+one row per path, which the check reduces once over all paths; a row depends
+on its own path alone, so results depend on neither scheduling nor block size.
 
 Sampling conventions: random symmetric matrices are symmetrized standard
 Gaussians, PSD variants are Gram matrices G^T G, and unit vectors are
-normalized Gaussian vectors (uniform on the sphere).  Monte Carlo drivers
-draw every path from `_increment_blocks`, per-path Philox streams in blocks,
-so results depend on neither scheduling nor block size, bit for bit.
+normalized Gaussian vectors (uniform on the sphere).
 """
 
 from __future__ import annotations
@@ -126,12 +126,20 @@ def _blocks(total: int, block: int = _BLOCK):
         yield min(block, total - start)
 
 
-def check_inq2(samples: int, d: int, seed: int) -> CheckReport:
-    """(A + B)^2 <= 2A^2 + 2B^2: smallest eigenvalue of the gap stays >= -1e-10."""
-    tol = 1e-10
+def _worst_case(name: str, tol: float, samples: int, seed: int, details: dict,
+                violations, block: int = _BLOCK) -> CheckReport:
+    """Worst of `violations(rng, count)` over `samples` seeded samples, in blocks."""
     rng = np.random.default_rng(seed)
     worst = -np.inf
-    for count in _blocks(samples):
+    for count in _blocks(samples, block):
+        worst = max(worst, float(violations(rng, count).max()))
+    return CheckReport(name, samples, worst, tol, worst <= tol,
+                       details={**details, "seed": seed})
+
+
+def check_inq2(samples: int, d: int, seed: int) -> CheckReport:
+    """(A + B)^2 <= 2A^2 + 2B^2: smallest eigenvalue of the gap stays >= -1e-10."""
+    def violations(rng, count):
         a = random_symmetric_stack(rng, count, d)
         b = random_symmetric_stack(rng, count, d)
         s = a + b
@@ -140,27 +148,21 @@ def check_inq2(samples: int, d: int, seed: int) -> CheckReport:
             + 2.0 * np.einsum("mij,mjk->mik", b, b)
             - np.einsum("mij,mjk->mik", s, s)
         )
-        gap = 0.5 * (gap + gap.transpose(0, 2, 1))
-        lam_min = min_eigenvalues_stack(gap)
-        worst = max(worst, float(-lam_min.min()))
-    return CheckReport("inq2", samples, worst, tol, worst <= tol,
-                       details={"dim": d, "seed": seed})
+        return -min_eigenvalues_stack(0.5 * (gap + gap.transpose(0, 2, 1)))
+
+    return _worst_case("inq2", 1e-10, samples, seed, {"dim": d}, violations)
 
 
 def check_inq_nice(samples: int, d: int, seed: int) -> CheckReport:
     """(x^T A x)^2 <= x^T A^2 x for unit x, to within 1e-12."""
-    tol = 1e-12
-    rng = np.random.default_rng(seed)
-    worst = -np.inf
-    for count in _blocks(samples):
+    def violations(rng, count):
         a = random_symmetric_stack(rng, count, d)
         x = random_unit_stack(rng, count, d)
         ax = np.einsum("mij,mj->mi", a, x)
         quad = np.einsum("mi,mi->m", x, ax)
-        square = np.einsum("mi,mi->m", ax, ax)
-        worst = max(worst, float((quad * quad - square).max()))
-    return CheckReport("inq_nice", samples, worst, tol, worst <= tol,
-                       details={"dim": d, "seed": seed})
+        return quad * quad - np.einsum("mi,mi->m", ax, ax)
+
+    return _worst_case("inq_nice", 1e-12, samples, seed, {"dim": d}, violations)
 
 
 def check_prop_cauchy(process_samples: int, d: int, n: int, seed: int) -> CheckReport:
@@ -169,20 +171,17 @@ def check_prop_cauchy(process_samples: int, d: int, n: int, seed: int) -> CheckR
     Verifies sum_k x^T A_k^2 x dt - (sum_k x^T A_k x dt)^2 >= -1e-10, dt = 1 / n,
     the discrete form whose refinement limit is the continuous inequality.
     """
-    tol = 1e-10
-    rng = np.random.default_rng(seed)
     dt = 1.0 / n
-    worst = -np.inf
-    for count in _blocks(process_samples, block=max(1, _BLOCK // max(1, n // 8))):
-        a = rng.standard_normal((count, n, d, d))
-        a = 0.5 * (a + a.transpose(0, 1, 3, 2))
+
+    def violations(rng, count):
+        a = random_symmetric_stack(rng, count * n, d).reshape(count, n, d, d)
         x = random_unit_stack(rng, count, d)
         ax = np.einsum("mkij,mj->mki", a, x)
         lin = np.einsum("mi,mki->m", x, ax) * dt
-        sq = np.einsum("mki,mki->m", ax, ax) * dt
-        worst = max(worst, float((lin * lin - sq).max()))
-    return CheckReport("prop_cauchy", process_samples, worst, tol, worst <= tol,
-                       details={"dim": d, "steps": n, "seed": seed})
+        return lin * lin - np.einsum("mki,mki->m", ax, ax) * dt
+
+    return _worst_case("prop_cauchy", 1e-10, process_samples, seed, {"dim": d, "steps": n},
+                       violations, block=max(1, _BLOCK // max(1, n // 8)))
 
 
 def estimate_lipschitz(spec: ScalarFunctionSpec, samples: int, d: int, seed: int,
@@ -218,16 +217,20 @@ def estimate_lipschitz(spec: ScalarFunctionSpec, samples: int, d: int, seed: int
                              sampled_ratio_max=ratio_max, sample_count=kept, dims=[d])
 
 
-def _increment_blocks(grid: TimeGrid, dim: int, seed: int, n_paths: int):
-    """Yield the Brownian increments of Philox paths 0..n_paths-1 as step-major
-    (steps, count, d, d) blocks of at most `_PATH_BLOCK` paths: views of one
-    buffer that the next block overwrites, so use each before asking for the next."""
+def _per_path(name: str, grid: TimeGrid, dim: int, seed: int, n_paths: int, values) -> np.ndarray:
+    """Rows of Philox paths 0..n_paths-1 in path order: `values(inc)` gives one row
+    per path of `inc`, a step-major (steps, count, d, d) block of increments that
+    the next block overwrites, and a row must depend on its own path alone."""
+    if n_paths < 2:
+        raise ValueError(f"{name} needs at least 2 paths, got {n_paths}")
     buf = np.empty((grid.steps, min(_PATH_BLOCK, n_paths), dim, dim))
+    rows = []
     for start in range(0, n_paths, _PATH_BLOCK):
         count = min(_PATH_BLOCK, n_paths - start)
         for i in range(count):
             buf[:, i] = sample_path(grid, dim, seed, start + i).increments
-        yield buf[:, :count]
+        rows.append(values(buf[:, :count]))
+    return np.concatenate(rows)
 
 
 def _three_se_report(name: str, values: np.ndarray, target_key: str, target: float,
@@ -256,23 +259,20 @@ def mc_isometry(a_const: SymmetricMatrix, c_const: SymmetricMatrix, x, y,
 
     Compares the Monte Carlo mean of y^T M^2 x, M = A B_tau C the left-point
     integral of A dB C, against the exact time integral of x^T C^T C A A^T y.
-    Passes when the gap is within three standard errors; needs at least two
-    paths.
+    Passes when the gap is within three standard errors.
     """
-    if paths < 2:
-        raise ValueError(f"isometry needs at least 2 paths for a standard error, got {paths}")
-    d = a_const.dim
     x = np.asarray(x, dtype=np.float64).reshape(-1)
     y = np.asarray(y, dtype=np.float64).reshape(-1)
-    proc_a = MatrixProcess.constant(grid, a_const)
-    proc_c = MatrixProcess.constant(grid, c_const)
-    rhs = isometry_rhs(proc_a, proc_c, x, y)
+    rhs = isometry_rhs(MatrixProcess.constant(grid, a_const),
+                       MatrixProcess.constant(grid, c_const), x, y)
 
-    vals = []
-    for inc in _increment_blocks(grid, d, seed, paths):
+    def second_moments(inc):  # y . M (M x) of each path, contracted elementwise
         m = a_const.entries @ inc.sum(axis=0) @ c_const.entries
-        vals.append(m @ m @ x @ y)
-    return _three_se_report("mc_isometry", np.concatenate(vals), "rhs", rhs, seed)
+        mx = (m * x).sum(axis=-1)
+        return ((m * mx[:, None, :]).sum(axis=-1) * y).sum(axis=-1)
+
+    values = _per_path("isometry", grid, a_const.dim, seed, paths, second_moments)
+    return _three_se_report("mc_isometry", values, "rhs", rhs, seed)
 
 
 def estimate_lemma_beta(a_const: SymmetricMatrix, c_const: SymmetricMatrix,
@@ -285,20 +285,15 @@ def estimate_lemma_beta(a_const: SymmetricMatrix, c_const: SymmetricMatrix,
     denominator terms are equal (x^T (M^T)^2 x is the transpose of the scalar
     x^T M^2 x), and both quadratic forms are inner products of Mx and M^T x.
     """
-    d = a_const.dim
     x = np.asarray(x, dtype=np.float64).reshape(-1)
-    n = grid.steps
-    sum_sym = np.zeros(n)
-    sum_m2 = np.zeros(n)
-    for inc in _increment_blocks(grid, d, seed, paths):
-        prefix = a_const.entries @ np.cumsum(inc, axis=0) @ c_const.entries
-        mx = prefix @ x
-        mtx = x @ prefix
-        sym_x = mx + mtx
-        sum_sym += np.einsum("kpi,kpi->k", sym_x, sym_x)
-        sum_m2 += np.einsum("kpi,kpi->k", mtx, mx)
-    num = sum_sym / paths
-    den = 2.0 * np.abs(sum_m2 / paths)
+
+    def forms(inc):  # x^T (M + M^T)^2 x and x^T M^2 x of each path at each grid time
+        prefix = (a_const.entries @ np.cumsum(inc, axis=0) @ c_const.entries).swapaxes(0, 1)
+        mx, mtx = prefix @ x, x @ prefix
+        return np.stack([((mx + mtx) ** 2).sum(axis=-1), (mtx * mx).sum(axis=-1)], axis=1)
+
+    num, m2 = _per_path("lemma beta", grid, a_const.dim, seed, paths, forms).mean(axis=0)
+    den = 2.0 * np.abs(m2)
     if (den < 1e-14 * max(1.0, float(np.abs(num).max()))).any():
         raise ValueError("second moments are numerically zero; beta is undefined")
     return float((num / den).max())
@@ -307,19 +302,14 @@ def estimate_lemma_beta(a_const: SymmetricMatrix, c_const: SymmetricMatrix,
 def mc_trace_moment(model: SdeModel, paths: int, grid: TimeGrid, seed: int) -> CheckReport:
     """Mean trace of X_tau against trace(X_0) + drift * d * tau, at 3 SE.
 
-    Requires a drift coefficient declared constant (as in the Wishart model)
-    and at least two paths, so that the standard error is defined.
+    Requires a drift coefficient declared constant (as in the Wishart model).
     """
     if not model.b.constant:
         raise ValueError("trace-moment oracle requires a constant drift coefficient")
-    if paths < 2:
-        raise ValueError(f"trace-moment needs at least 2 paths for a standard error, got {paths}")
-    alpha = model.b.constant_value()
-    expected = model.x0.trace() + alpha * model.dim * grid.horizon
-
-    traces = [np.einsum("pii->p", euler_final_states(model, grid, inc))
-              for inc in _increment_blocks(grid, model.dim, seed, paths)]
-    return _three_se_report("trace_moment", np.concatenate(traces), "expected", expected, seed)
+    expected = model.x0.trace() + model.b.constant_value() * model.dim * grid.horizon
+    traces = _per_path("trace-moment", grid, model.dim, seed, paths,
+                       lambda inc: np.einsum("pii->p", euler_final_states(model, grid, inc)))
+    return _three_se_report("trace_moment", traces, "expected", expected, seed)
 
 
 def run_inequality_suite(samples: int, dims, seed: int) -> list:

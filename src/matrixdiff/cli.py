@@ -232,11 +232,20 @@ def _states_text(solutions, grid: TimeGrid, dim: int, fmt: str) -> str:
     return _render(fmt, columns, rows, {"columns": columns, "rows": rows})
 
 
+def _converged(model: SdeModel, path):
+    """The converged Picard solution on `path`; an unconverged one is a `ValueError`."""
+    solution, diag = picard_solve(model, path)
+    if not diag.converged:
+        raise ValueError(f"Picard iteration did not converge on path {path.path_index}: "
+                         f"d_{diag.iterates_kept} = {_fmt(diag.d_n[-1])}")
+    return solution
+
+
 def _cmd_simulate(s, config) -> int:
     model = _build_model(s, config)
     paths = [sample_path(s.grid, s.dim, s.seed, index) for index in range(s.paths)]
     solutions = euler_solve_paths(model, paths) if s.method == "euler" \
-        else [picard_solve(model, path)[0] for path in paths]
+        else [_converged(model, path) for path in paths]
     _write_output(_states_text(solutions, s.grid, s.dim, s.format), s.out)
     return 0
 

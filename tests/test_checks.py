@@ -197,6 +197,12 @@ class TestLemmaBeta:
         with pytest.raises(ValueError, match="numerically zero"):
             estimate_lemma_beta(ident, ident, 16, TimeGrid(1.0, 4), [0.0, 0.0], seed=24)
 
+    @pytest.mark.parametrize("paths", [0, 1])
+    def test_needs_two_paths(self, paths):
+        ident = SymmetricMatrix.identity(2)
+        with pytest.raises(ValueError, match="at least 2 paths"):
+            estimate_lemma_beta(ident, ident, paths, TimeGrid(1.0, 4), [1.0, 0.0], seed=25)
+
     def test_identity_anchor_dimension_two(self):
         ident = SymmetricMatrix.identity(2)
         beta = estimate_lemma_beta(ident, ident, 40000, TimeGrid(1.0, 16), [1.0, 0.0], seed=23)
@@ -244,11 +250,12 @@ class TestBlockSizeIndependence:
         model = wishart_model(3, 4.0, x0=SymmetricMatrix.identity(3))
         grid = TimeGrid(1.0, 8)
         outcomes = []
-        for block in (7, 1000, checks._PATH_BLOCK):
+        for block in (1, 7, 1000, 2048):
             monkeypatch.setattr(checks, "_PATH_BLOCK", block)
             outcomes.append((mc_isometry(a, c, x, y, 2500, grid, seed=42).to_dict(),
-                             mc_trace_moment(model, 2500, grid, seed=43).to_dict()))
-        assert outcomes[0] == outcomes[1] == outcomes[2]
+                             mc_trace_moment(model, 2500, grid, seed=43).to_dict(),
+                             estimate_lemma_beta(a, c, 2500, grid, x, seed=44)))
+        assert all(outcome == outcomes[0] for outcome in outcomes[1:])
 
     def test_mc_reports_match_per_path_computation(self, monkeypatch):
         # blocks of 7 over 20 paths end in a short block; each path drawn and
@@ -265,14 +272,12 @@ class TestBlockSizeIndependence:
         a = SymmetricMatrix(random_symmetric_stack(rng, 1, 3)[0])
         c = SymmetricMatrix(random_psd_stack(rng, 1, 3)[0])
         x, y = random_unit_stack(rng, 2, 3)
-        m_x = []
+        values = []
         for i in range(paths):
             m = a.entries @ sample_path(grid, 3, 42, i).increments.sum(axis=0) @ c.entries
-            m_x.append(m @ m @ x)
-        # the last product runs over all paths at once, as in the check: numpy
-        # takes (1, d) @ (d,) through another BLAS kernel than (P, d) @ (d,)
+            values.append(((m * (m * x).sum(axis=-1)).sum(axis=-1) * y).sum())  # y . M (M x)
         report = mc_isometry(a, c, x, y, paths, grid, seed=42)
-        assert report.details["mean"] == float((np.array(m_x) @ y).mean())
+        assert report.details["mean"] == float(np.array(values).mean())
 
 
 class TestCheckReport:

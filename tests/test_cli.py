@@ -68,6 +68,18 @@ class TestSimulate:
         assert code == 0
         assert len(raw.decode().splitlines()) == 18
 
+    def test_picard_method_that_does_not_converge_exits_two(self, tmp_path, capsys):
+        # from X0 = 0 the 25th iterate still moves by 1.6e-4, far above stop_tol
+        out = tmp_path / "sim.csv"
+        code = run_cli(["simulate", "--alpha", "3", "--steps", "256", "--seed", "7",
+                        "--method", "picard", "--out", str(out)])
+        assert code == 2 and not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        head, last = captured.err.split(" = ")
+        assert head == "error: Picard iteration did not converge on path 0: d_25"
+        assert last.endswith("\n") and "\n" not in last[:-1] and float(last) > 1e-10
+
     def test_byte_identical_reruns(self, tmp_path):
         argv = ["simulate", "--dim", "2", "--steps", "32", "--paths", "2", "--seed", "11"]
         _, first = run_to_file(tmp_path, "a.csv", argv)

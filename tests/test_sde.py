@@ -250,11 +250,8 @@ class TestEulerSolve:
     def test_trace_moment_small_run(self):
         model = wishart_model(2, 3.0)
         grid = TimeGrid(1.0, 64)
-        traces = []
-        for i in range(500):
-            sol = euler_solve(model, sample_path(grid, 2, seed=404, path_index=i))
-            traces.append(np.trace(sol.states[-1]))
-        traces = np.array(traces)
+        paths = [sample_path(grid, 2, seed=404, path_index=i) for i in range(500)]
+        traces = np.array([np.trace(sol.states[-1]) for sol in euler_solve_paths(model, paths)])
         se = traces.std(ddof=1) / math.sqrt(len(traces))
         assert abs(traces.mean() - 6.0) <= 3.0 * se
 
