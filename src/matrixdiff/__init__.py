@@ -22,8 +22,6 @@ from .brownian import (
     BrownianPath,
     TimeGrid,
     coarsen_path,
-    dump_increments,
-    load_increments,
     sample_path,
 )
 from .integrals import (

@@ -3,10 +3,16 @@
 A path is a d x d matrix of independent scalar Brownian motions sampled as
 Gaussian increments on the grid.  Randomness comes from counter-based Philox
 streams keyed by (master seed, path index), so independent paths can be drawn
-in any order, or in parallel, and still reproduce bit-identically.
-`sample_path` keeps one Philox generator per thread and resets it to the start
-of the path's stream before drawing, so its draws equal those of a fresh
-`path_generator(seed, path_index)` without building a generator per path.
+in any order, or in parallel, and still reproduce bit-identically.  Both key
+words are integers in [0, 2^64); anything else is refused with one ValueError
+before any state is touched.
+
+`sample_path` reuses one Philox state per thread: a generator, a two-word
+key list and one state dict that refers to it.  Each call writes (seed,
+path_index) into the key list and assigns the same dict, which the state
+setter copies word by word, so the generator restarts at the path's stream and
+its draws equal those of a fresh `path_generator(seed, path_index)`.  Only the
+state is reused: every returned path owns a fresh read-only increment array.
 
 The path matrices are NOT symmetric: all d^2 entries are independent motions.
 Only the diffusion states built on top of them live in the symmetric space.
@@ -15,7 +21,7 @@ Only the diffusion states built on top of them live in the symmetric space.
 from __future__ import annotations
 
 import math
-import struct
+import operator
 import threading
 from dataclasses import dataclass
 
@@ -27,12 +33,10 @@ __all__ = [
     "path_generator",
     "sample_path",
     "coarsen_path",
-    "dump_increments",
-    "load_increments",
 ]
 
-_HEADER_FORMAT = "<IIdQ"  # dim, steps, horizon, seed (little-endian)
-_PHILOX_ZEROS = np.zeros(4, dtype=np.uint64)  # the state setter copies it
+_KEY_LIMIT = 2 ** 64  # a Philox key word is a uint64
+_PHILOX_ZEROS = (0, 0, 0, 0)  # counter and buffer words of a fresh Philox
 _streams = threading.local()
 
 
@@ -58,29 +62,49 @@ class TimeGrid:
         return np.linspace(0.0, self.horizon, self.steps + 1)
 
 
-def _philox_key(seed: int, path_index: int) -> np.ndarray:
-    return np.array([np.uint64(seed), np.uint64(path_index)], dtype=np.uint64)
+def _word(name: str, value) -> int:
+    """`value` as a Philox key word, an integer in [0, 2^64) (bools refused), or
+    one ValueError naming the key."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            word = operator.index(value)
+        except TypeError:
+            pass
+        else:
+            if 0 <= word < _KEY_LIMIT:
+                return word
+    raise ValueError(f"{name} must be an integer in [0, 2^64), got {value!r}")
 
 
 def path_generator(seed: int, path_index: int = 0) -> np.random.Generator:
     """Philox generator for the stream keyed by (seed, path_index)."""
-    return np.random.Generator(np.random.Philox(key=_philox_key(seed, path_index)))
+    key = np.array([_word("seed", seed), _word("path_index", path_index)], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def _stream(seed: int, path_index: int) -> np.random.Generator:
     """This thread's generator, reset to the state of a fresh
-    `path_generator(seed, path_index)`: zero counter, the key, empty buffer."""
-    gen = getattr(_streams, "generator", None)
-    if gen is None:
-        gen = _streams.generator = np.random.Generator(np.random.Philox(0))
-    gen.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": _PHILOX_ZEROS, "key": _philox_key(seed, path_index)},
-        "buffer": _PHILOX_ZEROS,
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+    `path_generator(seed, path_index)`: zero counter, the key, empty buffer.
+    Both key words must already have passed `_word`."""
+    try:
+        gen, key, state = _streams.philox
+    except AttributeError:
+        # Python ints, not uint64 arrays: the setter converts each word it
+        # indexes, and an int converts without a numpy scalar in between
+        key = [0, 0]
+        state = {
+            "bit_generator": "Philox",
+            "state": {"counter": _PHILOX_ZEROS, "key": key},
+            "buffer": _PHILOX_ZEROS,
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        gen = np.random.Generator(np.random.Philox(0))
+        _streams.philox = gen, key, state
+    key[0] = seed
+    key[1] = path_index
+    gen.bit_generator.state = state  # the setter copies every word out of the dict
     return gen
 
 
@@ -142,8 +166,9 @@ def sample_path(grid: TimeGrid, dim: int, seed: int, path_index: int = 0) -> Bro
     """Draw one matrix Brownian path from the (seed, path_index) Philox stream."""
     if dim < 1:
         raise ValueError("dim must be a positive integer")
+    seed, path_index = _word("seed", seed), _word("path_index", path_index)
     increments = _stream(seed, path_index).standard_normal((grid.steps, dim, dim))
-    increments *= np.sqrt(grid.dt)
+    increments *= math.sqrt(grid.dt)
     # normal draws times the root of a finite dt are finite, and the array is
     # this call's own: adopt it without the constructor's copy and check
     path = BrownianPath.__new__(BrownianPath)
@@ -159,23 +184,3 @@ def coarsen_path(path: BrownianPath, factor: int) -> BrownianPath:
     inc = path.increments.reshape(n_coarse, factor, path.dim, path.dim).sum(axis=1)
     coarse_grid = TimeGrid(horizon=path.grid.horizon, steps=n_coarse)
     return BrownianPath(coarse_grid, inc, seed=path.seed, path_index=path.path_index)
-
-
-def dump_increments(path: BrownianPath, fileobj) -> None:
-    """Write a path as a small header (d, n, horizon, seed) plus raw float64 rows."""
-    header = struct.pack(
-        _HEADER_FORMAT, path.dim, path.grid.steps, path.grid.horizon, np.uint64(path.seed)
-    )
-    fileobj.write(header)
-    fileobj.write(np.ascontiguousarray(path.increments, dtype="<f8").tobytes())
-
-
-def load_increments(fileobj) -> BrownianPath:
-    """Inverse of `dump_increments`; the path index is not part of the format."""
-    header = fileobj.read(struct.calcsize(_HEADER_FORMAT))
-    dim, steps, horizon, seed = struct.unpack(_HEADER_FORMAT, header)
-    count = steps * dim * dim
-    raw = fileobj.read(count * 8)
-    arr = np.frombuffer(raw, dtype="<f8", count=count).reshape(steps, dim, dim)
-    grid = TimeGrid(horizon=horizon, steps=steps)
-    return BrownianPath(grid, arr.astype(np.float64), seed=seed)

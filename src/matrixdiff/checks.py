@@ -290,7 +290,9 @@ def estimate_lemma_beta(a_const: SymmetricMatrix, c_const: SymmetricMatrix,
     def forms(inc):  # x^T (M + M^T)^2 x and x^T M^2 x of each path at each grid time
         prefix = (a_const.entries @ np.cumsum(inc, axis=0) @ c_const.entries).swapaxes(0, 1)
         mx, mtx = prefix @ x, x @ prefix
-        return np.stack([((mx + mtx) ** 2).sum(axis=-1), (mtx * mx).sum(axis=-1)], axis=1)
+        sym = mx + mtx
+        return np.stack([np.einsum("pki,pki->pk", sym, sym), np.einsum("pki,pki->pk", mtx, mx)],
+                        axis=1)
 
     num, m2 = _per_path("lemma beta", grid, a_const.dim, seed, paths, forms).mean(axis=0)
     den = 2.0 * np.abs(m2)

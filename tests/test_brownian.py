@@ -1,6 +1,5 @@
-"""Matrix Brownian sampling: determinism, moments, refinement, serialization."""
+"""Matrix Brownian sampling: determinism, key checks, moments, refinement."""
 
-import io
 import sys
 import threading
 
@@ -12,8 +11,6 @@ from matrixdiff.brownian import (
     BrownianPath,
     TimeGrid,
     coarsen_path,
-    dump_increments,
-    load_increments,
     path_generator,
     sample_path,
 )
@@ -123,6 +120,30 @@ class TestReKeyedStream:
             drawn = sample_path(grid, 2, 11, 12).increments
             assert drawn.tobytes() == _fresh_increments(grid, 2, 11, 12).tobytes()
 
+    @pytest.mark.parametrize("bad", [1.5, True, -1, 2 ** 64])
+    def test_refused_keys_leave_no_trace(self, bad):
+        # a refusal happens before the thread's key list is written, so the
+        # next path is still exactly its fresh stream
+        grid = TimeGrid(1.0, 5)
+        for name, key in (("seed", (bad, 3)), ("path_index", (7, bad))):
+            sample_path(grid, 2, 7, 3)
+            with pytest.raises(ValueError, match=f"^{name} must be an integer in \\[0, 2\\^64\\)"):
+                sample_path(grid, 2, *key)
+            with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+                path_generator(*key)
+            for seed, index in ((7, 3), (8, 4)):
+                drawn = sample_path(grid, 2, seed, index).increments
+                assert drawn.tobytes() == _fresh_increments(grid, 2, seed, index).tobytes()
+
+    def test_each_path_owns_a_fresh_read_only_array(self):
+        grid = TimeGrid(1.0, 4)
+        first = sample_path(grid, 2, 5, 0).increments
+        kept = first.copy()
+        second = sample_path(grid, 2, 5, 1).increments
+        assert not first.flags.writeable and not second.flags.writeable
+        assert not np.shares_memory(first, second)
+        assert first.tobytes() == kept.tobytes()
+
     def test_parallel_threads_match_serial(self):
         # long draws release the interpreter lock, so one generator shared
         # across threads would be re-keyed mid-draw and fail this
@@ -175,6 +196,13 @@ class TestValueAt:
         path = BrownianPath.zeros(TimeGrid(1.0, 4), dim=3)
         np.testing.assert_array_equal(path.value_at(4), np.zeros((3, 3)))
 
+    def test_rejects_bad_shapes(self):
+        grid = TimeGrid(1.0, 4)
+        with pytest.raises(ValueError):
+            BrownianPath(grid, np.zeros((3, 2, 2)))
+        with pytest.raises(ValueError):
+            BrownianPath(grid, np.full((4, 2, 2), np.nan))
+
 
 class TestRefinement:
     def test_coarsen_shapes_and_sums(self):
@@ -205,30 +233,3 @@ class TestRefinement:
         assert abs(np.mean(coarse_sq) - dt_coarse) < band
         assert abs(np.mean(direct_sq) - dt_coarse) < band
 
-
-class TestSerialization:
-    def test_round_trip_bitwise(self):
-        path = sample_path(TimeGrid(0.75, 12), 3, seed=2**40 + 17)
-        buf = io.BytesIO()
-        dump_increments(path, buf)
-        buf.seek(0)
-        loaded = load_increments(buf)
-        assert loaded.grid == path.grid
-        assert loaded.dim == path.dim
-        assert loaded.seed == path.seed
-        assert (loaded.increments == path.increments).all()
-
-    def test_header_layout(self):
-        path = sample_path(TimeGrid(1.0, 2), 2, seed=5)
-        buf = io.BytesIO()
-        dump_increments(path, buf)
-        raw = buf.getvalue()
-        # header: u32 dim, u32 steps, f64 horizon, u64 seed -> 24 bytes
-        assert len(raw) == 24 + 2 * 2 * 2 * 8
-
-    def test_rejects_bad_shapes(self):
-        grid = TimeGrid(1.0, 4)
-        with pytest.raises(ValueError):
-            BrownianPath(grid, np.zeros((3, 2, 2)))
-        with pytest.raises(ValueError):
-            BrownianPath(grid, np.full((4, 2, 2), np.nan))

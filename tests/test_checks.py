@@ -208,6 +208,25 @@ class TestLemmaBeta:
         beta = estimate_lemma_beta(ident, ident, 40000, TimeGrid(1.0, 16), [1.0, 0.0], seed=23)
         assert abs(beta - 3.0) < 0.3
 
+    def test_matches_a_per_path_loop(self):
+        # the stacked quadratic forms against plain products, one path and one
+        # grid time at a time; summation order differs, hence the 1e-12
+        rng = np.random.default_rng(45)
+        a = SymmetricMatrix(random_symmetric_stack(rng, 1, 3)[0])
+        c = SymmetricMatrix(random_psd_stack(rng, 1, 3)[0])
+        x = random_unit_stack(rng, 1, 3)[0]
+        grid, paths = TimeGrid(1.0, 6), 20
+        num, m2 = np.zeros(grid.steps), np.zeros(grid.steps)
+        for i in range(paths):
+            path = sample_path(grid, 3, 46, i)
+            for k in range(grid.steps):
+                m = a.entries @ path.value_at(k + 1) @ c.entries
+                num[k] += x @ (m + m.T) @ (m + m.T) @ x
+                m2[k] += x @ m @ m @ x
+        expected = (num / (2.0 * np.abs(m2))).max()
+        beta = estimate_lemma_beta(a, c, paths, grid, x, seed=46)
+        assert abs(beta - expected) <= 1e-12 * expected
+
 
 class TestTraceMoment:
     def test_zero_drift_preserves_trace(self):
