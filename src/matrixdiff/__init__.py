@@ -6,17 +6,12 @@ from .symmat import (
     ScalarFunctionSpec,
     SpectralDecomposition,
     SymmetricMatrix,
-    affine_fn,
     apply_scalar_fn,
     clipped_sqrt_fn,
     constant_fn,
-    identity_fn,
     is_psd,
-    loewner_leq,
     matrix_sqrt,
-    quadratic_form,
     spectral_decompose,
-    unit_vector,
 )
 from .brownian import (
     BrownianPath,
@@ -28,9 +23,6 @@ from .integrals import (
     MatrixProcess,
     isometry_rhs,
     ito_integral,
-    ito_integral_transposed,
-    symmetrized_diffusion,
-    time_integral,
 )
 from .sde import (
     PathSolution,
@@ -39,19 +31,16 @@ from .sde import (
     WallachSetWarning,
     euler_solve,
     euler_solve_paths,
-    euler_step,
     in_wallach_set,
     picard_solve,
     wishart_model,
 )
 from .checks import (
     CheckReport,
-    LipschitzEstimate,
     check_inq2,
     check_inq_nice,
     check_prop_cauchy,
     estimate_lemma_beta,
-    estimate_lipschitz,
     mc_isometry,
     mc_trace_moment,
 )

@@ -11,8 +11,9 @@ before any state is touched.
 key list and one state dict that refers to it.  Each call writes (seed,
 path_index) into the key list and assigns the same dict, which the state
 setter copies word by word, so the generator restarts at the path's stream and
-its draws equal those of a fresh `path_generator(seed, path_index)`.  Only the
-state is reused: every returned path owns a fresh read-only increment array.
+its draws equal those of a freshly built Philox generator keyed by (seed,
+path_index).  Only the state is reused: every returned path owns a fresh
+read-only increment array.
 
 The path matrices are NOT symmetric: all d^2 entries are independent motions.
 Only the diffusion states built on top of them live in the symmetric space.
@@ -30,7 +31,6 @@ import numpy as np
 __all__ = [
     "TimeGrid",
     "BrownianPath",
-    "path_generator",
     "sample_path",
     "coarsen_path",
 ]
@@ -76,16 +76,10 @@ def _word(name: str, value) -> int:
     raise ValueError(f"{name} must be an integer in [0, 2^64), got {value!r}")
 
 
-def path_generator(seed: int, path_index: int = 0) -> np.random.Generator:
-    """Philox generator for the stream keyed by (seed, path_index)."""
-    key = np.array([_word("seed", seed), _word("path_index", path_index)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
 def _stream(seed: int, path_index: int) -> np.random.Generator:
-    """This thread's generator, reset to the state of a fresh
-    `path_generator(seed, path_index)`: zero counter, the key, empty buffer.
-    Both key words must already have passed `_word`."""
+    """This thread's generator, reset to the state of a fresh Philox generator
+    keyed by (seed, path_index): zero counter, the key, empty buffer.  Both key
+    words must already have passed `_word`."""
     try:
         gen, key, state = _streams.philox
     except AttributeError:
@@ -112,11 +106,10 @@ class BrownianPath:
     """Increments of a d x d matrix Brownian motion on a time grid.
 
     `increments[k]` is B_{t_{k+1}} - B_{t_k}, a full (not symmetric) d x d
-    matrix of independent Normal(0, dt) draws.  `value_at(k)` returns the
-    cumulative sum B_{t_k}, with B_0 = 0.
+    matrix of independent Normal(0, dt) draws.
     """
 
-    __slots__ = ("grid", "_increments", "seed", "path_index", "_partials")
+    __slots__ = ("grid", "_increments", "seed", "path_index")
 
     def __init__(self, grid: TimeGrid, increments, seed: int = 0, path_index: int = 0) -> None:
         arr = np.array(increments, dtype=np.float64)
@@ -134,7 +127,6 @@ class BrownianPath:
         self._increments = arr
         self.seed = int(seed)
         self.path_index = int(path_index)
-        self._partials = None
 
     @property
     def dim(self) -> int:
@@ -148,18 +140,6 @@ class BrownianPath:
     def zeros(cls, grid: TimeGrid, dim: int) -> "BrownianPath":
         """The deterministic zero path (useful for drift-only solves)."""
         return cls(grid, np.zeros((grid.steps, dim, dim)))
-
-    def value_at(self, k: int) -> np.ndarray:
-        """B_{t_k}: the sum of the first k increments; k = 0 gives zeros."""
-        if k < 0 or k > self.grid.steps:
-            raise IndexError(f"grid index {k} out of range [0, {self.grid.steps}]")
-        if self._partials is None:
-            d = self.dim
-            partials = np.zeros((self.grid.steps + 1, d, d))
-            np.cumsum(self._increments, axis=0, out=partials[1:])
-            partials.setflags(write=False)
-            self._partials = partials
-        return self._partials[k]
 
 
 def sample_path(grid: TimeGrid, dim: int, seed: int, path_index: int = 0) -> BrownianPath:

@@ -9,13 +9,12 @@ one row per path, which the check reduces once over all paths; a row depends
 on its own path alone, so results depend on neither scheduling nor block size.
 
 Sampling conventions: random symmetric matrices are symmetrized standard
-Gaussians, PSD variants are Gram matrices G^T G, and unit vectors are
-normalized Gaussian vectors (uniform on the sphere).
+Gaussians, and unit vectors are normalized Gaussian vectors (uniform on the
+sphere).
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -24,23 +23,15 @@ import numpy as np
 from .brownian import TimeGrid, sample_path
 from .integrals import MatrixProcess, isometry_rhs
 from .sde import SdeModel, euler_final_states
-from .symmat import (
-    ScalarFunctionSpec,
-    SymmetricMatrix,
-    apply_scalar_fn_stack,
-    min_eigenvalues_stack,
-)
+from .symmat import SymmetricMatrix, min_eigenvalues_stack
 
 __all__ = [
     "CheckReport",
-    "LipschitzEstimate",
     "random_symmetric_stack",
-    "random_psd_stack",
     "random_unit_stack",
     "check_inq2",
     "check_inq_nice",
     "check_prop_cauchy",
-    "estimate_lipschitz",
     "mc_isometry",
     "estimate_lemma_beta",
     "mc_trace_moment",
@@ -74,44 +65,10 @@ class CheckReport:
             out["details"] = self.details
         return out
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "CheckReport":
-        return cls(
-            name=data["name"],
-            samples=data["samples"],
-            worst_violation=data["worst_violation"],
-            tolerance=data["tolerance"],
-            passed=data["pass"],
-            details=data.get("details"),
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "CheckReport":
-        return cls.from_dict(json.loads(text))
-
-
-@dataclass
-class LipschitzEstimate:
-    """Empirical matrix-sense Lipschitz ratio of a lifted scalar function."""
-
-    fn_name: str
-    sampled_ratio_max: float
-    sample_count: int
-    dims: list
-
 
 def random_symmetric_stack(rng: np.random.Generator, count: int, d: int, scale: float = 1.0) -> np.ndarray:
     raw = rng.standard_normal((count, d, d))
     return 0.5 * scale * (raw + raw.transpose(0, 2, 1))
-
-
-def random_psd_stack(rng: np.random.Generator, count: int, d: int, scale: float = 1.0) -> np.ndarray:
-    raw = rng.standard_normal((count, d, d))
-    gram = np.einsum("mki,mkj->mij", raw, raw) * scale
-    return 0.5 * (gram + gram.transpose(0, 2, 1))
 
 
 def random_unit_stack(rng: np.random.Generator, count: int, d: int) -> np.ndarray:
@@ -182,39 +139,6 @@ def check_prop_cauchy(process_samples: int, d: int, n: int, seed: int) -> CheckR
 
     return _worst_case("prop_cauchy", 1e-10, process_samples, seed, {"dim": d, "steps": n},
                        violations, block=max(1, _BLOCK // max(1, n // 8)))
-
-
-def estimate_lipschitz(spec: ScalarFunctionSpec, samples: int, d: int, seed: int,
-                       psd: bool = False, scale: float = 1.0) -> LipschitzEstimate:
-    """Largest sampled ratio x^T (g(A1) - g(A2))^2 x / x^T (A1 - A2)^2 x.
-
-    Pairs whose denominator falls below 1e-14 are skipped; an estimate over
-    zero usable pairs is an error.  Blocks are always drawn at full size and
-    truncated, so runs with more samples extend shorter runs of the same seed
-    and the estimate is monotone non-decreasing in `samples`.
-    """
-    rng = np.random.default_rng(seed)
-    sampler = random_psd_stack if psd else random_symmetric_stack
-    ratio_max = 0.0
-    kept = 0
-    for count in _blocks(samples):
-        a1 = sampler(rng, _BLOCK, d, scale)[:count]
-        a2 = sampler(rng, _BLOCK, d, scale)[:count]
-        x = random_unit_stack(rng, _BLOCK, d)[:count]
-        g1 = apply_scalar_fn_stack(spec, a1)
-        g2 = apply_scalar_fn_stack(spec, a2)
-        gx = np.einsum("mij,mj->mi", g1 - g2, x)
-        axv = np.einsum("mij,mj->mi", a1 - a2, x)
-        num = np.einsum("mi,mi->m", gx, gx)
-        den = np.einsum("mi,mi->m", axv, axv)
-        usable = den >= 1e-14
-        kept += int(usable.sum())
-        if usable.any():
-            ratio_max = max(ratio_max, float((num[usable] / den[usable]).max()))
-    if kept == 0:
-        raise ValueError("all sampled pairs were degenerate (denominator below 1e-14)")
-    return LipschitzEstimate(fn_name=spec.name or repr(spec.fn),
-                             sampled_ratio_max=ratio_max, sample_count=kept, dims=[d])
 
 
 def _per_path(name: str, grid: TimeGrid, dim: int, seed: int, n_paths: int, values) -> np.ndarray:

@@ -11,7 +11,9 @@ trace-moment        Wishart mean-trace identity check
 `SUBCOMMANDS` declares each subcommand's settings once; its flags and its
 resolver both come from that declaration.  A setting is taken from its flag,
 else the flat JSON config file (--config), else its default; the seed falls
-back to the MATRIXDIFF_SEED environment variable before its default.
+back to the MATRIXDIFF_SEED environment variable before its default.  One
+config file may serve several subcommands, so it may hold any key that some
+subcommand reads, and a key that none reads is refused.
 Exit codes: 0 all requested checks passed, 1 a check failed, 2 bad
 configuration.  Output is deterministic byte for byte under a fixed seed.
 """
@@ -70,6 +72,10 @@ def _load_config(path) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a flat JSON object")
+    read = _CONFIG_ONLY_KEYS.union(*(declared for *_, declared in SUBCOMMANDS.values()))
+    unknown = sorted(set(cfg) - read)
+    if unknown:
+        raise ConfigError(f"unknown config key {unknown[0]!r}: no subcommand reads it")
     return cfg
 
 
@@ -155,20 +161,20 @@ def _parse_vector(obj, dim: int, what: str) -> np.ndarray:
     return arr
 
 
-def _scalar_spec(config: dict, prefix: str) -> ScalarFunctionSpec:
-    def number(name, default):
-        return _take(f"{prefix}_{name}", config.get(f"{prefix}_{name}", default), float)
+# Each coefficient kind of a custom model: its factory, and the parameters it
+# takes in order, each read from the config key <prefix>_<name> or its default.
+_COEFFICIENT_KINDS = {
+    "constant": (constant_fn, {"value": 0.0}),
+    "clipped_sqrt": (clipped_sqrt_fn, {"clip": 1e6}),
+    "clipped_affine": (clipped_affine_fn, {"a": 1.0, "b": 0.0, "bound": 1e6}),
+}
 
-    kind = config.get(f"{prefix}_kind")
-    if kind == "constant":
-        return constant_fn(number("value", 0.0))
-    if kind == "clipped_sqrt":
-        return clipped_sqrt_fn(number("clip", 1e6))
-    if kind == "clipped_affine":
-        return clipped_affine_fn(number("a", 1.0), number("b", 0.0), number("bound", 1e6))
-    raise ConfigError(
-        f"{prefix}_kind must be one of constant, clipped_sqrt, clipped_affine; got {kind!r}"
-    )
+
+def _scalar_spec(config: dict, prefix: str) -> ScalarFunctionSpec:
+    kind = _take(f"{prefix}_kind", config.get(f"{prefix}_kind"), tuple(_COEFFICIENT_KINDS))
+    factory, params = _COEFFICIENT_KINDS[kind]
+    return factory(*(_take(f"{prefix}_{name}", config.get(f"{prefix}_{name}", default), float)
+                     for name, default in params.items()))
 
 
 def _build_model(settings, config: dict) -> SdeModel:
@@ -304,8 +310,9 @@ def _cmd_trace_moment(s, config) -> int:
 
 # Each subcommand's settings, once: name -> (kind, default[, lowest[, first
 # refused above]]), kind int, float or a tuple of choices.  Every setting is
-# also the flag --name (underscores as dashes).  Config keys of the model's
-# coefficients and of isometry's matrices and vectors have no flag.
+# also the flag --name (underscores as dashes).  The config keys of the
+# model's start and coefficients and of isometry's matrices and vectors have
+# no flag; `_CONFIG_ONLY_KEYS` declares them.
 _SEED = (int, DEFAULT_SEED, 0, 2 ** 64)
 _MODEL = {"model": (_MODELS, "wishart"), "alpha": (float, 1.0)}
 
@@ -330,6 +337,12 @@ SUBCOMMANDS = {
     "trace-moment": (_cmd_trace_moment, "Wishart mean-trace identity check", {
         **_path_settings(256, 10000), **_MODEL, "format": (_FORMATS, "json")}),
 }
+
+
+_CONFIG_ONLY_KEYS = frozenset(
+    ["x0", "sqrt_clip_bound", "a_matrix", "c_matrix", "x_vector", "y_vector"]
+    + [f"{prefix}_{name}" for prefix in "gfb"
+       for name in ["kind", *(name for _, params in _COEFFICIENT_KINDS.values() for name in params)]])
 
 
 def _build_parser() -> argparse.ArgumentParser:

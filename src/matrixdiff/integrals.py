@@ -1,9 +1,9 @@
 """Matrix Ito integrals on a grid, left-point rule throughout.
 
-The two-sided integrands sum A_{t_m} dB_m C_{t_m} over grid steps, always
-evaluating the integrand processes at the left endpoint.  The plain integral
-returns a general (not symmetric) matrix; only the symmetrized combination
-M + M^T is promoted back into the symmetric space.
+The two-sided integral sums A_{t_m} dB_m C_{t_m} over grid steps, always
+evaluating the integrand processes at the left endpoint, and returns a general
+(not symmetric) matrix.  `isometry_rhs` is the deterministic side of the
+second-moment identity for such an integral.
 """
 
 from __future__ import annotations
@@ -16,10 +16,7 @@ from .symmat import SymmetricMatrix, _symmetric
 __all__ = [
     "MatrixProcess",
     "ito_integral",
-    "ito_integral_transposed",
-    "symmetrized_diffusion",
     "isometry_rhs",
-    "time_integral",
 ]
 
 
@@ -57,9 +54,6 @@ class MatrixProcess:
         values = np.broadcast_to(matrix.entries, (grid.steps + 1, matrix.dim, matrix.dim))
         return cls(grid, values)
 
-    def value_at(self, k: int) -> SymmetricMatrix:
-        return SymmetricMatrix(self._values[k])
-
 
 def _check_alignment(path: BrownianPath, *processes: MatrixProcess) -> None:
     for proc in processes:
@@ -90,17 +84,6 @@ def ito_integral(a: MatrixProcess, path: BrownianPath, c: MatrixProcess, k_end=N
     return (a.values[:k] @ path.increments[:k] @ c.values[:k]).sum(axis=0)
 
 
-def ito_integral_transposed(c: MatrixProcess, path: BrownianPath, a: MatrixProcess, k_end=None) -> np.ndarray:
-    """Left-point sum of C_{t_m} dB_m^T A_{t_m}; the transpose of `ito_integral`."""
-    return ito_integral(a, path, c, k_end).T
-
-
-def symmetrized_diffusion(a: MatrixProcess, path: BrownianPath, c: MatrixProcess, k_end=None) -> SymmetricMatrix:
-    """The symmetric noise term: M + M^T with M the plain integral."""
-    m = ito_integral(a, path, c, k_end)
-    return SymmetricMatrix(m + m.T)
-
-
 def isometry_rhs(a: MatrixProcess, c: MatrixProcess, x, y, k_end=None) -> float:
     """Single-path value of the time integral of x^T C^T C A A^T y.
 
@@ -119,10 +102,3 @@ def isometry_rhs(a: MatrixProcess, c: MatrixProcess, x, y, k_end=None) -> float:
     col = (y @ av)[:, :, None]  # A^T y per step
     return float((row @ cv @ av @ col).sum() * a.grid.dt)
 
-
-def time_integral(p: MatrixProcess, k_end=None) -> SymmetricMatrix:
-    """Left-point Riemann sum of the process over [0, t_{k_end}]."""
-    k = _resolve_k_end(p.grid, k_end)
-    if k == 0:
-        return SymmetricMatrix(np.zeros((p.dim, p.dim)))
-    return SymmetricMatrix(p.values[:k].sum(axis=0) * p.grid.dt)

@@ -41,7 +41,6 @@ __all__ = [
     "PathSolution",
     "ContractionFit",
     "PicardDiagnostics",
-    "euler_step",
     "euler_solve",
     "euler_solve_paths",
     "euler_final_states",
@@ -71,7 +70,8 @@ class SdeModel:
         for label, spec in (("g", self.g), ("f", self.f), ("b", self.b)):
             if spec.bound is None:
                 raise ValueError(f"coefficient {label} must declare a bound")
-        if self.requires_psd_start and not is_psd(self.x0, tol=1e-10):
+        # relative to the start's own scale, as the symmetry rule is
+        if self.requires_psd_start and not is_psd(self.x0, tol=1e-10 * self.x0.frobenius_norm()):
             raise ValueError("initial state must be positive semidefinite for this model")
 
     @property
@@ -161,12 +161,6 @@ def _euler(model: SdeModel, inc: np.ndarray, dt: float) -> Iterator[np.ndarray]:
     increments (n, P, d, d); each path's states are those it has stepped alone."""
     x0 = np.broadcast_to(model.x0.entries, inc.shape[1:])
     return accumulate(inc, lambda x, db: _advance(model, x, db, dt), initial=x0)
-
-
-def euler_step(model: SdeModel, x_k: SymmetricMatrix, db: np.ndarray, dt: float) -> SymmetricMatrix:
-    """One explicit step: X + g(X) dB f(X) + f(X) dB^T g(X) + b(X) dt."""
-    db = np.asarray(db, dtype=np.float64)[None, :, :]
-    return SymmetricMatrix(_advance(model, x_k.entries[None, :, :], db, dt)[0])
 
 
 def euler_solve_paths(model: SdeModel, paths: Sequence[BrownianPath]) -> list[PathSolution]:

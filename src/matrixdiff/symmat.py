@@ -3,9 +3,9 @@
 The state space throughout the package is the set of real symmetric d x d
 matrices.  A scalar function g is lifted to a matrix argument through the
 spectral decomposition A = Q diag(lambda) Q^T as g(A) = Q diag(g(lambda)) Q^T,
-with eigenvalues kept in non-decreasing order.  The Loewner order predicates
-(`is_psd`, `loewner_leq`) and the quadratic form x^T A x round out the
-deterministic substrate used by the stochastic layers.
+with eigenvalues kept in non-decreasing order.  The PSD predicate `is_psd`
+and the stacked minimum eigenvalue round out the deterministic substrate used
+by the stochastic layers.
 """
 
 from __future__ import annotations
@@ -25,8 +25,6 @@ __all__ = [
     "ScalarFunctionSpec",
     "DOMAIN_POLICIES",
     "constant_fn",
-    "identity_fn",
-    "affine_fn",
     "clipped_affine_fn",
     "clipped_sqrt_fn",
     "spectral_decompose",
@@ -36,9 +34,6 @@ __all__ = [
     "matrix_sqrt",
     "is_psd",
     "min_eigenvalues_stack",
-    "loewner_leq",
-    "quadratic_form",
-    "unit_vector",
 ]
 
 # `_symmetric` refuses a matrix whose asymmetry exceeds this relative threshold;
@@ -58,7 +53,7 @@ class EigensolverError(RuntimeError):
 
 
 class DomainPolicyError(ValueError):
-    """Raised when an eigenvalue falls outside a scalar function's domain."""
+    """Raised when a scalar function returns a non-finite value on an eigenvalue."""
 
 
 def _frobenius(a: np.ndarray) -> np.ndarray:
@@ -148,20 +143,6 @@ class SymmetricMatrix:
     def frobenius_norm(self) -> float:
         return float(_frobenius(self._entries))
 
-    def __add__(self, other: "SymmetricMatrix") -> "SymmetricMatrix":
-        return SymmetricMatrix(self._entries + other._entries)
-
-    def __sub__(self, other: "SymmetricMatrix") -> "SymmetricMatrix":
-        return SymmetricMatrix(self._entries - other._entries)
-
-    def __mul__(self, scalar: float) -> "SymmetricMatrix":
-        return SymmetricMatrix(self._entries * float(scalar))
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "SymmetricMatrix":
-        return SymmetricMatrix(-self._entries)
-
     def __repr__(self) -> str:
         return f"SymmetricMatrix(dim={self.dim})"
 
@@ -190,21 +171,20 @@ class SpectralDecomposition:
         return (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.T
 
 
-DOMAIN_POLICIES = ("total", "clip_negative_to_zero", "reject_outside_domain")
+DOMAIN_POLICIES = ("total", "clip_negative_to_zero")
 
 
 @dataclass(frozen=True)
 class ScalarFunctionSpec:
     """A scalar function together with its domain policy and optional bound.
 
-    `fn` must act elementwise on float arrays.  The domain policies treat the
-    negative half-line as the only restricted region: `clip_negative_to_zero`
-    replaces negative eigenvalues by zero before evaluation, while
-    `reject_outside_domain` raises on any negative eigenvalue.  `bound`, when
-    set, declares sup |fn| <= bound on the admitted domain; the SDE solver
-    requires it and `bound_holds` spot-checks it by sampling.  `constant`
-    declares that fn takes one value everywhere, so its lift is that value
-    times the identity and needs no eigendecomposition.
+    `fn` must act elementwise on float arrays.  The domain policy
+    `clip_negative_to_zero` replaces negative eigenvalues by zero before
+    evaluation; `total` passes them through.  A non-finite value of `fn`
+    raises `DomainPolicyError`.  `bound`, when set, declares sup |fn| <= bound
+    on the admitted domain; the SDE solver requires it.  `constant` declares
+    that fn takes one value everywhere, so its lift is that value times the
+    identity and needs no eigendecomposition.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -223,12 +203,6 @@ class ScalarFunctionSpec:
         lam = np.asarray(lam, dtype=np.float64)
         if self.domain_policy == "clip_negative_to_zero":
             lam = np.maximum(lam, 0.0)
-        elif self.domain_policy == "reject_outside_domain":
-            if (lam < 0.0).any():
-                worst = float(lam.min())
-                raise DomainPolicyError(
-                    f"eigenvalue {worst!r} outside the admitted domain [0, inf)"
-                )
         out = np.asarray(self.fn(lam), dtype=np.float64)
         if out.shape != lam.shape:
             raise ValueError("scalar function must evaluate elementwise")
@@ -247,14 +221,6 @@ class ScalarFunctionSpec:
         # evaluated once per spec; the Euler kernel reads it every step
         return float(self.map_eigenvalues(np.zeros(1))[0])
 
-    def bound_holds(self, low: float, high: float) -> bool:
-        """Spot-check |fn| <= bound on 1000 points of [low, high], fixed by seed 0."""
-        if self.bound is None:
-            raise ValueError("no bound declared")
-        pts = np.random.default_rng(0).uniform(low, high, size=1000)
-        vals = self.map_eigenvalues(pts)
-        return bool((np.abs(vals) <= self.bound).all())
-
 
 def constant_fn(value: float, name: str = "") -> ScalarFunctionSpec:
     value = float(value)
@@ -266,14 +232,6 @@ def constant_fn(value: float, name: str = "") -> ScalarFunctionSpec:
         name=name or f"constant({value})",
         constant=True,
     )
-
-
-def identity_fn() -> ScalarFunctionSpec:
-    return ScalarFunctionSpec(fn=lambda x: np.asarray(x, dtype=np.float64).copy(), name="identity")
-
-
-def affine_fn(a: float, b: float) -> ScalarFunctionSpec:
-    return ScalarFunctionSpec(fn=lambda x: a * np.asarray(x, dtype=np.float64) + b, name=f"affine({a},{b})")
 
 
 def clipped_affine_fn(a: float, b: float, bound: float) -> ScalarFunctionSpec:
@@ -413,31 +371,3 @@ def is_psd(a: SymmetricMatrix, tol: float = 0.0) -> bool:
     lam, _ = spectral_decompose_stack(a.entries[None, :, :])
     return bool(lam[0, 0] >= -tol)
 
-
-def loewner_leq(a: SymmetricMatrix, b: SymmetricMatrix, tol: float = 0.0) -> bool:
-    """Loewner order A <= B, i.e. B - A is PSD up to tol."""
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    return is_psd(b - a, tol)
-
-
-def unit_vector(v) -> np.ndarray:
-    """Normalize to unit Euclidean length; rejects the zero vector."""
-    arr = np.asarray(v, dtype=np.float64).reshape(-1)
-    norm = float(np.linalg.norm(arr))
-    if norm == 0.0:
-        raise ValueError("cannot normalize the zero vector")
-    return arr / norm
-
-
-def quadratic_form(x, a: SymmetricMatrix) -> float:
-    """x^T A x for a unit vector x (norm within 1e-12 of 1)."""
-    arr = np.asarray(x, dtype=np.float64).reshape(-1)
-    norm = float(np.linalg.norm(arr))
-    if norm == 0.0:
-        raise ValueError("zero vector is not a direction")
-    if abs(norm - 1.0) > 1e-12:
-        raise ValueError(f"expected a unit vector, got norm {norm!r}")
-    if arr.shape[0] != a.dim:
-        raise ValueError(f"vector length {arr.shape[0]} does not match dim {a.dim}")
-    return float(arr @ a.entries @ arr)

@@ -6,6 +6,12 @@ JACOBI_MAX_SWEEPS = 50
 JACOBI_REL_TOL = 1e-12
 
 
+def path_generator(seed, path_index):
+    """A fresh Philox generator for the stream keyed by (seed, path_index)."""
+    key = np.array([seed, path_index], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
 def entrywise_ito(a_values, c_values, increments):
     """I(i,j) = sum_k sum_r sum_m A_m(i,k) C_m(r,j) dB_m(k,r), by explicit loops."""
     n, d = increments.shape[0], increments.shape[1]

