@@ -40,6 +40,7 @@ __all__ = [
 
 _BLOCK = 4096  # inequality samples per block; `verify`'s draws depend on it
 _PATH_BLOCK = 2048  # Monte Carlo paths per block; results do not depend on it
+_FILL = 64  # paths drawn path-major, then copied into the step-major block at once
 
 
 @dataclass
@@ -148,11 +149,17 @@ def _per_path(name: str, grid: TimeGrid, dim: int, seed: int, n_paths: int, valu
     if n_paths < 2:
         raise ValueError(f"{name} needs at least 2 paths, got {n_paths}")
     buf = np.empty((grid.steps, min(_PATH_BLOCK, n_paths), dim, dim))
+    # one path at a time into the block would write it at a stride of the block's
+    # width; a small path-major chunk is copied in with one transposed assignment
+    chunk = np.empty((min(_FILL, n_paths), grid.steps, dim, dim))
     rows = []
     for start in range(0, n_paths, _PATH_BLOCK):
         count = min(_PATH_BLOCK, n_paths - start)
-        for i in range(count):
-            buf[:, i] = sample_path(grid, dim, seed, start + i).increments
+        for lo in range(0, count, _FILL):
+            width = min(_FILL, count - lo)
+            for i in range(width):
+                chunk[i] = sample_path(grid, dim, seed, start + lo + i).increments
+            buf[:, lo:lo + width] = chunk[:width].swapaxes(0, 1)
         rows.append(values(buf[:, :count]))
     return np.concatenate(rows)
 

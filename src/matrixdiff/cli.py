@@ -315,27 +315,34 @@ def _cmd_trace_moment(s, config) -> int:
 # no flag; `_CONFIG_ONLY_KEYS` declares them.
 _SEED = (int, DEFAULT_SEED, 0, 2 ** 64)
 _MODEL = {"model": (_MODELS, "wishart"), "alpha": (float, 1.0)}
+# The first path and sample counts refused.  The per-path solvers hold every
+# state of every path; the Monte Carlo checks and `verify` draw in blocks and
+# keep one value per path or sample, so they take more.
+_SOLVE_PATHS_LIMIT = 10 ** 4
+_MC_PATHS_LIMIT = 10 ** 7
+_SAMPLES_LIMIT = 10 ** 7
 
 
-def _path_settings(steps: int, paths: int, min_paths=None) -> dict:
+def _path_settings(steps: int, paths: int, min_paths, paths_limit: int) -> dict:
     return {"dim": (int, 2, 1), "steps": (int, steps), "horizon": (float, 1.0),
-            "paths": (int, paths, min_paths), "seed": _SEED}
+            "paths": (int, paths, min_paths, paths_limit), "seed": _SEED}
 
 
 SUBCOMMANDS = {
     "simulate": (_cmd_simulate, "solve the SDE and dump path states", {
-        **_path_settings(256, 1, 1), **_MODEL,
+        **_path_settings(256, 1, 1, _SOLVE_PATHS_LIMIT), **_MODEL,
         "method": (_METHODS, "euler"), "format": (_FORMATS, "csv")}),
     "verify": (_cmd_verify, "run all operator-inequality suites", {
-        "dim": (int, None, 1), "samples": (int, 10000), "seed": _SEED,
+        "dim": (int, None, 1), "samples": (int, 10000, None, _SAMPLES_LIMIT), "seed": _SEED,
         "format": (_FORMATS, "json")}),
     "isometry": (_cmd_isometry, "Monte Carlo second-moment identity check", {
-        **_path_settings(16, 20000), "format": (_FORMATS, "json")}),
+        **_path_settings(16, 20000, None, _MC_PATHS_LIMIT), "format": (_FORMATS, "json")}),
     "picard-convergence": (_cmd_picard_convergence, "iteration distances and rate fit", {
-        **_path_settings(256, 1, 1), **_MODEL, "format": (_FORMATS, "json"),
+        **_path_settings(256, 1, 1, _SOLVE_PATHS_LIMIT), **_MODEL, "format": (_FORMATS, "json"),
         "max_iter": (int, 25), "stop_tol": (float, 1e-10)}),
     "trace-moment": (_cmd_trace_moment, "Wishart mean-trace identity check", {
-        **_path_settings(256, 10000), **_MODEL, "format": (_FORMATS, "json")}),
+        **_path_settings(256, 10000, None, _MC_PATHS_LIMIT), **_MODEL,
+        "format": (_FORMATS, "json")}),
 }
 
 

@@ -133,15 +133,46 @@ def _lift_gfb(model: SdeModel, stack: np.ndarray):
                  for spec in (model.g, model.f, model.b))
 
 
+def _planes(a):
+    """Rows of the entry planes a[:, i, j] of a (m, 2, 2) stack; a float c,
+    standing for c * I, stays a float."""
+    return a if isinstance(a, float) else ((a[:, 0, 0], a[:, 0, 1]), (a[:, 1, 0], a[:, 1, 1]))
+
+
+def _times_2x2(a, b):
+    """The product of two d = 2 operands given as `_planes`, as planes: a float
+    scales the other operand's planes, and two matrices multiply entry by entry
+    as a_i0 b_0j + a_i1 b_1j, in plain IEEE arithmetic."""
+    if isinstance(a, float):
+        return tuple(tuple(v * a for v in row) for row in b)
+    if isinstance(b, float):
+        return tuple(tuple(v * b for v in row) for row in a)
+    return tuple(tuple(a[i][0] * b[0][j] + a[i][1] * b[1][j] for j in (0, 1)) for i in (0, 1))
+
+
 def _increment(g_x, f_x, b_x, db: np.ndarray, dt: float) -> np.ndarray:
     """The Euler increment g dB f + (g dB f)^T + b dt of every stacked state:
     the summand of both the Euler step and the Picard map.
 
     A float coefficient c stands for c * I and enters as a scalar: dB * c,
-    (g dB) * c, and (c dt) * I for the drift, one (d, d) matrix broadcast
-    over the stack.  These are the bits of the products with c * I, whose
-    other terms are exact zeros, up to the sign of a zero.
+    (g dB) * c, and (c dt) * I for the drift.  These are the bits of the
+    products with c * I, whose other terms are exact zeros, up to the sign of
+    a zero.  At d = 2 the increment is written out on the entry planes, as
+    `_lift` is, so its products are plain IEEE arithmetic, whose bits depend on
+    neither the BLAS kernel nor the stack size; d >= 3 multiplies with `@`.
     """
+    if db.shape[-1] == 2:
+        m = _times_2x2(_times_2x2(_planes(g_x), _planes(db)), _planes(f_x))
+        drift = b_x * dt
+        inc = np.empty(db.shape)
+        for i, j in ((0, 0), (0, 1), (1, 1)):
+            entry = m[i][j] + m[j][i]
+            if not isinstance(drift, float):
+                entry += drift[:, i, j]
+            elif i == j:
+                entry += drift
+            inc[:, i, j] = inc[:, j, i] = entry
+        return inc
     g_db = db * g_x if isinstance(g_x, float) else g_x @ db
     m = g_db * f_x if isinstance(f_x, float) else g_db @ f_x
     inc = m + m.transpose(0, 2, 1)

@@ -46,6 +46,10 @@ RECONSTRUCTION_RTOL = 1e-8
 # `_frobenius` squares without rescaling when the sum of squares lands here
 _SUMSQ_LOW = np.finfo(np.float64).tiny * 2.0 ** 53
 _SUMSQ_HIGH = np.finfo(np.float64).max
+# A d = 2 residual whose plain sum of squares is at most this fraction of
+# RECONSTRUCTION_RTOL^2 ||A||^2 passes the `_frobenius` check for certain: the
+# margin outweighs the rounding of both checks' sums, roots and products.
+_ACCEPT_SUMSQ_RATIO = (1.0 - 1e-6) * RECONSTRUCTION_RTOL ** 2
 
 
 class EigensolverError(RuntimeError):
@@ -258,21 +262,23 @@ def clipped_sqrt_fn(clip: float) -> ScalarFunctionSpec:
     )
 
 
-def _lift(vec: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """Q diag(vals) Q^T for every matrix of a stack.
+def _lift_2x2(vec: np.ndarray, vals: np.ndarray):
+    """The (0, 0), (0, 1) = (1, 0) and (1, 1) entry planes of Q diag(vals) Q^T
+    for d = 2, where Q must be the rotation [[-s, c], [c, s]] that `_eig_stack`
+    returns: s^2 l0 + c^2 l1, c s (l1 - l0) and c^2 l0 + s^2 l1."""
+    c, s = vec[:, 0, 1], vec[:, 1, 1]
+    lo, hi = vals[:, 0], vals[:, 1]
+    cc, ss = c * c, s * s
+    return ss * lo + cc * hi, c * s * (hi - lo), cc * lo + ss * hi
 
-    For d = 2, Q must be the rotation [[-s, c], [c, s]] that `_eig_stack`
-    returns, and the product is written out: s^2 l0 + c^2 l1 and
-    c^2 l0 + s^2 l1 on the diagonal, c s (l1 - l0) off it.
-    """
+
+def _lift(vec: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Q diag(vals) Q^T for every matrix of a stack, written out by `_lift_2x2`
+    for d = 2."""
     if vec.shape[-1] == 2:
-        c, s = vec[:, 0, 1], vec[:, 1, 1]
-        lo, hi = vals[:, 0], vals[:, 1]
-        cc, ss = c * c, s * s
         out = np.empty((vec.shape[0], 2, 2))
-        out[:, 0, 0] = ss * lo + cc * hi
-        out[:, 1, 1] = cc * lo + ss * hi
-        out[:, 0, 1] = out[:, 1, 0] = c * s * (hi - lo)
+        out[:, 0, 0], out[:, 0, 1], out[:, 1, 1] = _lift_2x2(vec, vals)
+        out[:, 1, 0] = out[:, 0, 1]
         return out
     # stacked matmul runs about twice as fast on a contiguous Q^T as on the view
     return (vec * vals[:, None, :]) @ np.ascontiguousarray(vec.transpose(0, 2, 1))
@@ -308,6 +314,28 @@ def _eig_stack(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(stack)
 
 
+def _reconstructs_2x2(stack: np.ndarray, lam: np.ndarray, vec: np.ndarray) -> bool:
+    """True when every matrix A of a d = 2 stack certainly passes the
+    reconstruction check, judged in one elementwise pass over the entry planes.
+
+    The residual planes are those the check computes, all four of them, so a
+    not exactly symmetric A is judged as there.  Each sum of squares is plain;
+    ||A||^2 must lie in [_SUMSQ_LOW, _SUMSQ_HIGH], where no square overflowed
+    and underflowed squares are negligible.  The residual's sum needs no lower
+    end: a square that underflowed errs by at most 2^-1075, far below the
+    margin of `_ACCEPT_SUMSQ_RATIO` times ||A||^2 >= _SUMSQ_LOW.  (An exact
+    reconstruction, residual 0, is common.)  False sends the stack to the check.
+    """
+    l00, l01, l11 = _lift_2x2(vec, lam)
+    with np.errstate(over="ignore"):  # an overflowed sum is out of range
+        rr = ((l00 - stack[:, 0, 0]) ** 2 + (l01 - stack[:, 0, 1]) ** 2) \
+            + ((l01 - stack[:, 1, 0]) ** 2 + (l11 - stack[:, 1, 1]) ** 2)
+        sq = stack.reshape(-1, 4) ** 2
+        aa = (sq[:, 0] + sq[:, 1]) + (sq[:, 2] + sq[:, 3])
+        fits = (aa >= _SUMSQ_LOW) & (aa <= _SUMSQ_HIGH) & (rr <= _ACCEPT_SUMSQ_RATIO * aa)
+    return bool(fits.all())
+
+
 def spectral_decompose_stack(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Decompose a stack of symmetric matrices; returns (eigenvalues, eigenvectors).
 
@@ -316,11 +344,15 @@ def spectral_decompose_stack(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     are verified for the whole stack; non-finite input, or a residual above
     1e-8 * max(||A||_F, tiny), raises `EigensolverError`.  `tiny`, the smallest
     normal double, keeps the relative bound positive for zero and subnormal A.
+    A d = 2 stack that `_reconstructs_2x2` passes skips the check, which it
+    would pass.
     """
     stack = np.asarray(stack, dtype=np.float64)
     if not np.isfinite(stack).all():
         raise EigensolverError("cannot decompose a matrix with non-finite entries")
     lam, vec = _eig_stack(stack)
+    if stack.shape[-1] == 2 and _reconstructs_2x2(stack, lam, vec):
+        return lam, vec
     resid = _frobenius(_lift(vec, lam) - stack)
     bound = RECONSTRUCTION_RTOL * np.maximum(_frobenius(stack), np.finfo(np.float64).tiny)
     if not (resid <= bound).all():

@@ -96,3 +96,52 @@ def frobenius_max_scaled(stack):
     scale = np.where(scale > 0.0, scale, 1.0)
     unit = a / scale[..., None, None]
     return scale * np.sqrt((unit * unit).sum(axis=(-2, -1)))
+
+
+def product_2x2(a, b):
+    """a @ b of two (m, 2, 2) stacks, one entry at a time as a_i0 b_0j + a_i1 b_1j
+    in plain IEEE arithmetic (no fused multiply-add)."""
+    a, b = np.broadcast_arrays(a, b)
+    out = np.empty(a.shape)
+    for k in range(a.shape[0]):
+        for i in range(2):
+            for j in range(2):
+                out[k, i, j] = float(a[k, i, 0]) * float(b[k, 0, j]) \
+                    + float(a[k, i, 1]) * float(b[k, 1, j])
+    return out
+
+def _lift_reference(lam, vec, fn):
+    """sum_l fn(lam_l) v_l v_l^T of one matrix, upper triangle mirrored."""
+    d = len(lam)
+    out = [[0.0] * d for _ in range(d)]
+    for i in range(d):
+        for j in range(i, d):
+            out[i][j] = out[j][i] = sum(fn(float(lam[l])) * float(vec[i, l]) * float(vec[j, l])
+                                        for l in range(d))
+    return out
+
+
+def euler_reference(g, f, b, x0, increments, dt):
+    """Euler states X_0, ..., X_n of dX = g dB f + f dB^T g + b dt, one step of
+    one matrix at a time in plain loops.
+
+    `g`, `f` and `b` are scalar functions of a float, lifted through the
+    eigenpairs of `jacobi_stack`; `x0` is a (d, d) start and `increments` the
+    (n, d, d) Brownian increments of one path.  Returns an (n + 1, d, d) array.
+    """
+    x = [[float(v) for v in row] for row in np.asarray(x0, dtype=np.float64)]
+    d = len(x)
+    states = [x]
+    for db in np.asarray(increments, dtype=np.float64):
+        lam, vec = jacobi_stack(np.array([x]))
+        gx, fx, bx = (_lift_reference(lam[0], vec[0], fn) for fn in (g, f, b))
+        gdb = [[sum(gx[i][k] * float(db[k, j]) for k in range(d)) for j in range(d)]
+               for i in range(d)]
+        m = [[sum(gdb[i][k] * fx[k][j] for k in range(d)) for j in range(d)] for i in range(d)]
+        nxt = [[0.0] * d for _ in range(d)]
+        for i in range(d):
+            for j in range(i, d):
+                nxt[i][j] = nxt[j][i] = x[i][j] + (m[i][j] + m[j][i]) + bx[i][j] * dt
+        x = nxt
+        states.append(x)
+    return np.array(states)

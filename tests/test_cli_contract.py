@@ -11,10 +11,12 @@ take.  Whatever the input:
 * exit 0/1 prints strict JSON or well-formed CSV of finite numbers;
 * every accepted setting is used as given: `simulate` prints paths * (steps + 1)
   rows of d(d + 1)/2 state columns ending at the horizon, and each report
-  carries the sample count and seed asked for.
+  carries the sample count and seed asked for;
+* a path or sample count at or above its subcommand's limit exits 2.
 
-Sizes stay tiny (d <= 3, steps <= 4, paths <= 3, samples <= 8): a size is never
-left to its default, and no size is drawn large.
+Sizes that run stay tiny (d <= 3, steps <= 4, paths <= 3, samples <= 8): a size
+is never left to its default, and the only large sizes drawn are those above a
+limit, which are refused before anything runs.
 """
 
 import contextlib
@@ -28,6 +30,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from matrixdiff import cli
 from matrixdiff.cli import run_cli
 
 FORMATS, METHODS, MODELS = ("csv", "json"), ("euler", "picard"), ("wishart", "custom")
@@ -54,6 +57,10 @@ NOT_TAKEN = {
     "picard-convergence": ("samples",),
     "trace-moment": ("samples",),
 }
+# the first path or sample count each subcommand refuses
+LIMITS = {"simulate": {"paths": 10 ** 4}, "picard-convergence": {"paths": 10 ** 4},
+          "isometry": {"paths": 10 ** 7}, "trace-moment": {"paths": 10 ** 7},
+          "verify": {"samples": 10 ** 7}}
 CHOICES = {"format": FORMATS, "method": METHODS, "model": MODELS}
 INTEGERS = ("dim", "steps", "paths", "samples", "seed", "max_iter")
 
@@ -93,17 +100,31 @@ EXTRAS = {"isometry": ("a_matrix", "c_matrix", "x_vector", "y_vector"),
 UNKNOWN_KEYS = st.sampled_from(["stpes", "sample", "Seed", "x_0", "g_kind ", "out", "config", ""])
 
 
-def _config_value(draw, key, bad):
-    if bad:  # a large size is an allocation, not an input error: none is drawn
-        return draw(HOSTILE if key in SIZES else HOSTILE | EXTREME)
+def _above_limit(command, key):
+    """Sizes at or above the subcommand's limit for `key`; none when it has none."""
+    limit = LIMITS[command].get(key)
+    if limit is None:
+        return st.nothing()
+    return st.sampled_from([limit, limit + 1, 2 ** 63 - 1, 2 ** 64, 10 ** 30]) \
+        | st.integers(limit, 2 ** 70)
+
+
+def _config_value(draw, command, key, bad):
+    if bad:  # a large size without a limit is an allocation, not an input error
+        if key in SIZES:
+            over = _above_limit(command, key).flatmap(lambda v: st.sampled_from([v, float(v)]))
+            return draw(HOSTILE | over)
+        return draw(HOSTILE | EXTREME)
     value = draw(VALID[key])
     # JSON also writes an integer as an integral float
     return draw(st.sampled_from([value, float(value)])) if key in INTEGERS else value
 
 
-def _flag_text(draw, key, bad):
+def _flag_text(draw, command, key, bad):
     if bad:
-        return draw(HOSTILE_TEXT if key in SIZES else HOSTILE_TEXT | EXTREME_TEXT)
+        if key in SIZES:
+            return draw(HOSTILE_TEXT | _above_limit(command, key).map(str))
+        return draw(HOSTILE_TEXT | EXTREME_TEXT)
     return str(draw(VALID[key]))
 
 
@@ -166,6 +187,16 @@ def _run(argv, env_seed):
             os.environ["MATRIXDIFF_SEED"] = env_seed
         code = run_cli(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+def _refusing_to_run(command):
+    """`command` with a body that fails the test if it starts."""
+    _, help_text, declared = cli.SUBCOMMANDS[command]
+
+    def run(settings, config):
+        raise AssertionError(f"{command} started with {vars(settings)}")
+
+    return mock.patch.dict(cli.SUBCOMMANDS, {command: (run, help_text, declared)})
 
 
 def _strict_json(text):
@@ -259,11 +290,11 @@ def test_input_contract(data, tmp_path_factory):
         source = draw(st.sampled_from(["flag", "config", "both"] + ["absent"] * optional))
         value = default
         if source in ("config", "both"):
-            value = config[key] = _config_value(draw, key, bad(key))
+            value = config[key] = _config_value(draw, command, key, bad(key))
             if isinstance(value, float) and key in INTEGERS and value.is_integer():
                 value = int(value)
         if source in ("flag", "both"):
-            text = _flag_text(draw, key, bad(key))
+            text = _flag_text(draw, command, key, bad(key))
             argv += ["--" + key.replace("_", "-"), text]
             value = _from_text(key, text)
         effective[key] = value
@@ -283,7 +314,11 @@ def test_input_contract(data, tmp_path_factory):
         path.write_text(json.dumps(config))
         argv += ["--config", str(path)]
 
-    code, out, err = _run(argv, env_seed)
+    # a size at or above its limit must be refused before the command runs
+    over = [key for key, limit in LIMITS[command].items()
+            if type(effective[key]) is int and effective[key] >= limit]
+    with _refusing_to_run(command) if over else contextlib.nullcontext():
+        code, out, err = _run(argv, env_seed)
     event(f"{command} exit {code}")
 
     assert code in (0, 1, 2)
@@ -307,3 +342,24 @@ def test_flag_not_taken_exits_two(command, flags, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert f"--{flags}" in captured.err
+
+
+@pytest.mark.parametrize("command, key", [
+    (command, key) for command, limits in LIMITS.items() for key in limits
+])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_size_above_its_limit_exits_two_before_running(command, key, source, tmp_path):
+    limit = LIMITS[command][key]
+    for value in (limit, limit + 1, 2 ** 64, 10 ** 30):
+        argv = [command, "--seed", "1"]
+        if source == "flag":
+            argv += ["--" + key, str(value)]
+        else:
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps({key: float(value)}))
+            argv += ["--config", str(path)]
+        with _refusing_to_run(command):
+            code, out, err = _run(argv, None)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"{key} must be below {limit}" in err

@@ -1,0 +1,189 @@
+"""Fast kernels against slow twins from `reference.py`, checked by property.
+
+* Euler and Picard solves agree with `euler_reference` at 1e-12 relative, at
+  d = 1, 2, 3, 5, with constant and state-dependent coefficients.
+* At d = 2 one Euler step, `_advance`, has the bits of the step written with
+  plain-loop products, whatever the stack around a matrix.
+* `spectral_decompose_stack` raises exactly when a reconstruction check built
+  on `frobenius_max_scaled` fails, from 1e-300 to 1e300, on subnormal stacks,
+  off-diagonals one ulp or more apart and perturbed eigenvalues.
+"""
+
+import math
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from matrixdiff import symmat
+from matrixdiff.brownian import TimeGrid, sample_path
+from matrixdiff.sde import (
+    SdeModel,
+    _advance,
+    _lift_gfb,
+    euler_final_states,
+    euler_solve_paths,
+    picard_solve,
+)
+from matrixdiff.symmat import (
+    EigensolverError,
+    SymmetricMatrix,
+    clipped_affine_fn,
+    clipped_sqrt_fn,
+    constant_fn,
+    spectral_decompose_stack,
+)
+from reference import euler_reference, frobenius_max_scaled, product_2x2
+
+
+def _clip(lo, hi):
+    return lambda v: min(max(v, lo), hi)
+
+
+def _models(d):
+    """Pairs of a model and its coefficients as plain scalar functions."""
+    start = SymmetricMatrix(np.diag(np.arange(4.0, 4.0 + d)) + 0.5)
+    return {
+        "wishart": (SdeModel(g=clipped_sqrt_fn(10.0), f=constant_fn(1.0), b=constant_fn(d + 1.0),
+                             x0=start),
+                    (lambda v: min(math.sqrt(max(v, 0.0)), 10.0), lambda v: 1.0,
+                     lambda v: d + 1.0)),
+        # Lipschitz everywhere: states leave the cone, where a root's error grows
+        "state-dependent": (SdeModel(g=clipped_affine_fn(0.5, 1.0, 4.0),
+                                     f=clipped_affine_fn(-0.25, 2.0, 3.0),
+                                     b=clipped_affine_fn(-0.5, 1.0, 10.0), x0=start),
+                            (lambda v: _clip(-4.0, 4.0)(0.5 * v + 1.0),
+                             lambda v: _clip(-3.0, 3.0)(-0.25 * v + 2.0),
+                             lambda v: _clip(-10.0, 10.0)(-0.5 * v + 1.0))),
+        "constant": (SdeModel(g=constant_fn(0.7), f=constant_fn(-1.3), b=constant_fn(0.3),
+                              x0=start),
+                     (lambda v: 0.7, lambda v: -1.3, lambda v: 0.3)),
+    }
+
+
+@pytest.mark.parametrize("kind", ["wishart", "state-dependent", "constant"])
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_solvers_match_the_reference(d, kind):
+    model, (g, f, b) = _models(d)[kind]
+    grid = TimeGrid(0.25, 6)
+    paths = [sample_path(grid, d, seed=61, path_index=i) for i in range(3)]
+    inc = np.stack([path.increments for path in paths], axis=1)
+    finals = euler_final_states(model, grid, inc)
+    for path, solution, final in zip(paths, euler_solve_paths(model, paths), finals):
+        expected = euler_reference(g, f, b, model.x0.entries, path.increments, grid.dt)
+        scale = np.abs(expected).max()
+        # Picard's iterate k is the Euler path up to t_k, so it is a fixed point by k = n + 1
+        picard, diag = picard_solve(model, path, max_iter=grid.steps + 2, stop_tol=1e-300)
+        assert diag.converged
+        for states in (solution.states, picard.states, final[None]):
+            assert np.abs(states - expected[-len(states):]).max() <= 1e-12 * scale
+
+
+def _plain_step(lifts, x, db, dt):
+    """X + g dB f + (g dB f)^T + b dt of 2 x 2 matrices with plain-loop products;
+    a float coefficient c enters as c * I, whose products have the bits of the
+    kernel's scaling up to the sign of a zero."""
+    g, f, b = (c * np.eye(2) if isinstance(c, float) else c for c in lifts)
+    m = product_2x2(product_2x2(g, db), f)
+    return ((m + m.transpose(0, 2, 1)) + b * dt) + x
+
+
+@pytest.mark.parametrize("kind", ["wishart", "state-dependent", "constant"])
+def test_two_by_two_step_is_the_plain_loop_step_in_any_stack(kind):
+    model, _ = _models(2)[kind]
+    rng = np.random.default_rng(62)
+    x = rng.standard_normal((2048, 2, 2))
+    x = x @ x.transpose(0, 2, 1) + 0.1 * np.eye(2)
+    db = 0.1 * rng.standard_normal((2048, 2, 2))
+    expected = _plain_step(_lift_gfb(model, x), x, db, 0.01)
+    for rows in (slice(0, 1), slice(5, 12), slice(0, 2048), slice(2047, 2048)):
+        assert _advance(model, x[rows], db[rows], 0.01).tobytes() == expected[rows].tobytes()
+
+
+# The guard's verdict is compared where the reference's residual-to-bound
+# ratio is not within this of 1.  The reference's lift and the guard's round
+# differently, by about 1e-16 ||A||, which is 1e-8 of the bound: closer to 1,
+# rounding decides either way.
+_RATIO_EXCLUSION = 1e-7
+# Residuals planted as multiples of the bound: none, either side of it, close
+# to it (where the guard's own margin sits) and far past it.
+_TARGETS = st.sampled_from([0.0, 1e3]) | st.floats(0.5, 2.0) | st.floats(1 - 1e-5, 1 + 1e-5)
+
+
+def _bounds(stack):
+    """The reconstruction bound of every matrix, from `frobenius_max_scaled`."""
+    tiny = np.finfo(np.float64).tiny
+    return symmat.RECONSTRUCTION_RTOL * np.maximum(frobenius_max_scaled(stack), tiny)
+
+
+def _reference_ratios(stack, lam, vec):
+    """Residual over bound of every matrix, with a plain-loop Q diag(lam) Q^T."""
+    d = stack.shape[-1]
+    lift = np.array([[[sum(float(v[i, l]) * float(w[l]) * float(v[j, l]) for l in range(d))
+                       for j in range(d)] for i in range(d)] for w, v in zip(lam, vec)])
+    with np.errstate(over="ignore"):  # a residual that overflows only exceeds
+        return frobenius_max_scaled(lift - stack) / _bounds(stack)
+
+
+@st.composite
+def _cases(draw):
+    """A stack of 1 to 4 symmetric matrices at a scale from 1e-300 to 1e300 or
+    subnormal, perhaps with one off-diagonal an ulp or a planted residual off
+    its partner, and per matrix the residual to plant by moving eigenvalues."""
+    d = draw(st.sampled_from([1, 2, 2, 2, 3]))
+    count = draw(st.integers(1, 4))
+    unit = st.floats(-1.0, 1.0, allow_subnormal=False)
+    raw = np.array(draw(st.lists(unit, min_size=count * d * d, max_size=count * d * d)))
+    stack = raw.reshape(count, d, d)
+    stack = stack + stack.transpose(0, 2, 1)
+    scale = draw(st.sampled_from(["moderate", "extreme", "subnormal"]))
+    if scale == "subnormal":  # integer multiples of the smallest subnormal
+        stack = np.round(stack * 64.0) * 5e-324
+    else:
+        stack = stack * 10.0 ** draw(st.integers(-300, 300) if scale == "extreme"
+                                     else st.integers(-20, 20))
+    shifts = [draw(_TARGETS) for _ in range(count)]
+    asymmetry = draw(st.sampled_from(["none", "ulp", "planted"])) if d > 1 else "none"
+    k = draw(st.integers(0, count - 1))
+    if asymmetry == "ulp":
+        stack[k, 1, 0] = np.nextafter(stack[k, 0, 1], draw(st.sampled_from([-np.inf, np.inf])))
+    elif asymmetry == "planted":  # the asymmetry alone makes the residual
+        stack[k, 1, 0] = stack[k, 0, 1] + shifts[k] * _bounds(stack[k])
+        shifts[k] = 0.0
+    return stack, np.array(shifts)
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_cases())
+def test_guard_raises_exactly_when_the_reference_check_fails(case):
+    stack, shifts = case
+    solve = symmat._eig_stack
+    seen = []
+
+    def perturbed(arr):  # every eigenvalue moved by shift * bound / sqrt(d)
+        lam, vec = solve(arr)
+        lam = lam + (shifts * _bounds(arr) / math.sqrt(arr.shape[-1]))[:, None]
+        seen.append((lam, vec))
+        return lam, vec
+
+    with mock.patch.object(symmat, "_eig_stack", perturbed):
+        try:
+            spectral_decompose_stack(stack)
+            raised = False
+        except EigensolverError as exc:
+            assert "reconstruction residual" in str(exc)
+            raised = True
+    ratios = _reference_ratios(stack, *seen[0])
+    assume(not (np.abs(ratios - 1.0) < _RATIO_EXCLUSION).any())
+    assert raised == bool((ratios > 1.0).any())
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_entries_keep_their_own_refusal(d, bad):
+    stack = np.broadcast_to(np.eye(d), (3, d, d)).copy()
+    stack[1, 0, -1] = bad
+    with pytest.raises(EigensolverError, match="non-finite"):
+        spectral_decompose_stack(stack)

@@ -31,7 +31,7 @@ from matrixdiff.symmat import (
     constant_fn,
     min_eigenvalues_stack,
 )
-from reference import entrywise_ito
+from reference import entrywise_ito, product_2x2
 
 
 def drift_only_model(x0, drift_value=1.0):
@@ -112,8 +112,10 @@ def _scaled_identities(lifts, shape):
 
 
 def _matmul_increment(g_x, f_x, b_x, db, dt):
-    """The increment with every coefficient a matrix, as plain matmuls."""
-    m = g_x @ db @ f_x
+    """The increment with every coefficient a matrix, as plain matmuls: the
+    kernel's written-out entries at d = 2, and `@` for d >= 3."""
+    times = product_2x2 if db.shape[-1] == 2 else np.matmul
+    m = times(times(g_x, db), f_x)
     return (m + m.transpose(0, 2, 1)) + b_x * dt
 
 
@@ -150,7 +152,7 @@ def _constant_models(c):
 
 class TestScalarConstants:
     """Constant coefficients enter the Euler kernel as scalars, with the bits of
-    the matmul by c * I."""
+    the product with c * I: the plain-loop product at d = 2, `@` at d >= 3."""
 
     @pytest.mark.parametrize("c", [1.0, -1.3, 0.0])
     def test_advance_matches_scaled_identity_product(self, c):
