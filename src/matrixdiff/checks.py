@@ -8,9 +8,10 @@ least 2 Monte Carlo paths from per-path Philox streams in blocks and returns
 one row per path, which the check reduces once over all paths; a row depends
 on its own path alone, so results depend on neither scheduling nor block size.
 
-Sampling conventions: random symmetric matrices are symmetrized standard
-Gaussians, and unit vectors are normalized Gaussian vectors (uniform on the
-sphere).
+Sampling conventions: a random symmetric matrix has independent Gaussian
+entries on and above the diagonal, N(0, 1) on it and N(0, 1/2) off it, the law
+of (R + R^T)/2 for a standard Gaussian R; a unit vector is uniform on the
+sphere.
 """
 
 from __future__ import annotations
@@ -67,9 +68,16 @@ class CheckReport:
         return out
 
 
-def random_symmetric_stack(rng: np.random.Generator, count: int, d: int, scale: float = 1.0) -> np.ndarray:
-    raw = rng.standard_normal((count, d, d))
-    return 0.5 * scale * (raw + raw.transpose(0, 2, 1))
+def random_symmetric_stack(rng: np.random.Generator, count: int, d: int) -> np.ndarray:
+    """`count` exactly symmetric d x d matrices from count * d(d + 1)/2 normals,
+    one per upper-triangle entry in row-major order, off the diagonal scaled
+    by sqrt(1/2); both triangles hold the same bits."""
+    rows, cols = np.triu_indices(d)
+    upper = rng.standard_normal((count, rows.size))
+    upper *= np.where(rows == cols, 1.0, np.sqrt(0.5))
+    position = np.empty((d, d), dtype=np.intp)
+    position[rows, cols] = position[cols, rows] = np.arange(rows.size)
+    return np.take(upper, position, axis=1)
 
 
 def random_unit_stack(rng: np.random.Generator, count: int, d: int) -> np.ndarray:

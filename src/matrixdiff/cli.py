@@ -321,11 +321,15 @@ _MODEL = {"model": (_MODELS, "wishart"), "alpha": (float, 1.0)}
 _SOLVE_PATHS_LIMIT = 10 ** 4
 _MC_PATHS_LIMIT = 10 ** 7
 _SAMPLES_LIMIT = 10 ** 7
+# The first dimension and step count refused: one path's increments at the
+# highest of both take (10^4 - 1) * 31^2 * 8 bytes, about 77 MB.
+_DIM_LIMIT = 32
+_STEPS_LIMIT = 10 ** 4
 
 
 def _path_settings(steps: int, paths: int, min_paths, paths_limit: int) -> dict:
-    return {"dim": (int, 2, 1), "steps": (int, steps), "horizon": (float, 1.0),
-            "paths": (int, paths, min_paths, paths_limit), "seed": _SEED}
+    return {"dim": (int, 2, 1, _DIM_LIMIT), "steps": (int, steps, None, _STEPS_LIMIT),
+            "horizon": (float, 1.0), "paths": (int, paths, min_paths, paths_limit), "seed": _SEED}
 
 
 SUBCOMMANDS = {
@@ -333,8 +337,8 @@ SUBCOMMANDS = {
         **_path_settings(256, 1, 1, _SOLVE_PATHS_LIMIT), **_MODEL,
         "method": (_METHODS, "euler"), "format": (_FORMATS, "csv")}),
     "verify": (_cmd_verify, "run all operator-inequality suites", {
-        "dim": (int, None, 1), "samples": (int, 10000, None, _SAMPLES_LIMIT), "seed": _SEED,
-        "format": (_FORMATS, "json")}),
+        "dim": (int, None, 1, _DIM_LIMIT), "samples": (int, 10000, None, _SAMPLES_LIMIT),
+        "seed": _SEED, "format": (_FORMATS, "json")}),
     "isometry": (_cmd_isometry, "Monte Carlo second-moment identity check", {
         **_path_settings(16, 20000, None, _MC_PATHS_LIMIT), "format": (_FORMATS, "json")}),
     "picard-convergence": (_cmd_picard_convergence, "iteration distances and rate fit", {

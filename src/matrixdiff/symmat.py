@@ -314,8 +314,8 @@ def _eig_stack(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(stack)
 
 
-def _reconstructs_2x2(stack: np.ndarray, lam: np.ndarray, vec: np.ndarray) -> bool:
-    """True when every matrix A of a d = 2 stack certainly passes the
+def _reconstructs_2x2(stack: np.ndarray, lam: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """True for each matrix A of a d = 2 stack that certainly passes the
     reconstruction check, judged in one elementwise pass over the entry planes.
 
     The residual planes are those the check computes, all four of them, so a
@@ -324,7 +324,7 @@ def _reconstructs_2x2(stack: np.ndarray, lam: np.ndarray, vec: np.ndarray) -> bo
     and underflowed squares are negligible.  The residual's sum needs no lower
     end: a square that underflowed errs by at most 2^-1075, far below the
     margin of `_ACCEPT_SUMSQ_RATIO` times ||A||^2 >= _SUMSQ_LOW.  (An exact
-    reconstruction, residual 0, is common.)  False sends the stack to the check.
+    reconstruction, residual 0, is common.)  False sends A to the check.
     """
     l00, l01, l11 = _lift_2x2(vec, lam)
     with np.errstate(over="ignore"):  # an overflowed sum is out of range
@@ -332,8 +332,14 @@ def _reconstructs_2x2(stack: np.ndarray, lam: np.ndarray, vec: np.ndarray) -> bo
             + ((l01 - stack[:, 1, 0]) ** 2 + (l11 - stack[:, 1, 1]) ** 2)
         sq = stack.reshape(-1, 4) ** 2
         aa = (sq[:, 0] + sq[:, 1]) + (sq[:, 2] + sq[:, 3])
-        fits = (aa >= _SUMSQ_LOW) & (aa <= _SUMSQ_HIGH) & (rr <= _ACCEPT_SUMSQ_RATIO * aa)
-    return bool(fits.all())
+        return (aa >= _SUMSQ_LOW) & (aa <= _SUMSQ_HIGH) & (rr <= _ACCEPT_SUMSQ_RATIO * aa)
+
+
+def _reconstruction_check(stack: np.ndarray, lam: np.ndarray, vec: np.ndarray):
+    """Residual ||Q diag(lam) Q^T - A||_F and its bound 1e-8 * max(||A||_F, tiny)
+    of every matrix A of a stack."""
+    resid = _frobenius(_lift(vec, lam) - stack)
+    return resid, RECONSTRUCTION_RTOL * np.maximum(_frobenius(stack), np.finfo(np.float64).tiny)
 
 
 def spectral_decompose_stack(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -344,18 +350,22 @@ def spectral_decompose_stack(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     are verified for the whole stack; non-finite input, or a residual above
     1e-8 * max(||A||_F, tiny), raises `EigensolverError`.  `tiny`, the smallest
     normal double, keeps the relative bound positive for zero and subnormal A.
-    A d = 2 stack that `_reconstructs_2x2` passes skips the check, which it
-    would pass.
+    At d = 2 only the matrices that `_reconstructs_2x2` is unsure of take the
+    check; the others would pass it.  The error names the whole stack's worst.
     """
     stack = np.asarray(stack, dtype=np.float64)
     if not np.isfinite(stack).all():
         raise EigensolverError("cannot decompose a matrix with non-finite entries")
     lam, vec = _eig_stack(stack)
-    if stack.shape[-1] == 2 and _reconstructs_2x2(stack, lam, vec):
-        return lam, vec
-    resid = _frobenius(_lift(vec, lam) - stack)
-    bound = RECONSTRUCTION_RTOL * np.maximum(_frobenius(stack), np.finfo(np.float64).tiny)
+    unsure = slice(None)
+    if stack.shape[-1] == 2:
+        fits = _reconstructs_2x2(stack, lam, vec)
+        if fits.all():
+            return lam, vec
+        unsure = ~fits
+    resid, bound = _reconstruction_check(stack[unsure], lam[unsure], vec[unsure])
     if not (resid <= bound).all():
+        resid, bound = _reconstruction_check(stack, lam, vec)
         raise EigensolverError(
             f"eigendecomposition reconstruction residual {float(resid.max()):.3e} "
             f"exceeds tolerance {float(bound.max()):.3e}"

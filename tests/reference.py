@@ -110,6 +110,56 @@ def product_2x2(a, b):
                     + float(a[k, i, 1]) * float(b[k, 1, j])
     return out
 
+
+def _matrix(a):
+    """A (d, d) array as nested lists of floats."""
+    return [[float(v) for v in row] for row in np.asarray(a, dtype=np.float64)]
+
+
+def _product(a, b):
+    d = len(a)
+    return [[sum(a[i][k] * b[k][j] for k in range(d)) for j in range(d)] for i in range(d)]
+
+
+def _apply(a, x):
+    return [sum(a_ij * x_j for a_ij, x_j in zip(row, x)) for row in a]
+
+
+def inq2_violation(a, b):
+    """-lambda_min(2A^2 + 2B^2 - (A + B)^2) of one pair of symmetric matrices:
+    products in plain loops, the gap symmetrized, its smallest eigenvalue from
+    `jacobi_stack`."""
+    a, b = _matrix(a), _matrix(b)
+    d = len(a)
+    s = [[a[i][j] + b[i][j] for j in range(d)] for i in range(d)]
+    aa, bb, ss = _product(a, a), _product(b, b), _product(s, s)
+    gap = [[2.0 * aa[i][j] + 2.0 * bb[i][j] - ss[i][j] for j in range(d)] for i in range(d)]
+    sym = [[0.5 * (gap[i][j] + gap[j][i]) for j in range(d)] for i in range(d)]
+    lam, _ = jacobi_stack(np.array([sym]))
+    return -float(lam[0, 0])
+
+
+def inq_nice_violation(a, x):
+    """(x^T A x)^2 - x^T A^2 x of one symmetric matrix and unit vector, with
+    x^T A^2 x summed as |A x|^2."""
+    x = [float(v) for v in x]
+    ax = _apply(_matrix(a), x)
+    quad = sum(x_i * v for x_i, v in zip(x, ax))
+    return quad * quad - sum(v * v for v in ax)
+
+
+def prop_cauchy_violation(a_steps, x, dt):
+    """(sum_k x^T A_k x dt)^2 - sum_k x^T A_k^2 x dt of one piecewise-constant
+    process A_1, ..., A_n and unit vector x, one step at a time."""
+    x = [float(v) for v in x]
+    lin = square = 0.0
+    for a in a_steps:
+        ax = _apply(_matrix(a), x)
+        lin += sum(x_i * v for x_i, v in zip(x, ax)) * dt
+        square += sum(v * v for v in ax) * dt
+    return lin * lin - square
+
+
 def _lift_reference(lam, vec, fn):
     """sum_l fn(lam_l) v_l v_l^T of one matrix, upper triangle mirrored."""
     d = len(lam)

@@ -36,7 +36,30 @@ class TestSamplers:
     def test_symmetric_stack(self):
         stack = random_symmetric_stack(np.random.default_rng(0), 10, 4)
         assert stack.shape == (10, 4, 4)
-        assert (stack == stack.transpose(0, 2, 1)).all()
+        assert stack.tobytes() == stack.transpose(0, 2, 1).copy().tobytes()
+
+    def test_symmetric_stack_law(self):
+        # N(0, 1) on the diagonal, N(0, 1/2) off it, independent entries, each
+        # statistic within 4 SE at a fixed seed: a mean of N values of N(0, v)
+        # has SE sqrt(v / N), their variance v sqrt(2 / (N - 1)), and a
+        # correlation of independent entries about 1 / sqrt(N)
+        count, d = 20000, 4
+        stack = random_symmetric_stack(np.random.default_rng(17), count, d)
+        rows, cols = np.triu_indices(d)
+        entries = stack[:, rows, cols]
+        expected = np.where(rows == cols, 1.0, 0.5)
+        assert (np.abs(entries.mean(axis=0)) <= 4.0 * np.sqrt(expected / count)).all()
+        gap = np.abs(entries.var(axis=0, ddof=1) - expected)
+        assert (gap <= 4.0 * expected * np.sqrt(2.0 / (count - 1))).all()
+        corr = np.corrcoef(entries, rowvar=False)[np.triu_indices(rows.size, 1)]
+        assert (np.abs(corr) <= 4.0 / np.sqrt(count)).all()
+
+    @pytest.mark.parametrize("count, d", [(0, 3), (1, 1), (7, 2), (5, 3), (3, 8)])
+    def test_symmetric_stack_draws_one_normal_per_free_entry(self, count, d):
+        rng, twin = np.random.default_rng(23), np.random.default_rng(23)
+        random_symmetric_stack(rng, count, d)
+        twin.standard_normal(count * d * (d + 1) // 2)
+        assert rng.standard_normal(4).tobytes() == twin.standard_normal(4).tobytes()
 
     def test_psd_stack(self):
         stack = random_psd_stack(np.random.default_rng(0), 10, 4)

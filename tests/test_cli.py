@@ -281,7 +281,7 @@ class TestDegenerateInputs:
         ["picard-convergence", "--stop-tol", "0", "--steps", "4"],
         ["simulate", "--dim", "2.7", "--steps", "4"],
         ["simulate", "--steps", "4", "--out", "a\nb", "--config", "missing\n.json"],
-        # arrays too large to allocate; only sizes that no machine can hold
+        # sizes far above their limits
         ["simulate", "--steps", "1000000000000000"],
         ["simulate", "--dim", "100000000"],
         ["verify", "--dim", "100000000", "--samples", "1"],
@@ -291,6 +291,16 @@ class TestDegenerateInputs:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_an_allocation_that_fails_exits_two(self, monkeypatch, capsys):
+        # sizes below their limits may still not fit in memory together
+        def refuse(*args):
+            raise MemoryError("Unable to allocate 157. GiB")
+
+        monkeypatch.setattr("matrixdiff.cli.run_inequality_suite", refuse)
+        assert run_cli(["verify", "--dim", "31", "--seed", "1"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: Unable to allocate 157. GiB\n")
 
     @pytest.mark.parametrize("key", ["dim", "alpha", "g_value", "steps", "seed",
                                      "format", "method", "model"])

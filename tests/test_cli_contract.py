@@ -12,7 +12,8 @@ take.  Whatever the input:
 * every accepted setting is used as given: `simulate` prints paths * (steps + 1)
   rows of d(d + 1)/2 state columns ending at the horizon, and each report
   carries the sample count and seed asked for;
-* a path or sample count at or above its subcommand's limit exits 2.
+* a dimension, step, path or sample count at or above its subcommand's limit
+  exits 2, and the command body never starts.
 
 Sizes that run stay tiny (d <= 3, steps <= 4, paths <= 3, samples <= 8): a size
 is never left to its default, and the only large sizes drawn are those above a
@@ -57,10 +58,13 @@ NOT_TAKEN = {
     "picard-convergence": ("samples",),
     "trace-moment": ("samples",),
 }
-# the first path or sample count each subcommand refuses
-LIMITS = {"simulate": {"paths": 10 ** 4}, "picard-convergence": {"paths": 10 ** 4},
-          "isometry": {"paths": 10 ** 7}, "trace-moment": {"paths": 10 ** 7},
-          "verify": {"samples": 10 ** 7}}
+# the first size each subcommand refuses
+GRID_LIMITS = {"dim": 32, "steps": 10 ** 4}
+LIMITS = {"simulate": {**GRID_LIMITS, "paths": 10 ** 4},
+          "picard-convergence": {**GRID_LIMITS, "paths": 10 ** 4},
+          "isometry": {**GRID_LIMITS, "paths": 10 ** 7},
+          "trace-moment": {**GRID_LIMITS, "paths": 10 ** 7},
+          "verify": {"dim": GRID_LIMITS["dim"], "samples": 10 ** 7}}
 CHOICES = {"format": FORMATS, "method": METHODS, "model": MODELS}
 INTEGERS = ("dim", "steps", "paths", "samples", "seed", "max_iter")
 
@@ -101,16 +105,14 @@ UNKNOWN_KEYS = st.sampled_from(["stpes", "sample", "Seed", "x_0", "g_kind ", "ou
 
 
 def _above_limit(command, key):
-    """Sizes at or above the subcommand's limit for `key`; none when it has none."""
-    limit = LIMITS[command].get(key)
-    if limit is None:
-        return st.nothing()
+    """Sizes at or above the subcommand's limit for `key`."""
+    limit = LIMITS[command][key]
     return st.sampled_from([limit, limit + 1, 2 ** 63 - 1, 2 ** 64, 10 ** 30]) \
         | st.integers(limit, 2 ** 70)
 
 
 def _config_value(draw, command, key, bad):
-    if bad:  # a large size without a limit is an allocation, not an input error
+    if bad:  # a large size is drawn only above its limit, so it never runs
         if key in SIZES:
             over = _above_limit(command, key).flatmap(lambda v: st.sampled_from([v, float(v)]))
             return draw(HOSTILE | over)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matrixdiff import symmat
-from matrixdiff.brownian import TimeGrid
+from matrixdiff.brownian import TimeGrid, sample_path
 from matrixdiff.integrals import MatrixProcess
 from matrixdiff.symmat import (
     DomainPolicyError,
@@ -24,6 +24,7 @@ from matrixdiff.symmat import (
     spectral_decompose,
     spectral_decompose_stack,
 )
+from matrixdiff.sde import picard_solve, wishart_model
 from reference import frobenius_max_scaled, jacobi_stack
 
 
@@ -144,6 +145,52 @@ class TestSpectralDecompose:
                 stack = 0.5 * (stack + stack.transpose(0, 2, 1))
                 with pytest.raises(EigensolverError, match="reconstruction residual"):
                     spectral_decompose_stack(stack)
+
+    def test_picard_from_zero_checks_only_its_zero_states(self, monkeypatch):
+        # a zero matrix is one the one-pass d = 2 test is unsure of (its
+        # ||A||^2 is below _SUMSQ_LOW); it alone takes the full check, not the
+        # stack of every Picard sweep, which keeps X0 = 0 at t = 0
+        check, solve, checked, decomposed = symmat._reconstruction_check, symmat._eig_stack, [], []
+
+        def spy(stack, lam, vec):
+            checked.append(stack.copy())
+            return check(stack, lam, vec)
+
+        def recording(stack):
+            decomposed.append(stack.copy())
+            return solve(stack)
+
+        model = wishart_model(2, 3.0)
+        path = sample_path(TimeGrid(1.0, 64), 2, seed=5, path_index=0)
+        monkeypatch.setattr(symmat, "_reconstruction_check", spy)
+        monkeypatch.setattr(symmat, "_eig_stack", recording)
+        _, diag = picard_solve(model, path, max_iter=25, stop_tol=1e-300)
+        assert diag.iterates_kept == 25
+        zeros = sum(int((~stack.reshape(len(stack), -1).any(axis=1)).sum())
+                    for stack in decomposed)
+        assert zeros > len(decomposed)  # the first sweep's whole stack, and one per sweep
+        assert sum(len(stack) for stack in checked) == zeros
+        assert not any(stack.any() for stack in checked)
+
+    def test_error_names_the_whole_stacks_worst(self, monkeypatch):
+        # only the tiny matrix is sent to the full check, and it fails there;
+        # the error still words the residual and bound of the whole stack
+        solve = symmat._eig_stack
+
+        def perturbed(stack):
+            lam, vec = solve(stack)
+            return np.where(np.abs(lam) < 1e-100, lam * (1.0 + 1e-6), lam), vec
+
+        monkeypatch.setattr(symmat, "_eig_stack", perturbed)
+        stack = np.array([[[3.0, 0.0], [0.0, 2.0]], [[3e-200, 1e-200], [1e-200, 2e-200]]])
+        lam, vec = perturbed(stack)
+        lift = np.einsum("mik,mk,mjk->mij", vec, lam, vec)
+        resid = frobenius_max_scaled(lift - stack).max()
+        bound = symmat.RECONSTRUCTION_RTOL * frobenius_max_scaled(stack).max()
+        with pytest.raises(EigensolverError) as raised:
+            spectral_decompose_stack(stack)
+        assert str(raised.value) == (f"eigendecomposition reconstruction residual "
+                                     f"{resid:.3e} exceeds tolerance {bound:.3e}")
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("scale", [1e-315, 1e-320])
