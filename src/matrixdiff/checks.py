@@ -11,7 +11,9 @@ on its own path alone, so results depend on neither scheduling nor block size.
 Sampling conventions: a random symmetric matrix has independent Gaussian
 entries on and above the diagonal, N(0, 1) on it and N(0, 1/2) off it, the law
 of (R + R^T)/2 for a standard Gaussian R; a unit vector is uniform on the
-sphere.
+sphere.  For such a matrix A and a unit x, A x ~ N(0, (I + x x^T)/2), so a
+check that reads A only through A x draws that vector instead: x first, then
+per step one normal z along x and d normals w, A x = z x + sqrt(1/2) (w - (w.x) x).
 """
 
 from __future__ import annotations
@@ -98,7 +100,10 @@ def _worst_case(name: str, tol: float, samples: int, seed: int, details: dict,
     rng = np.random.default_rng(seed)
     worst = -np.inf
     for count in _blocks(samples, block):
-        worst = max(worst, float(violations(rng, count).max()))
+        block_worst = float(violations(rng, count).max())
+        if not np.isfinite(block_worst):  # max() would pass a NaN over
+            raise ValueError(f"{name}: a block's worst violation is not finite ({block_worst!r})")
+        worst = max(worst, block_worst)
     return CheckReport(name, samples, worst, tol, worst <= tol,
                        details={**details, "seed": seed})
 
@@ -109,11 +114,7 @@ def check_inq2(samples: int, d: int, seed: int) -> CheckReport:
         a = random_symmetric_stack(rng, count, d)
         b = random_symmetric_stack(rng, count, d)
         s = a + b
-        gap = (
-            2.0 * np.einsum("mij,mjk->mik", a, a)
-            + 2.0 * np.einsum("mij,mjk->mik", b, b)
-            - np.einsum("mij,mjk->mik", s, s)
-        )
+        gap = 2.0 * (a @ a) + 2.0 * (b @ b) - s @ s
         return -min_eigenvalues_stack(0.5 * (gap + gap.transpose(0, 2, 1)))
 
     return _worst_case("inq2", 1e-10, samples, seed, {"dim": d}, violations)
@@ -131,18 +132,31 @@ def check_inq_nice(samples: int, d: int, seed: int) -> CheckReport:
     return _worst_case("inq_nice", 1e-12, samples, seed, {"dim": d}, violations)
 
 
+def _cauchy_steps(rng: np.random.Generator, count: int, n: int, d: int):
+    """`count` unit vectors x, (count, d), and the A_k x of `check_prop_cauchy`'s
+    draw, (count, n, d), from count * d + count * n * (d + 1) normals."""
+    x = random_unit_stack(rng, count, d)
+    zw = rng.standard_normal((count, n, d + 1))
+    ax = zw[..., 1:]  # sqrt(1/2) w_k, then A_k x, in place
+    ax *= np.sqrt(0.5)
+    ax += (zw[..., :1] - ax @ x[:, :, None]) * x[:, None, :]
+    return x, ax
+
+
 def check_prop_cauchy(process_samples: int, d: int, n: int, seed: int) -> CheckReport:
     """Integral Cauchy inequality on piecewise-constant matrix processes on [0, 1].
 
     Verifies sum_k x^T A_k^2 x dt - (sum_k x^T A_k x dt)^2 >= -1e-10, dt = 1 / n,
-    the discrete form whose refinement limit is the continuous inequality.
+    the discrete form whose refinement limit is the continuous inequality.  The
+    kernel reads each random symmetric A_k only through A_k x, so a sample draws
+    its unit x, then for k = 1..n one normal z_k and d normals w_k, and sets
+    A_k x = z_k x + sqrt(1/2) (w_k - (w_k . x) x) ~ N(0, (I + x x^T)/2): the
+    joint law of (x, A_1 x, ..., A_n x), from d + 1 normals per step.
     """
     dt = 1.0 / n
 
     def violations(rng, count):
-        a = random_symmetric_stack(rng, count * n, d).reshape(count, n, d, d)
-        x = random_unit_stack(rng, count, d)
-        ax = np.einsum("mkij,mj->mki", a, x)
+        x, ax = _cauchy_steps(rng, count, n, d)
         lin = np.einsum("mi,mki->m", x, ax) * dt
         return lin * lin - np.einsum("mki,mki->m", ax, ax) * dt
 

@@ -65,26 +65,16 @@ def _check_alignment(path: BrownianPath, *processes: MatrixProcess) -> None:
             raise ValueError(f"dimension mismatch: process d={proc.dim} vs path d={path.dim}")
 
 
-def _resolve_k_end(grid: TimeGrid, k_end) -> int:
-    k = grid.steps if k_end is None else int(k_end)
-    if k < 0 or k > grid.steps:
-        raise IndexError(f"grid index {k} out of range [0, {grid.steps}]")
-    return k
-
-
-def ito_integral(a: MatrixProcess, path: BrownianPath, c: MatrixProcess, k_end=None) -> np.ndarray:
-    """Left-point sum of A_{t_m} dB_m C_{t_m} for m < k_end.
+def ito_integral(a: MatrixProcess, path: BrownianPath, c: MatrixProcess) -> np.ndarray:
+    """Left-point sum of A_{t_m} dB_m C_{t_m} over every grid step.
 
     Returns a general d x d array; it is symmetric only in special cases.
     """
     _check_alignment(path, a, c)
-    k = _resolve_k_end(path.grid, k_end)
-    if k == 0:
-        return np.zeros((path.dim, path.dim))
-    return (a.values[:k] @ path.increments[:k] @ c.values[:k]).sum(axis=0)
+    return (a.values[:-1] @ path.increments @ c.values[:-1]).sum(axis=0)
 
 
-def isometry_rhs(a: MatrixProcess, c: MatrixProcess, x, y, k_end=None) -> float:
+def isometry_rhs(a: MatrixProcess, c: MatrixProcess, x, y) -> float:
     """Single-path value of the time integral of x^T C^T C A A^T y.
 
     For deterministic processes this is already the exact right-hand side of
@@ -92,13 +82,9 @@ def isometry_rhs(a: MatrixProcess, c: MatrixProcess, x, y, k_end=None) -> float:
     """
     if a.grid != c.grid or a.dim != c.dim:
         raise ValueError("processes must share grid and dimension")
-    k = _resolve_k_end(a.grid, k_end)
-    if k == 0:
-        return 0.0
     x = np.asarray(x, dtype=np.float64).reshape(-1)
     y = np.asarray(y, dtype=np.float64).reshape(-1)
-    av, cv = a.values[:k], c.values[:k]
+    av, cv = a.values[:-1], c.values[:-1]
     row = (cv @ x)[:, None, :]  # x^T C^T per step
     col = (y @ av)[:, :, None]  # A^T y per step
     return float((row @ cv @ av @ col).sum() * a.grid.dt)
-

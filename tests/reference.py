@@ -160,6 +160,47 @@ def prop_cauchy_violation(a_steps, x, dt):
     return lin * lin - square
 
 
+def _transpose(a):
+    return [list(col) for col in zip(*a)]
+
+
+def _partial_sums(increments):
+    """B_{t_1}, ..., B_{t_n} of one path's (n, d, d) increments, as nested lists."""
+    d = len(increments[0])
+    running = [[0.0] * d for _ in range(d)]
+    for db in increments:
+        running = [[running[i][j] + float(db[i, j]) for j in range(d)] for i in range(d)]
+        yield running
+
+
+def isometry_row(a, c, increments, x, y):
+    """y^T M (M x) of one path, M = A B_tau C with B_tau the sum of the path's
+    increments, in plain loops."""
+    *_, total = _partial_sums(increments)
+    m = _product(_product(_matrix(a), total), _matrix(c))
+    mmx = _apply(m, _apply(m, [float(v) for v in x]))
+    return sum(float(y_i) * v for y_i, v in zip(y, mmx))
+
+
+def lemma_forms(a, c, increments, x):
+    """(x^T (M + M^T)^2 x, x^T M^2 x) of one path at each grid time t_1, ..., t_n,
+    M = A B_t C, as |M x + M^T x|^2 and (M^T x) . (M x)."""
+    a, c, x = _matrix(a), _matrix(c), [float(v) for v in x]
+    forms = []
+    for prefix in _partial_sums(increments):
+        m = _product(_product(a, prefix), c)
+        mx, mtx = _apply(m, x), _apply(_transpose(m), x)
+        forms.append((sum((u + v) ** 2 for u, v in zip(mx, mtx)),
+                      sum(u * v for u, v in zip(mtx, mx))))
+    return forms
+
+
+def euler_final_trace(g, f, b, x0, increments, dt):
+    """Trace of one path's last `euler_reference` state, summed in a plain loop."""
+    final = euler_reference(g, f, b, x0, increments, dt)[-1]
+    return sum(float(final[i, i]) for i in range(len(final)))
+
+
 def _lift_reference(lam, vec, fn):
     """sum_l fn(lam_l) v_l v_l^T of one matrix, upper triangle mirrored."""
     d = len(lam)

@@ -61,6 +61,29 @@ class TestSamplers:
         twin.standard_normal(count * d * (d + 1) // 2)
         assert rng.standard_normal(4).tobytes() == twin.standard_normal(4).tobytes()
 
+    @pytest.mark.parametrize("d", [1, 2, 4])
+    def test_cauchy_steps_law(self, d):
+        # given x, A_k x ~ N(0, (I + x x^T)/2) and the steps are independent:
+        # A_k x, every entry of A_k x (A_k x)^T - (I + x x^T)/2, (x . A_k x)^2 - 1
+        # and every entry of A_1 x (A_2 x)^T have mean 0 within 4 SE at a fixed seed
+        count = 20000
+        x, ax = checks._cauchy_steps(np.random.default_rng(29), count, 2, d)
+        cov = 0.5 * (np.eye(d) + x[:, :, None] * x[:, None, :])
+        stats = [ax, ax[..., :, None] * ax[..., None, :] - cov[:, None],
+                 np.einsum("mi,mki->mk", x, ax) ** 2 - 1.0,
+                 ax[:, 0, :, None] * ax[:, 1, None, :]]
+        for values in stats:
+            values = values.reshape(count, -1)
+            se = values.std(axis=0, ddof=1) / np.sqrt(count)
+            assert (np.abs(values.mean(axis=0)) <= 4.0 * se).all()
+
+    @pytest.mark.parametrize("count, n, d", [(1, 1, 1), (7, 3, 2), (5, 32, 8)])
+    def test_cauchy_steps_draw_d_plus_one_normals_per_step(self, count, n, d):
+        rng, twin = np.random.default_rng(31), np.random.default_rng(31)
+        checks._cauchy_steps(rng, count, n, d)
+        twin.standard_normal(count * d + count * n * (d + 1))
+        assert rng.standard_normal(4).tobytes() == twin.standard_normal(4).tobytes()
+
     def test_psd_stack(self):
         stack = random_psd_stack(np.random.default_rng(0), 10, 4)
         assert (np.linalg.eigvalsh(stack) > -1e-12).all()
@@ -294,6 +317,25 @@ class TestBlockSizeIndependence:
             values.append(((m * (m * x).sum(axis=-1)).sum(axis=-1) * y).sum())  # y . M (M x)
         report = mc_isometry(a, c, x, y, paths, grid, seed=42)
         assert report.details["mean"] == float(np.array(values).mean())
+
+
+class TestWorstCase:
+    # one NaN, which max() would pass over for the first block's worst, or a
+    # block of -inf, whose worst is no violation measured
+    @pytest.mark.parametrize("bad, where", [(np.nan, 3), (-np.inf, slice(None))])
+    def test_a_block_without_a_finite_worst_raises(self, bad, where):
+        blocks = []
+
+        def violations(rng, count):  # the second of three blocks is bad
+            out = np.zeros(count)
+            blocks.append(count)
+            if len(blocks) == 2:
+                out[where] = bad
+            return out
+
+        with pytest.raises(ValueError, match="demo: a block's worst violation is not finite"):
+            checks._worst_case("demo", 0.0, 30, 1, {}, violations, block=10)
+        assert blocks == [10, 10]
 
 
 class TestCheckReport:

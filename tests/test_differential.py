@@ -9,6 +9,8 @@
   off-diagonals one ulp or more apart and perturbed eigenvalues.
 * The three inequality checks report the worst violation that their plain-loop
   twins find on the same samples, at d = 2, 3, 5.
+* The Monte Carlo checks report the mean, and the lemma its beta, that their
+  plain-loop row twins give on the same paths, at d = 1, 2, 3.
 """
 
 import math
@@ -25,6 +27,9 @@ from matrixdiff.checks import (
     check_inq2,
     check_inq_nice,
     check_prop_cauchy,
+    estimate_lemma_beta,
+    mc_isometry,
+    mc_trace_moment,
     random_symmetric_stack,
     random_unit_stack,
 )
@@ -45,10 +50,13 @@ from matrixdiff.symmat import (
     spectral_decompose_stack,
 )
 from reference import (
+    euler_final_trace,
     euler_reference,
     frobenius_max_scaled,
     inq2_violation,
     inq_nice_violation,
+    isometry_row,
+    lemma_forms,
     prop_cauchy_violation,
     product_2x2,
 )
@@ -220,10 +228,40 @@ def test_inequality_kernels_match_their_twins(d):
     rng = np.random.default_rng(seed)
     a, x = random_symmetric_stack(rng, samples, d), random_unit_stack(rng, samples, d)
     twins["inq_nice"] = max(map(inq_nice_violation, a, x))
+    # x, then per step z_k and w_k; the symmetric A_k = z_k x x^T + sqrt(1/2)
+    # (w x^T + x w^T), w = w_k - (w_k . x) x, has the drawn A_k x
     rng = np.random.default_rng(seed)
-    a = random_symmetric_stack(rng, samples * n, d).reshape(samples, n, d, d)
     x = random_unit_stack(rng, samples, d)
+    zw = rng.standard_normal((samples, n, d + 1))
+    z, w = zw[..., 0], zw[..., 1:]
+    w = w - np.einsum("mki,mi->mk", w, x)[..., None] * x[:, None]
+    a = (z[..., None, None] * np.einsum("mi,mj->mij", x, x)[:, None]
+         + np.sqrt(0.5) * (np.einsum("mki,mj->mkij", w, x) + np.einsum("mi,mkj->mkij", x, w)))
     twins["prop_cauchy"] = max(prop_cauchy_violation(steps, v, 1.0 / n) for steps, v in zip(a, x))
     for report in (check_inq2(samples, d, seed), check_inq_nice(samples, d, seed),
                    check_prop_cauchy(samples, d, n, seed)):
         assert abs(report.worst_violation - twins[report.name]) <= _VIOLATION_ATOL, report.name
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_monte_carlo_rows_match_their_twins(d):
+    rng = np.random.default_rng(80 + d)
+    a, c = (SymmetricMatrix(m) for m in random_symmetric_stack(rng, 2, d))
+    x, y = random_unit_stack(rng, 2, d)
+    grid, paths, seed = TimeGrid(0.75, 4), 5, 81
+    increments = [sample_path(grid, d, seed, i).increments for i in range(paths)]
+
+    rows = [isometry_row(a.entries, c.entries, inc, x, y) for inc in increments]
+    mean = mc_isometry(a, c, x, y, paths, grid, seed).details["mean"]
+    assert abs(mean - sum(rows) / paths) <= 1e-12 * max(map(abs, rows))
+
+    forms = np.array([lemma_forms(a.entries, c.entries, inc, x) for inc in increments])
+    num, m2 = forms.mean(axis=0).T
+    twin = (num / (2.0 * np.abs(m2))).max()
+    assert abs(estimate_lemma_beta(a, c, paths, grid, x, seed) - twin) <= 1e-12 * twin
+
+    model, coefficients = _models(d)["wishart"]
+    traces = [euler_final_trace(*coefficients, model.x0.entries, inc, grid.dt)
+              for inc in increments]
+    mean = mc_trace_moment(model, paths, grid, seed).details["mean"]
+    assert abs(mean - sum(traces) / paths) <= 1e-12 * max(map(abs, traces))

@@ -59,7 +59,9 @@ class TestItoIntegral:
         path = sample_path(grid, 3, seed=1)
         ident = MatrixProcess.constant(grid, SymmetricMatrix.identity(3))
         np.testing.assert_allclose(ito_integral(ident, path, ident), value_at(path, 16), atol=1e-13)
-        np.testing.assert_allclose(ito_integral(ident, path, ident, k_end=7), value_at(path, 7), atol=1e-13)
+        cut = BrownianPath(TimeGrid(7 / 16, 7), path.increments[:7])
+        ident7 = MatrixProcess.constant(cut.grid, SymmetricMatrix.identity(3))
+        np.testing.assert_allclose(ito_integral(ident7, cut, ident7), value_at(path, 7), atol=1e-13)
 
     def test_scalar_constants_commute(self):
         grid = TimeGrid(1.0, 8)
@@ -80,14 +82,6 @@ class TestItoIntegral:
             a_vals[m, 0, 0] * c_vals[m, 0, 0] * path.increments[m, 0, 0] for m in range(10)
         )
         assert abs(ito_integral(a, path, c)[0, 0] - expected) < 1e-14
-
-    def test_k_end_zero_and_bounds(self):
-        grid = TimeGrid(1.0, 4)
-        path = sample_path(grid, 2, seed=5)
-        ident = MatrixProcess.constant(grid, SymmetricMatrix.identity(2))
-        np.testing.assert_array_equal(ito_integral(ident, path, ident, k_end=0), np.zeros((2, 2)))
-        with pytest.raises(IndexError):
-            ito_integral(ident, path, ident, k_end=5)
 
     def test_grid_mismatch_raises(self):
         path = sample_path(TimeGrid(1.0, 4), 2, seed=6)
@@ -181,7 +175,8 @@ class TestIsometryRhs:
         ident = MatrixProcess.constant(grid, SymmetricMatrix.identity(3))
         x = np.array([1.0, 0.0, 0.0])
         assert abs(isometry_rhs(ident, ident, x, x) - 2.0) < 1e-14
-        assert abs(isometry_rhs(ident, ident, x, x, k_end=4) - 1.0) < 1e-14
+        half = MatrixProcess.constant(TimeGrid(1.0, 4), SymmetricMatrix.identity(3))
+        assert abs(isometry_rhs(half, half, x, x) - 1.0) < 1e-14
 
     def test_orthogonal_vectors_vanish(self):
         grid = TimeGrid(1.0, 8)
@@ -194,11 +189,6 @@ class TestIsometryRhs:
         ident = MatrixProcess.constant(grid, SymmetricMatrix.identity(2))
         e2 = [0.0, 1.0]
         assert abs(isometry_rhs(a, ident, e2, e2) - 4.0) < 1e-14
-
-
-    def test_k_end_zero_is_zero(self):
-        ident = MatrixProcess.constant(TimeGrid(1.0, 4), SymmetricMatrix.identity(2))
-        assert isometry_rhs(ident, ident, [1.0, 0.0], [1.0, 0.0], k_end=0) == 0.0
 
     @pytest.mark.parametrize("grid, d", [
         (TimeGrid(1.0, 4), 3),
