@@ -58,13 +58,8 @@ class CheckReport:
     details: Optional[dict] = field(default=None)
 
     def to_dict(self) -> dict:
-        out = {
-            "name": self.name,
-            "samples": self.samples,
-            "worst_violation": self.worst_violation,
-            "tolerance": self.tolerance,
-            "pass": self.passed,
-        }
+        out = {"name": self.name, "samples": self.samples, "worst_violation": self.worst_violation,
+               "tolerance": self.tolerance, "pass": self.passed}
         if self.details is not None:
             out["details"] = self.details
         return out

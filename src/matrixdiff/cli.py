@@ -184,12 +184,8 @@ def _build_model(settings, config: dict) -> SdeModel:
     x0 = SymmetricMatrix(_parse_matrix(x0_cfg, dim, "x0")) if x0_cfg is not None else None
     if settings.model == "wishart":
         return wishart_model(dim, settings.alpha, x0=x0, sqrt_clip_bound=clip)
-    g = _scalar_spec(config, "g")
-    f = _scalar_spec(config, "f")
-    b = _scalar_spec(config, "b")
-    if x0 is None:
-        x0 = SymmetricMatrix.zeros(dim)
-    return SdeModel(g=g, f=f, b=b, x0=x0)
+    return SdeModel(*(_scalar_spec(config, prefix) for prefix in "gfb"),
+                    x0=SymmetricMatrix.zeros(dim) if x0 is None else x0)
 
 
 def _write_output(text: str, out_path) -> None:
@@ -271,8 +267,7 @@ def _cmd_isometry(s, config) -> int:
         else SymmetricMatrix.diagonal(np.arange(1, dim + 1, dtype=np.float64))
     c = SymmetricMatrix(_parse_matrix(c_mat, dim, "c_matrix")) if c_mat is not None \
         else SymmetricMatrix.identity(dim)
-    e_last = np.zeros(dim)
-    e_last[-1] = 1.0
+    e_last = np.eye(dim)[-1]
     x = _parse_vector(config["x_vector"], dim, "x_vector") if "x_vector" in config else e_last
     y = _parse_vector(config["y_vector"], dim, "y_vector") if "y_vector" in config else e_last
     report = mc_isometry(a, c, x, y, s.paths, s.grid, s.seed)

@@ -299,15 +299,9 @@ def picard_solve(model: SdeModel, path: BrownianPath, max_iter: int = 25,
             converged = True
             break
 
-    rate = fit_contraction_rate(distances, grid.horizon)
     solution = PathSolution(grid, prev, "picard", (path.seed, path.path_index))
-    diagnostics = PicardDiagnostics(
-        iterates_kept=len(distances),
-        d_n=np.array(distances),
-        converged=converged,
-        rate_fit=rate,
-    )
-    return solution, diagnostics
+    return solution, PicardDiagnostics(len(distances), np.array(distances), converged,
+                                       fit_contraction_rate(distances, grid.horizon))
 
 
 def in_wallach_set(alpha: float, d: int) -> bool:

@@ -40,7 +40,6 @@ __all__ = [
 # anything below is treated as floating-point drift and symmetrized away.
 SYMMETRY_REJECT_RTOL = 1e-8
 
-ORTHOGONALITY_TOL = 1e-10
 RECONSTRUCTION_RTOL = 1e-8
 
 # `_frobenius` squares without rescaling when the sum of squares lands here
@@ -157,22 +156,6 @@ class SpectralDecomposition:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-
-    def __post_init__(self) -> None:
-        lam = np.asarray(self.eigenvalues, dtype=np.float64)
-        q = np.asarray(self.eigenvectors, dtype=np.float64)
-        if (np.diff(lam) < 0).any():
-            raise ValueError("eigenvalues must be sorted non-decreasing")
-        gram = q.T @ q - np.eye(q.shape[0])
-        resid = float(_frobenius(gram))
-        if resid > ORTHOGONALITY_TOL:
-            raise ValueError(f"eigenvector columns not orthonormal: residual {resid:.3e}")
-        object.__setattr__(self, "eigenvalues", lam)
-        object.__setattr__(self, "eigenvectors", q)
-
-    def reassemble(self) -> np.ndarray:
-        """Return Q diag(lambda) Q^T as a plain array."""
-        return (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.T
 
 
 DOMAIN_POLICIES = ("total", "clip_negative_to_zero")
@@ -292,21 +275,27 @@ def _lift_symmetric(vec: np.ndarray, vals: np.ndarray) -> np.ndarray:
     return 0.5 * (out + out.transpose(0, 2, 1))
 
 
+def _eigvals_2x2(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues mid -+ hypot((a - c)/2, b) of a d = 2 stack, and
+    (a - c)/2, halved before subtracting so that it stays finite."""
+    a, b, c = stack[:, 0, 0], stack[:, 0, 1], stack[:, 1, 1]
+    half_gap = 0.5 * a - 0.5 * c
+    mid = 0.5 * a + 0.5 * c
+    radius = np.hypot(half_gap, b)
+    return np.stack([mid - radius, mid + radius], axis=1), half_gap
+
+
 def _eig_stack(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues and eigenvectors: the entry for d = 1, the closed
-    form mid -+ hypot((a - c)/2, b) rotated by atan2(b, (a - c)/2)/2 for d = 2
-    (halved before subtracting, so it stays finite), LAPACK for d >= 3."""
+    form of `_eigvals_2x2` rotated by atan2(b, (a - c)/2)/2 for d = 2, LAPACK
+    for d >= 3."""
     m, d = stack.shape[0], stack.shape[1]
     if d == 1:
         return stack[:, 0, :].copy(), np.ones((m, 1, 1))
     if d == 2:
-        a, b, c = stack[:, 0, 0], stack[:, 0, 1], stack[:, 1, 1]
-        half_gap = 0.5 * a - 0.5 * c
-        mid = 0.5 * a + 0.5 * c
-        radius = np.hypot(half_gap, b)
-        theta = 0.5 * np.arctan2(b, half_gap)
+        lam, half_gap = _eigvals_2x2(stack)
+        theta = 0.5 * np.arctan2(stack[:, 0, 1], half_gap)
         cos, sin = np.cos(theta), np.sin(theta)
-        lam = np.stack([mid - radius, mid + radius], axis=1)
         vec = np.empty((m, 2, 2))
         vec[:, 0, 0], vec[:, 1, 0] = -sin, cos  # eigenvector of mid - radius
         vec[:, 0, 1], vec[:, 1, 1] = cos, sin   # eigenvector of mid + radius
@@ -342,6 +331,14 @@ def _reconstruction_check(stack: np.ndarray, lam: np.ndarray, vec: np.ndarray):
     return resid, RECONSTRUCTION_RTOL * np.maximum(_frobenius(stack), np.finfo(np.float64).tiny)
 
 
+def _finite(stack) -> np.ndarray:
+    """`stack` as a float array, or `EigensolverError` if an entry is not finite."""
+    stack = np.asarray(stack, dtype=np.float64)
+    if not np.isfinite(stack).all():
+        raise EigensolverError("cannot decompose a matrix with non-finite entries")
+    return stack
+
+
 def spectral_decompose_stack(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Decompose a stack of symmetric matrices; returns (eigenvalues, eigenvectors).
 
@@ -353,9 +350,7 @@ def spectral_decompose_stack(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     At d = 2 only the matrices that `_reconstructs_2x2` is unsure of take the
     check; the others would pass it.  The error names the whole stack's worst.
     """
-    stack = np.asarray(stack, dtype=np.float64)
-    if not np.isfinite(stack).all():
-        raise EigensolverError("cannot decompose a matrix with non-finite entries")
+    stack = _finite(stack)
     lam, vec = _eig_stack(stack)
     unsure = slice(None)
     if stack.shape[-1] == 2:
@@ -401,8 +396,30 @@ def matrix_sqrt(a: SymmetricMatrix) -> SymmetricMatrix:
 
 
 def min_eigenvalues_stack(stack: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of each matrix in a stack."""
-    lam, _ = spectral_decompose_stack(stack)
+    """Smallest eigenvalue of each matrix A of a stack, from its eigenvalues lam
+    alone: the entry for d = 1, `_eigvals_2x2` for d = 2, LAPACK `eigvalsh` for
+    d >= 3.  Non-finite A raises `EigensolverError`, as does a lam that is not
+    non-decreasing or misses a power sum tr A^p (p = 1, 2) by more than
+    RECONSTRUCTION_RTOL * n^p, n = max(||A||_F, tiny); a non-finite lam misses.
+    The sums are taken on A and lam over s = max(max |A_ij|, tiny), so no
+    square overflows or underflows."""
+    stack = _finite(stack)
+    d = stack.shape[-1]
+    lam = stack[:, 0, :].copy() if d == 1 else \
+        _eigvals_2x2(stack)[0] if d == 2 else np.linalg.eigvalsh(stack)
+    scale = np.maximum(np.abs(stack).max(axis=(1, 2), initial=0.0), np.finfo(np.float64).tiny)
+    unit = stack / scale[:, None, None]
+    sumsq = np.einsum("mij,mij->m", unit, unit)
+    norm = np.maximum(np.sqrt(sumsq), 1.0)  # n / s: ||A / s||_F >= 1 once max |A_ij| >= tiny
+    with np.errstate(over="ignore", invalid="ignore"):  # a wrong lam only fails
+        mu = lam / scale[:, None]
+        trace_gap = np.abs(np.einsum("mi->m", mu) - np.einsum("mii->m", unit)) / norm
+        square_gap = np.abs(np.einsum("mi,mi->m", mu, mu) - sumsq) / (norm * norm)
+        ok = (trace_gap <= RECONSTRUCTION_RTOL) & (square_gap <= RECONSTRUCTION_RTOL) \
+            & (mu[:, 1:] >= mu[:, :-1]).all(axis=1)
+    if not ok.all():
+        raise EigensolverError(f"eigenvalues of {int((~ok).sum())} of {ok.size} matrices are not "
+                               "sorted, or miss tr A or ||A||_F^2")
     return lam[:, 0]
 
 
@@ -410,6 +427,5 @@ def is_psd(a: SymmetricMatrix, tol: float = 0.0) -> bool:
     """True iff the smallest eigenvalue is >= -tol."""
     if tol < 0:
         raise ValueError("tol must be non-negative")
-    lam, _ = spectral_decompose_stack(a.entries[None, :, :])
-    return bool(lam[0, 0] >= -tol)
+    return bool(min_eigenvalues_stack(a.entries[None, :, :])[0] >= -tol)
 

@@ -182,6 +182,19 @@ def isometry_row(a, c, increments, x, y):
     return sum(float(y_i) * v for y_i, v in zip(y, mmx))
 
 
+def isometry_rhs_reference(a_values, c_values, x, y, dt):
+    """sum_k x^T C_k^T C_k A_k A_k^T y dt over the left points k = 0, ..., n - 1
+    of two processes given as their (n + 1, d, d) values, one step at a time in
+    plain loops, as (C_k x) . (C_k A_k A_k^T y)."""
+    x, y = [float(v) for v in x], [float(v) for v in y]
+    total = 0.0
+    for a, c in zip(a_values[:-1], c_values[:-1]):
+        a, c = _matrix(a), _matrix(c)
+        right = _apply(c, _apply(a, _apply(_transpose(a), y)))
+        total += sum(u * v for u, v in zip(_apply(c, x), right)) * dt
+    return total
+
+
 def lemma_forms(a, c, increments, x):
     """(x^T (M + M^T)^2 x, x^T M^2 x) of one path at each grid time t_1, ..., t_n,
     M = A B_t C, as |M x + M^T x|^2 and (M^T x) . (M x)."""

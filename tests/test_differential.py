@@ -10,7 +10,12 @@
 * The three inequality checks report the worst violation that their plain-loop
   twins find on the same samples, at d = 2, 3, 5.
 * The Monte Carlo checks report the mean, and the lemma its beta, that their
-  plain-loop row twins give on the same paths, at d = 1, 2, 3.
+  plain-loop row twins give on the same paths, at d = 1, 2, 3, and
+  `isometry_rhs` the time integral of its plain-loop twin, at d = 1, 2, 3, 5.
+* `min_eigenvalues_stack` refuses a LAPACK `eigvalsh` that moves one
+  eigenvalue by 1e-6 ||A||_F, returns a NaN, reverses the order, rolls the
+  results by one matrix, negates them, spreads the extremes apart or returns
+  the largest double, from 1e-300 to 1e300, at d = 3, 5, 8.
 """
 
 import math
@@ -33,6 +38,7 @@ from matrixdiff.checks import (
     random_symmetric_stack,
     random_unit_stack,
 )
+from matrixdiff.integrals import MatrixProcess, isometry_rhs
 from matrixdiff.sde import (
     SdeModel,
     _advance,
@@ -47,6 +53,7 @@ from matrixdiff.symmat import (
     clipped_affine_fn,
     clipped_sqrt_fn,
     constant_fn,
+    min_eigenvalues_stack,
     spectral_decompose_stack,
 )
 from reference import (
@@ -55,6 +62,7 @@ from reference import (
     frobenius_max_scaled,
     inq2_violation,
     inq_nice_violation,
+    isometry_rhs_reference,
     isometry_row,
     lemma_forms,
     prop_cauchy_violation,
@@ -213,6 +221,59 @@ def test_non_finite_entries_keep_their_own_refusal(d, bad):
         spectral_decompose_stack(stack)
 
 
+def _shifted(lam, stack):
+    lam[0, -1] += 1e-6 * frobenius_max_scaled(stack[0])
+    return lam
+
+
+def _nan(lam, stack):
+    lam[-1, 0] = np.nan
+    return lam
+
+
+def _spread(lam, stack):  # the sum stays, the sum of squares grows
+    step = 1e-6 * frobenius_max_scaled(stack[0])
+    lam[0, 0] -= step
+    lam[0, -1] += step
+    return lam
+
+
+def _huge(lam, stack):  # its square overflows, unless the matrix is near 1e300
+    lam[0, -1] = np.finfo(np.float64).max
+    return lam
+
+
+# What a LAPACK eigvalsh gone wrong could return, made from its own result on
+# a stack of 4 matrices, and how many of the 4 it makes wrong.  "negated"
+# keeps every sum of squares and "spread" every sum, so each power sum is
+# checked on its own.
+_EIGVALSH_MUTANTS = {
+    "shifted": (_shifted, 1),
+    "nan": (_nan, 1),
+    "reversed": (lambda lam, stack: lam[:, ::-1], 4),
+    "rolled": (lambda lam, stack: np.roll(lam, 1, axis=0), 4),
+    "negated": (lambda lam, stack: -lam[:, ::-1], 4),
+    "spread": (_spread, 1),
+    "huge": (_huge, 1),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(_EIGVALSH_MUTANTS))
+@pytest.mark.parametrize("d", [3, 5, 8])
+def test_min_eigenvalue_guard_refuses_a_wrong_eigvalsh(monkeypatch, d, mutant):
+    rng = np.random.default_rng(90 + d)
+    stacks = []
+    for scale in (1e-300, 1.0, 1e300):
+        raw = rng.standard_normal((4, d, d))
+        stacks.append(scale * (raw + raw.transpose(0, 2, 1)))
+        min_eigenvalues_stack(stacks[-1])  # passes as it is
+    eigvalsh, (wrong, count) = np.linalg.eigvalsh, _EIGVALSH_MUTANTS[mutant]
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda stack: wrong(eigvalsh(stack), stack))
+    for stack in stacks:
+        with pytest.raises(EigensolverError, match=f"eigenvalues of {count} of 4 matrices"):
+            min_eigenvalues_stack(stack)
+
+
 # The twins sum in another order than the stacked kernels; on O(1) samples the
 # worst violations seen differ by at most 1.5e-15 (d = 5, seeds 71 to 73).
 _VIOLATION_ATOL = 1e-13
@@ -265,3 +326,19 @@ def test_monte_carlo_rows_match_their_twins(d):
               for inc in increments]
     mean = mc_trace_moment(model, paths, grid, seed).details["mean"]
     assert abs(mean - sum(traces) / paths) <= 1e-12 * max(map(abs, traces))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_isometry_rhs_matches_its_twin(d):
+    rng = np.random.default_rng(100 + d)
+    grid = TimeGrid(0.75, 6)
+    x, y = random_unit_stack(rng, 2, d)
+    a, c = (random_symmetric_stack(rng, grid.steps + 1, d) for _ in range(2))
+    # processes that move, and the constant ones that `mc_isometry` builds
+    constant = (np.broadcast_to(a[0], a.shape), np.broadcast_to(c[0], c.shape))
+    for a_values, c_values in ((a, c), constant):
+        rhs = isometry_rhs(MatrixProcess(grid, a_values), MatrixProcess(grid, c_values), x, y)
+        twin = isometry_rhs_reference(a_values, c_values, x, y, grid.dt)
+        size = isometry_rhs_reference(np.abs(a_values), np.abs(c_values), np.abs(x), np.abs(y),
+                                      grid.dt)
+        assert abs(rhs - twin) <= 1e-12 * size

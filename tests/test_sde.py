@@ -255,15 +255,13 @@ class TestEulerSolve:
     def test_self_refinement_strong_convergence(self):
         # halving the step shrinks the gap to the next refinement level
         model = wishart_model(2, 3.0, x0=SymmetricMatrix(4.0 * np.eye(2)), sqrt_clip_bound=100.0)
-        gaps = {32: [], 64: []}
-        for i in range(100):
-            fine = sample_path(TimeGrid(1.0, 128), 2, seed=909, path_index=i)
-            sols = {}
-            for n in (32, 64, 128):
-                path = coarsen_path(fine, 128 // n) if n != 128 else fine
-                sols[n] = euler_solve(model, path).states[-1]
-            gaps[32].append(np.linalg.norm(sols[32] - sols[64]))
-            gaps[64].append(np.linalg.norm(sols[64] - sols[128]))
+        # one stacked solve per grid: each path's states are those of the path
+        # solved alone (TestEulerStack::test_stack_matches_each_path_alone)
+        fine = [sample_path(TimeGrid(1.0, 128), 2, seed=909, path_index=i) for i in range(100)]
+        sols = {n: [sol.states[-1] for sol in euler_solve_paths(
+                    model, [coarsen_path(path, 128 // n) if n != 128 else path for path in fine])]
+                for n in (32, 64, 128)}
+        gaps = {n: [np.linalg.norm(a - b) for a, b in zip(sols[n], sols[2 * n])] for n in (32, 64)}
         assert np.median(gaps[64]) < np.median(gaps[32])
 
     def test_trace_moment_small_run(self):

@@ -1,5 +1,7 @@
 """Core symmetric-matrix layer: decomposition, functional calculus, the PSD predicate."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,6 @@ from matrixdiff.symmat import (
     DomainPolicyError,
     EigensolverError,
     ScalarFunctionSpec,
-    SpectralDecomposition,
     SymmetricMatrix,
     apply_scalar_fn,
     clipped_affine_fn,
@@ -34,6 +35,11 @@ IDENTITY = ScalarFunctionSpec(fn=lambda x: np.asarray(x, dtype=np.float64).copy(
 def random_symmetric(rng, d, scale=1.0):
     raw = rng.standard_normal((d, d))
     return SymmetricMatrix(scale * 0.5 * (raw + raw.T))
+
+
+def reassemble(dec):
+    """Q diag(lambda) Q^T of a `SpectralDecomposition`, as a plain array."""
+    return (dec.eigenvectors * dec.eigenvalues) @ dec.eigenvectors.T
 
 
 class TestConstruction:
@@ -88,7 +94,7 @@ class TestSpectralDecompose:
         a = SymmetricMatrix.identity(4)
         dec = spectral_decompose(a)
         np.testing.assert_allclose(dec.eigenvalues, np.ones(4), atol=1e-14)
-        np.testing.assert_allclose(dec.reassemble(), np.eye(4), atol=1e-12)
+        np.testing.assert_allclose(reassemble(dec), np.eye(4), atol=1e-12)
 
     def test_two_by_two_hand_case(self):
         # characteristic polynomial of [[2,1],[1,2]] gives 1 and 3
@@ -97,7 +103,7 @@ class TestSpectralDecompose:
         np.testing.assert_allclose(dec.eigenvalues, [1.0, 3.0], atol=1e-12)
         np.testing.assert_allclose(np.abs(dec.eigenvectors),
                                    np.full((2, 2), 1.0 / np.sqrt(2.0)), atol=1e-12)
-        np.testing.assert_allclose(dec.reassemble(), a.entries, atol=1e-12)
+        np.testing.assert_allclose(reassemble(dec), a.entries, atol=1e-12)
 
     def test_round_trip_many(self):
         rng = np.random.default_rng(101)
@@ -106,7 +112,7 @@ class TestSpectralDecompose:
                 a = random_symmetric(rng, d, scale=rng.uniform(0.1, 10.0))
                 dec = spectral_decompose(a)
                 tol = 1e-8 * max(1.0, a.frobenius_norm())
-                assert np.linalg.norm(dec.reassemble() - a.entries) <= tol
+                assert np.linalg.norm(reassemble(dec) - a.entries) <= tol
                 assert (np.diff(dec.eigenvalues) >= 0).all()
                 q = dec.eigenvectors
                 assert np.linalg.norm(q.T @ q - np.eye(d)) <= 1e-10
@@ -210,6 +216,50 @@ class TestSpectralDecompose:
     def test_min_eigenvalues_stack(self):
         stack = np.stack([np.diag([2.0, -3.0]), np.eye(2)])
         np.testing.assert_allclose(min_eigenvalues_stack(stack), [-3.0, 1.0], atol=1e-14)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
+    def test_returns_sorted_eigenvalues_and_orthonormal_columns(self, d):
+        rng = np.random.default_rng(40 + d)
+        raw = rng.standard_normal((48, d, d))
+        stack = raw + raw.transpose(0, 2, 1)
+        stack[:16] *= 10.0 ** rng.integers(-150, 151, 16)[:, None, None]
+        stack[16:20] = np.eye(d)  # one eigenvalue d times
+        stack[20:24] = np.diag(np.repeat([-1.0, 2.0], d)[:d])
+        lam, vec = spectral_decompose_stack(stack)
+        gram = vec.transpose(0, 2, 1) @ vec - np.eye(d)
+        assert (np.diff(lam, axis=1) >= 0.0).all()
+        assert (np.linalg.norm(gram, axis=(1, 2)) <= 1e-10).all()
+        for matrix in stack[::7]:
+            dec = spectral_decompose(SymmetricMatrix(matrix))
+            assert (np.diff(dec.eigenvalues) >= 0.0).all()
+            assert np.linalg.norm(dec.eigenvectors.T @ dec.eigenvectors - np.eye(d)) <= 1e-10
+
+
+class TestMinEigenvalues:
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
+    def test_no_false_alarm_at_any_scale(self, d):
+        # the guard's power sums are taken on A / max |A_ij|: nothing overflows
+        # at 1e300 or underflows at 1e-300, and a zero or subnormal A passes
+        rng = np.random.default_rng(60 + d)
+        raw = rng.standard_normal((4, d, d))
+        unit = (raw + raw.transpose(0, 2, 1)) / 8.0
+        scales = 10.0 ** np.arange(-300, 301, 50)
+        stacks = [np.zeros((2, d, d)), np.round(unit * 64.0) * 5e-324, np.full((1, d, d), 5e-324)]
+        stacks += [scale * unit for scale in scales]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lam = [min_eigenvalues_stack(stack) for stack in stacks]
+            mixed = min_eigenvalues_stack(np.concatenate(stacks))
+        assert mixed.tobytes() == np.concatenate(lam).tobytes()
+        assert (lam[0] == 0.0).all() and np.isfinite(mixed).all()
+        ref, norms = min_eigenvalues_stack(unit), frobenius_max_scaled(unit)
+        for scale, got in zip(scales, lam[-len(scales):]):
+            assert (np.abs(got / scale - ref) <= 1e-12 * norms).all()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_refuses_non_finite_entries(self, bad):
+        with pytest.raises(EigensolverError, match="non-finite"):
+            min_eigenvalues_stack(np.array([[[1.0, 0.0, 0.0], [0.0, bad, 0.0], [0.0, 0.0, 1.0]]]))
 
 
 class TestExtremeScales:
@@ -384,10 +434,6 @@ class TestOrderPredicates:
                  ValueError, "elementwise", id="not-elementwise"),
     pytest.param(lambda: ScalarFunctionSpec(fn=lambda x: np.full_like(x, np.inf))
                  .map_eigenvalues(np.ones(3)), DomainPolicyError, "non-finite", id="non-finite"),
-    pytest.param(lambda: SpectralDecomposition(np.array([2.0, 1.0]), np.eye(2)),
-                 ValueError, "sorted", id="unsorted-eigenvalues"),
-    pytest.param(lambda: SpectralDecomposition(np.array([1.0, 2.0]), np.ones((2, 2))),
-                 ValueError, "orthonormal", id="non-orthonormal-vectors"),
 ])
 def test_refusals_name_their_cause(call, error, match):
     with pytest.raises(error, match=match):
@@ -464,7 +510,7 @@ def symmetric_matrices(draw, dims=(2, 3)):
 def test_round_trip_property(a):
     dec = spectral_decompose(a)
     tol = 1e-8 * max(1.0, a.frobenius_norm())
-    assert np.linalg.norm(dec.reassemble() - a.entries) <= tol
+    assert np.linalg.norm(reassemble(dec) - a.entries) <= tol
 
 
 @settings(max_examples=60, deadline=None)
@@ -524,3 +570,18 @@ def test_two_by_two_lift_matches_matmul(stack, seed):
         tol = 1e-15 * np.abs(vals).max(axis=1)
         assert lifted.shape == ref.shape
         assert (np.abs(lifted - ref).max(axis=(1, 2)) <= tol).all()
+
+
+@settings(max_examples=100, deadline=None)
+@given(spectra())
+def test_min_eigenvalues_are_the_seams_or_jacobis(stack):
+    # d <= 2 has the seam's bits; d >= 3 (LAPACK eigvalsh) agrees with the
+    # Jacobi oracle; either way a matrix alone has its bits in the stack
+    lam = min_eigenvalues_stack(stack)
+    if stack.shape[-1] <= 2:
+        assert lam.tobytes() == spectral_decompose_stack(stack)[0][:, 0].tobytes()
+    else:
+        tol = 1e-12 * np.linalg.norm(stack, axis=(1, 2))
+        assert (np.abs(lam - jacobi_stack(stack)[0][:, 0]) <= tol).all()
+    for k, matrix in enumerate(stack):
+        assert min_eigenvalues_stack(matrix[None]).tobytes() == lam[k:k + 1].tobytes()
