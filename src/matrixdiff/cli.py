@@ -180,8 +180,7 @@ def _scalar_spec(config: dict, prefix: str) -> ScalarFunctionSpec:
 def _build_model(settings, config: dict) -> SdeModel:
     dim = settings.dim
     clip = _take("sqrt_clip_bound", config.get("sqrt_clip_bound", 1e6), float)
-    x0_cfg = config.get("x0")
-    x0 = SymmetricMatrix(_parse_matrix(x0_cfg, dim, "x0")) if x0_cfg is not None else None
+    x0 = SymmetricMatrix(_parse_matrix(config["x0"], dim, "x0")) if "x0" in config else None
     if settings.model == "wishart":
         return wishart_model(dim, settings.alpha, x0=x0, sqrt_clip_bound=clip)
     return SdeModel(*(_scalar_spec(config, prefix) for prefix in "gfb"),
@@ -261,11 +260,9 @@ def _cmd_verify(s, config) -> int:
 
 def _cmd_isometry(s, config) -> int:
     dim = s.dim
-    a_mat = config.get("a_matrix")
-    c_mat = config.get("c_matrix")
-    a = SymmetricMatrix(_parse_matrix(a_mat, dim, "a_matrix")) if a_mat is not None \
+    a = SymmetricMatrix(_parse_matrix(config["a_matrix"], dim, "a_matrix")) if "a_matrix" in config \
         else SymmetricMatrix.diagonal(np.arange(1, dim + 1, dtype=np.float64))
-    c = SymmetricMatrix(_parse_matrix(c_mat, dim, "c_matrix")) if c_mat is not None \
+    c = SymmetricMatrix(_parse_matrix(config["c_matrix"], dim, "c_matrix")) if "c_matrix" in config \
         else SymmetricMatrix.identity(dim)
     e_last = np.eye(dim)[-1]
     x = _parse_vector(config["x_vector"], dim, "x_vector") if "x_vector" in config else e_last

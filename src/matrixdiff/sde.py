@@ -27,7 +27,7 @@ from .brownian import BrownianPath, TimeGrid
 from .symmat import (
     ScalarFunctionSpec,
     SymmetricMatrix,
-    _lift_symmetric,
+    _lift,
     clipped_sqrt_fn,
     constant_fn,
     is_psd,
@@ -129,7 +129,7 @@ def _lift_gfb(model: SdeModel, stack: np.ndarray):
     """
     lam, vec = spectral_decompose_stack(stack)
     return tuple(spec.constant_value() if spec.constant
-                 else _lift_symmetric(vec, spec.map_eigenvalues(lam))
+                 else _lift(vec, spec.map_eigenvalues(lam))
                  for spec in (model.g, model.f, model.b))
 
 

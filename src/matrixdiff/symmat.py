@@ -30,7 +30,6 @@ __all__ = [
     "spectral_decompose",
     "spectral_decompose_stack",
     "apply_scalar_fn",
-    "apply_scalar_fn_stack",
     "matrix_sqrt",
     "is_psd",
     "min_eigenvalues_stack",
@@ -42,12 +41,14 @@ SYMMETRY_REJECT_RTOL = 1e-8
 
 RECONSTRUCTION_RTOL = 1e-8
 
-# `_frobenius` squares without rescaling when the sum of squares lands here
+# `_reconstructs_2x2` trusts a plain sum of squares ||A||^2 that lands here: no
+# square overflowed, and the squares that underflowed are negligible against it
 _SUMSQ_LOW = np.finfo(np.float64).tiny * 2.0 ** 53
 _SUMSQ_HIGH = np.finfo(np.float64).max
 # A d = 2 residual whose plain sum of squares is at most this fraction of
-# RECONSTRUCTION_RTOL^2 ||A||^2 passes the `_frobenius` check for certain: the
-# margin outweighs the rounding of both checks' sums, roots and products.
+# RECONSTRUCTION_RTOL^2 ||A||^2 passes the `_frobenius` check for certain: a
+# plain and a max-scaled sum of squares differ by a few ulps, and the margin,
+# 1e-6 relative, outweighs that and the rounding of both checks' roots and products.
 _ACCEPT_SUMSQ_RATIO = (1.0 - 1e-6) * RECONSTRUCTION_RTOL ** 2
 
 
@@ -59,27 +60,19 @@ class DomainPolicyError(ValueError):
     """Raised when a scalar function returns a non-finite value on an eigenvalue."""
 
 
-def _frobenius(a: np.ndarray) -> np.ndarray:
-    """Frobenius norm over the trailing two axes.
+def _unit(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The one scale rule: a / s and s = max(max |a_ij|, tiny) for each matrix
+    over the trailing two axes, so that no square of an entry of a / s
+    overflows, and none that matters underflows."""
+    s = np.maximum(np.abs(a).max(axis=(-2, -1), initial=0.0), np.finfo(np.float64).tiny)
+    return a / s[..., None, None], s
 
-    A plain sum of squares inside [_SUMSQ_LOW, _SUMSQ_HIGH] had no square
-    overflow, and the rounding of squares that underflowed is negligible
-    against it.  Matrices whose sum falls outside (zero, subnormal-risk, inf,
-    nan) are rescaled by their largest |entry| before squaring instead, so
-    the norm stays relative at every scale.
-    """
-    flat = a.reshape(-1, *a.shape[-2:])
-    sumsq = np.einsum("mij,mij->m", flat, flat)
-    norm = np.sqrt(sumsq)
-    safe = (sumsq >= _SUMSQ_LOW) & (sumsq <= _SUMSQ_HIGH)
-    if not safe.all():
-        unsafe = ~safe
-        rest = flat[unsafe]
-        scale = np.abs(rest).max(axis=(-2, -1), initial=0.0)
-        scale = np.where(scale > 0.0, scale, 1.0)
-        unit = rest / scale[:, None, None]
-        norm[unsafe] = scale * np.sqrt(np.einsum("mij,mij->m", unit, unit))
-    return norm.reshape(a.shape[:-2])[()]
+
+def _frobenius(a: np.ndarray) -> np.ndarray:
+    """Frobenius norm s ||a / s||_F over the trailing two axes, by `_unit`, so
+    the norm stays relative at every scale."""
+    unit, s = _unit(a)
+    return s * np.sqrt(np.einsum("...ij,...ij->...", unit, unit))
 
 
 def _symmetric(arr: np.ndarray) -> np.ndarray:
@@ -256,23 +249,18 @@ def _lift_2x2(vec: np.ndarray, vals: np.ndarray):
 
 
 def _lift(vec: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """Q diag(vals) Q^T for every matrix of a stack, written out by `_lift_2x2`
-    for d = 2."""
-    if vec.shape[-1] == 2:
+    """Q diag(vals) Q^T for every matrix of a stack, exactly symmetric: written
+    out by `_lift_2x2` for d = 2, the entry for d = 1, and for d >= 3 the
+    matmul averaged with its transpose."""
+    d = vec.shape[-1]
+    if d == 2:
         out = np.empty((vec.shape[0], 2, 2))
         out[:, 0, 0], out[:, 0, 1], out[:, 1, 1] = _lift_2x2(vec, vals)
         out[:, 1, 0] = out[:, 0, 1]
         return out
     # stacked matmul runs about twice as fast on a contiguous Q^T as on the view
-    return (vec * vals[:, None, :]) @ np.ascontiguousarray(vec.transpose(0, 2, 1))
-
-
-def _lift_symmetric(vec: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """`_lift` made exactly symmetric; for d <= 2 it already is."""
-    out = _lift(vec, vals)
-    if vec.shape[-1] <= 2:
-        return out
-    return 0.5 * (out + out.transpose(0, 2, 1))
+    out = (vec * vals[:, None, :]) @ np.ascontiguousarray(vec.transpose(0, 2, 1))
+    return out if d == 1 else 0.5 * (out + out.transpose(0, 2, 1))
 
 
 def _eigvals_2x2(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -286,21 +274,18 @@ def _eigvals_2x2(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _eig_stack(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues and eigenvectors: the entry for d = 1, the closed
-    form of `_eigvals_2x2` rotated by atan2(b, (a - c)/2)/2 for d = 2, LAPACK
-    for d >= 3."""
-    m, d = stack.shape[0], stack.shape[1]
-    if d == 1:
-        return stack[:, 0, :].copy(), np.ones((m, 1, 1))
-    if d == 2:
-        lam, half_gap = _eigvals_2x2(stack)
-        theta = 0.5 * np.arctan2(stack[:, 0, 1], half_gap)
-        cos, sin = np.cos(theta), np.sin(theta)
-        vec = np.empty((m, 2, 2))
-        vec[:, 0, 0], vec[:, 1, 0] = -sin, cos  # eigenvector of mid - radius
-        vec[:, 0, 1], vec[:, 1, 1] = cos, sin   # eigenvector of mid + radius
-        return lam, vec
-    return np.linalg.eigh(stack)
+    """Ascending eigenvalues and eigenvectors: the closed form of `_eigvals_2x2`
+    rotated by atan2(b, (a - c)/2)/2 for d = 2, LAPACK otherwise (for d = 1
+    the entry and +1.0, bit for bit)."""
+    if stack.shape[-1] != 2:
+        return np.linalg.eigh(stack)
+    lam, half_gap = _eigvals_2x2(stack)
+    theta = 0.5 * np.arctan2(stack[:, 0, 1], half_gap)
+    cos, sin = np.cos(theta), np.sin(theta)
+    vec = np.empty((stack.shape[0], 2, 2))
+    vec[:, 0, 0], vec[:, 1, 0] = -sin, cos  # eigenvector of mid - radius
+    vec[:, 0, 1], vec[:, 1, 1] = cos, sin   # eigenvector of mid + radius
+    return lam, vec
 
 
 def _reconstructs_2x2(stack: np.ndarray, lam: np.ndarray, vec: np.ndarray) -> np.ndarray:
@@ -374,15 +359,10 @@ def spectral_decompose(a: SymmetricMatrix) -> SpectralDecomposition:
     return SpectralDecomposition(eigenvalues=lam[0], eigenvectors=vec[0])
 
 
-def apply_scalar_fn_stack(spec: ScalarFunctionSpec, stack: np.ndarray) -> np.ndarray:
-    """Lift `spec` over a stack of symmetric matrices; exactly symmetric output."""
-    lam, vec = spectral_decompose_stack(stack)
-    return _lift_symmetric(vec, spec.map_eigenvalues(lam))
-
-
 def apply_scalar_fn(spec: ScalarFunctionSpec, a: SymmetricMatrix) -> SymmetricMatrix:
     """Evaluate the lifted scalar function: g(A) = Q diag(g(lambda)) Q^T."""
-    return SymmetricMatrix(apply_scalar_fn_stack(spec, a.entries[None, :, :])[0])
+    lam, vec = spectral_decompose_stack(a.entries[None, :, :])
+    return SymmetricMatrix(_lift(vec, spec.map_eigenvalues(lam))[0])
 
 
 def matrix_sqrt(a: SymmetricMatrix) -> SymmetricMatrix:
@@ -397,18 +377,14 @@ def matrix_sqrt(a: SymmetricMatrix) -> SymmetricMatrix:
 
 def min_eigenvalues_stack(stack: np.ndarray) -> np.ndarray:
     """Smallest eigenvalue of each matrix A of a stack, from its eigenvalues lam
-    alone: the entry for d = 1, `_eigvals_2x2` for d = 2, LAPACK `eigvalsh` for
-    d >= 3.  Non-finite A raises `EigensolverError`, as does a lam that is not
-    non-decreasing or misses a power sum tr A^p (p = 1, 2) by more than
-    RECONSTRUCTION_RTOL * n^p, n = max(||A||_F, tiny); a non-finite lam misses.
-    The sums are taken on A and lam over s = max(max |A_ij|, tiny), so no
-    square overflows or underflows."""
+    alone: `_eigvals_2x2` for d = 2, LAPACK `eigvalsh` otherwise.  Non-finite
+    A raises `EigensolverError`, as does a lam that is not non-decreasing or
+    misses a power sum tr A^p (p = 1, 2) by more than RECONSTRUCTION_RTOL * n^p,
+    n = max(||A||_F, tiny); a non-finite lam misses.  The sums are taken on A
+    and lam over the scale s of `_unit`, so no square overflows or underflows."""
     stack = _finite(stack)
-    d = stack.shape[-1]
-    lam = stack[:, 0, :].copy() if d == 1 else \
-        _eigvals_2x2(stack)[0] if d == 2 else np.linalg.eigvalsh(stack)
-    scale = np.maximum(np.abs(stack).max(axis=(1, 2), initial=0.0), np.finfo(np.float64).tiny)
-    unit = stack / scale[:, None, None]
+    lam = _eigvals_2x2(stack)[0] if stack.shape[-1] == 2 else np.linalg.eigvalsh(stack)
+    unit, scale = _unit(stack)
     sumsq = np.einsum("mij,mij->m", unit, unit)
     norm = np.maximum(np.sqrt(sumsq), 1.0)  # n / s: ||A / s||_F >= 1 once max |A_ij| >= tiny
     with np.errstate(over="ignore", invalid="ignore"):  # a wrong lam only fails

@@ -346,6 +346,10 @@ class TestDegenerateInputs:
         ("isometry", '{"c_matrix": [[1, 0], [0, true]]}'),
         ("isometry", '{"x_vector": [true, 0]}'),
         ("isometry", '{"y_vector": ["0", "1"]}'),
+        # a null matrix, which is no default
+        ("simulate", '{"x0": null}'),
+        ("isometry", '{"a_matrix": null}'),
+        ("isometry", '{"c_matrix": null}'),
         # integers that are not integral, booleans, strings
         ("simulate", '{"dim": 2.7}'),
         ("simulate", '{"steps": true}'),

@@ -234,6 +234,27 @@ class TestSpectralDecompose:
             assert (np.diff(dec.eigenvalues) >= 0.0).all()
             assert np.linalg.norm(dec.eigenvectors.T @ dec.eigenvectors - np.eye(d)) <= 1e-10
 
+    def test_one_by_one_keeps_the_entrys_bits(self):
+        # at d = 1 the eigenvalue is the entry and the eigenvector +1.0, bit for
+        # bit, whether the matrix is alone or in a stack: signed zero,
+        # subnormals, the smallest normal and the largest doubles included
+        entries = np.array([-0.0, 5e-324, -5e-324, 2.2e-308, 1.0, -3.5,
+                            1.7976931348623157e308, -1.7976931348623157e308])
+        one = np.ones((1, 1)).tobytes()
+        stack = entries[:, None, None]
+        lam, vec = spectral_decompose_stack(stack)
+        assert lam.tobytes() == entries.tobytes() and lam.shape == (entries.size, 1)
+        assert vec.tobytes() == one * entries.size and vec.shape == stack.shape
+        assert min_eigenvalues_stack(stack).tobytes() == entries.tobytes()
+        for k, entry in enumerate(entries):
+            alone = stack[k:k + 1]
+            lam, vec = spectral_decompose_stack(alone)
+            assert lam.tobytes() == entry.tobytes() and vec.tobytes() == one
+            dec = spectral_decompose(SymmetricMatrix(alone[0]))
+            assert dec.eigenvalues.tobytes() == entry.tobytes()
+            assert dec.eigenvectors.tobytes() == one
+            assert min_eigenvalues_stack(alone).tobytes() == entry.tobytes()
+
 
 class TestMinEigenvalues:
     @pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
@@ -292,8 +313,8 @@ class TestExtremeScales:
 
     @pytest.mark.parametrize("d", [1, 2, 3, 5])
     def test_frobenius_matches_max_scaled_reference(self, d):
-        # the unscaled sum of squares overflows at 1e308 and underflows at
-        # 1e-150 and below, where only the rescaling fallback stays exact
+        # an unscaled sum of squares would overflow at 1e308 and underflow at
+        # 1e-150 and below; the max-scaled norm stays relative at every scale
         rng = np.random.default_rng(11)
         unit = rng.standard_normal((8, d, d))
         unit /= np.linalg.norm(unit, axis=(1, 2), keepdims=True)  # so 1e308 * unit has a finite norm
@@ -570,6 +591,21 @@ def test_two_by_two_lift_matches_matmul(stack, seed):
         tol = 1e-15 * np.abs(vals).max(axis=1)
         assert lifted.shape == ref.shape
         assert (np.abs(lifted - ref).max(axis=(1, 2)) <= tol).all()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
+def test_lift_is_exactly_symmetric(d):
+    # the one lift: its own transpose bit for bit at every d, and at d >= 3
+    # the plain matmul R averaged with R^T
+    rng = np.random.default_rng(80 + d)
+    raw = rng.standard_normal((64, d, d))
+    _, vec = spectral_decompose_stack(raw + raw.transpose(0, 2, 1))
+    vals = rng.standard_normal((64, d)) * 10.0 ** rng.integers(-150, 151, (64, 1))
+    lifted = symmat._lift(vec, vals)
+    assert lifted.tobytes() == np.ascontiguousarray(lifted.transpose(0, 2, 1)).tobytes()
+    if d >= 3:
+        r = (vec * vals[:, None, :]) @ vec.transpose(0, 2, 1)
+        assert lifted.tobytes() == (0.5 * (r + r.transpose(0, 2, 1))).tobytes()
 
 
 @settings(max_examples=100, deadline=None)
