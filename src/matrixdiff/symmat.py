@@ -250,17 +250,20 @@ def _lift_2x2(vec: np.ndarray, vals: np.ndarray):
 
 def _lift(vec: np.ndarray, vals: np.ndarray) -> np.ndarray:
     """Q diag(vals) Q^T for every matrix of a stack, exactly symmetric: written
-    out by `_lift_2x2` for d = 2, the entry for d = 1, and for d >= 3 the
-    matmul averaged with its transpose."""
-    d = vec.shape[-1]
-    if d == 2:
+    out by `_lift_2x2` for d = 2, otherwise the matmul R averaged with R^T as
+    0.5 (R + R^T), or as 0.5 R + 0.5 R^T where R + R^T overflowed."""
+    if vec.shape[-1] == 2:
         out = np.empty((vec.shape[0], 2, 2))
         out[:, 0, 0], out[:, 0, 1], out[:, 1, 1] = _lift_2x2(vec, vals)
         out[:, 1, 0] = out[:, 0, 1]
         return out
     # stacked matmul runs about twice as fast on a contiguous Q^T as on the view
     out = (vec * vals[:, None, :]) @ np.ascontiguousarray(vec.transpose(0, 2, 1))
-    return out if d == 1 else 0.5 * (out + out.transpose(0, 2, 1))
+    flip = out.transpose(0, 2, 1)
+    # halving before adding can round a subnormal entry, so only where the sum overflowed
+    with np.errstate(over="ignore"):
+        sym = 0.5 * (out + flip)
+    return np.where(np.isinf(sym), 0.5 * out + 0.5 * flip, sym)
 
 
 def _eigvals_2x2(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

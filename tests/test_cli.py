@@ -80,6 +80,21 @@ class TestSimulate:
         assert head == "error: Picard iteration did not converge on path 0: d_25"
         assert last.endswith("\n") and "\n" not in last[:-1] and float(last) > 1e-10
 
+    @pytest.mark.parametrize("method", ["euler", "picard"])
+    def test_start_whose_double_overflows(self, method, tmp_path):
+        # 1e308 I is PSD with a finite norm in three dimensions, though
+        # 1e308 + 1e308 overflows; the state stays near it
+        cfg = _write_config(tmp_path, {"x0": [1e308, 0, 0, 0, 1e308, 0, 0, 0, 1e308],
+                                       "sqrt_clip_bound": 10})
+        code, raw = run_to_file(tmp_path, "sim.csv", [
+            "simulate", "--dim", "3", "--alpha", "4", "--steps", "4", "--paths", "2",
+            "--seed", "1", "--method", method, "--config", str(cfg),
+        ])
+        assert code == 0
+        rows = [line.split(",")[2:] for line in raw.decode().splitlines()[1:]]
+        values = np.array([[float(v) for v in row] for row in rows])
+        assert np.isfinite(values).all() and (values[:, [0, 3, 5]] > 9e307).all()
+
     def test_byte_identical_reruns(self, tmp_path):
         argv = ["simulate", "--dim", "2", "--steps", "32", "--paths", "2", "--seed", "11"]
         _, first = run_to_file(tmp_path, "a.csv", argv)

@@ -294,6 +294,27 @@ class TestExtremeScales:
         assert not is_psd(a)
         np.testing.assert_allclose(a.frobenius_norm(), np.sqrt(10.0) * scale, rtol=1e-14)
 
+    @pytest.mark.parametrize("d", [3, 5])
+    def test_entries_whose_double_overflows(self, d):
+        # R + R^T of the lift overflows past 8.99e307, but A's norm stays
+        # finite: 1e308 on three diagonal entries, and A = Q diag(lam) Q^T with
+        # lam_max = 1.7e308 and Q near I, symmetric from its upper triangle
+        rng = np.random.default_rng(90 + d)
+        q = np.linalg.qr(np.eye(d) + 0.01 * rng.standard_normal((4, d, d)))[0]
+        lam = np.sort(np.concatenate(
+            [rng.uniform(-1e306, 1e306, (4, d - 1)), np.full((4, 1), 1.7e308)], axis=1), axis=1)
+        r = (q * lam[:, None, :]) @ q.transpose(0, 2, 1)
+        stack = np.triu(r) + np.triu(r, 1).transpose(0, 2, 1)
+        diag = np.diag([1e308] * 3 + [0.0] * (d - 3))[None]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, vec = spectral_decompose_stack(np.concatenate([diag, stack]))
+            lifted = symmat._lift(vec, got)
+        assert got[0].tobytes() == np.array([0.0] * (d - 3) + [1e308] * 3).tobytes()
+        assert (np.abs(got[1:] - lam) <= 1e-12 * 1.7e308).all()
+        assert np.isfinite(lifted).all()
+        assert lifted.tobytes() == np.ascontiguousarray(lifted.transpose(0, 2, 1)).tobytes()
+
     @pytest.mark.parametrize("scale", [1e160, 1e-160])
     def test_rejects_asymmetric(self, scale):
         with pytest.raises(ValueError, match="not symmetric"):
@@ -606,6 +627,15 @@ def test_lift_is_exactly_symmetric(d):
     if d >= 3:
         r = (vec * vals[:, None, :]) @ vec.transpose(0, 2, 1)
         assert lifted.tobytes() == (0.5 * (r + r.transpose(0, 2, 1))).tobytes()
+        # near the largest double: the same bits where R + R^T is finite,
+        # 0.5 R + 0.5 R^T where it overflowed
+        huge = np.abs(vals) / np.abs(vals).max(axis=1, keepdims=True) * 1.7e308
+        r = (vec * huge[:, None, :]) @ vec.transpose(0, 2, 1)
+        with np.errstate(over="ignore"):
+            plain = 0.5 * (r + r.transpose(0, 2, 1))
+        split = 0.5 * r + 0.5 * r.transpose(0, 2, 1)
+        assert np.isinf(plain).any()
+        assert symmat._lift(vec, huge).tobytes() == np.where(np.isinf(plain), split, plain).tobytes()
 
 
 @settings(max_examples=100, deadline=None)
