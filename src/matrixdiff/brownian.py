@@ -109,9 +109,9 @@ class BrownianPath:
     matrix of independent Normal(0, dt) draws.
     """
 
-    __slots__ = ("grid", "_increments", "seed", "path_index")
+    __slots__ = ("grid", "_increments")
 
-    def __init__(self, grid: TimeGrid, increments, seed: int = 0, path_index: int = 0) -> None:
+    def __init__(self, grid: TimeGrid, increments) -> None:
         arr = np.array(increments, dtype=np.float64)
         if arr.ndim != 3 or arr.shape[0] != grid.steps or arr.shape[1] != arr.shape[2]:
             raise ValueError(
@@ -119,14 +119,12 @@ class BrownianPath:
             )
         if not np.isfinite(arr).all():
             raise ValueError("increments must be finite")
-        self._adopt(grid, arr, seed, path_index)
+        self._adopt(grid, arr)
 
-    def _adopt(self, grid: TimeGrid, arr: np.ndarray, seed: int, path_index: int) -> None:
+    def _adopt(self, grid: TimeGrid, arr: np.ndarray) -> None:
         arr.setflags(write=False)
         self.grid = grid
         self._increments = arr
-        self.seed = int(seed)
-        self.path_index = int(path_index)
 
     @property
     def dim(self) -> int:
@@ -135,11 +133,6 @@ class BrownianPath:
     @property
     def increments(self) -> np.ndarray:
         return self._increments
-
-    @classmethod
-    def zeros(cls, grid: TimeGrid, dim: int) -> "BrownianPath":
-        """The deterministic zero path (useful for drift-only solves)."""
-        return cls(grid, np.zeros((grid.steps, dim, dim)))
 
 
 def sample_path(grid: TimeGrid, dim: int, seed: int, path_index: int = 0) -> BrownianPath:
@@ -152,7 +145,7 @@ def sample_path(grid: TimeGrid, dim: int, seed: int, path_index: int = 0) -> Bro
     # normal draws times the root of a finite dt are finite, and the array is
     # this call's own: adopt it without the constructor's copy and check
     path = BrownianPath.__new__(BrownianPath)
-    path._adopt(grid, increments, seed, path_index)
+    path._adopt(grid, increments)
     return path
 
 
@@ -163,4 +156,4 @@ def coarsen_path(path: BrownianPath, factor: int) -> BrownianPath:
     n_coarse = path.grid.steps // factor
     inc = path.increments.reshape(n_coarse, factor, path.dim, path.dim).sum(axis=1)
     coarse_grid = TimeGrid(horizon=path.grid.horizon, steps=n_coarse)
-    return BrownianPath(coarse_grid, inc, seed=path.seed, path_index=path.path_index)
+    return BrownianPath(coarse_grid, inc)

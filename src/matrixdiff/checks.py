@@ -18,8 +18,7 @@ per step one normal z along x and d normals w, A x = z x + sqrt(1/2) (w - (w.x) 
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,14 +54,11 @@ class CheckReport:
     worst_violation: float
     tolerance: float
     passed: bool
-    details: Optional[dict] = field(default=None)
+    details: dict
 
     def to_dict(self) -> dict:
-        out = {"name": self.name, "samples": self.samples, "worst_violation": self.worst_violation,
-               "tolerance": self.tolerance, "pass": self.passed}
-        if self.details is not None:
-            out["details"] = self.details
-        return out
+        return {"name": self.name, "samples": self.samples, "worst_violation": self.worst_violation,
+                "tolerance": self.tolerance, "pass": self.passed, "details": self.details}
 
 
 def random_symmetric_stack(rng: np.random.Generator, count: int, d: int) -> np.ndarray:
@@ -256,7 +252,7 @@ def mc_trace_moment(model: SdeModel, paths: int, grid: TimeGrid, seed: int) -> C
     """
     if not model.b.constant:
         raise ValueError("trace-moment oracle requires a constant drift coefficient")
-    expected = model.x0.trace() + model.b.constant_value() * model.dim * grid.horizon
+    expected = model.x0.trace() + model.b.constant_value * model.dim * grid.horizon
     traces = _per_path("trace-moment", grid, model.dim, seed, paths,
                        lambda inc: np.einsum("pii->p", euler_final_states(model, grid, inc)))
     return _three_se_report("trace_moment", traces, "expected", expected, seed)

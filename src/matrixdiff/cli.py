@@ -79,16 +79,25 @@ def _load_config(path) -> dict:
     return cfg
 
 
-def _take(key: str, value, kind, low=None, high=None):
-    """`value` of setting `key` as given, or a `ConfigError`: a member of the
-    tuple `kind`, or a number that is no bool or string, integral for `int`,
-    finite for `float`, and in [low, high)."""
+def _json(value) -> str:
+    """A config value spelled as the JSON it was written in, or as Python
+    spells it where it nests deeper than the encoder can reach from here."""
+    try:
+        return json.dumps(value)
+    except RecursionError:
+        return repr(value)
+
+
+def _take(key: str, value, kind, low=None, high=None, spell=_json):
+    """`value` of setting `key` as given, or a `ConfigError` quoting it by `spell`:
+    a member of the tuple `kind`, or a number that is no bool or string,
+    integral for `int`, finite for `float`, and in [low, high)."""
     if isinstance(kind, tuple):
         if value not in kind:
-            raise ConfigError(f"{key} must be one of {', '.join(kind)}; got {value!r}")
+            raise ConfigError(f"{key} must be one of {', '.join(kind)}; got {spell(value)}")
         return value
     refused = ConfigError(f"{key} must be {'an integer' if kind is int else 'a finite number'}, "
-                          f"got {value!r}")
+                          f"got {spell(value)}")
     if isinstance(value, bool) or not isinstance(value, (int, float)) \
             or kind is int and isinstance(value, float) and not value.is_integer():
         raise refused
@@ -111,9 +120,9 @@ def _settings(declared: dict, args: argparse.Namespace, config: dict) -> argpars
     time grid of a subcommand that declares one."""
     settings = argparse.Namespace(out=args.out)
     for key, (kind, default, *bounds) in declared.items():
-        value = getattr(args, key)
+        value, spell = getattr(args, key), repr  # a flag value as Python parsed it
         if value is None and key in config:
-            value = config[key]
+            value, spell = config[key], _json
         elif value is None and key == "seed" and "MATRIXDIFF_SEED" in os.environ:
             try:
                 value = int(os.environ["MATRIXDIFF_SEED"])
@@ -123,7 +132,7 @@ def _settings(declared: dict, args: argparse.Namespace, config: dict) -> argpars
         elif value is None:
             setattr(settings, key, default)
             continue
-        setattr(settings, key, _take(key, value, kind, *bounds))
+        setattr(settings, key, _take(key, value, kind, *bounds, spell=spell))
     if "steps" in declared:
         settings.grid = TimeGrid(horizon=settings.horizon, steps=settings.steps)
     return settings
@@ -142,7 +151,7 @@ def _float_array(obj, what: str) -> np.ndarray:
                 raise TypeError(f"not a number: {value!r}")
         return np.asarray(obj, dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as exc:  # not a number, ragged, too large
-        raise ConfigError(f"{what} must be an array of numbers, got {obj!r}") from exc
+        raise ConfigError(f"{what} must be an array of numbers, got {_json(obj)}") from exc
 
 
 def _parse_matrix(obj, dim: int, what: str) -> np.ndarray:
@@ -233,11 +242,11 @@ def _states_text(solutions, grid: TimeGrid, dim: int, fmt: str) -> str:
     return _render(fmt, columns, rows, {"columns": columns, "rows": rows})
 
 
-def _converged(model: SdeModel, path):
-    """The converged Picard solution on `path`; an unconverged one is a `ValueError`."""
+def _converged(model: SdeModel, path, index: int):
+    """The converged Picard solution on path `index`; an unconverged one is a `ValueError`."""
     solution, diag = picard_solve(model, path)
     if not diag.converged:
-        raise ValueError(f"Picard iteration did not converge on path {path.path_index}: "
+        raise ValueError(f"Picard iteration did not converge on path {index}: "
                          f"d_{diag.iterates_kept} = {_fmt(diag.d_n[-1])}")
     return solution
 
@@ -246,7 +255,7 @@ def _cmd_simulate(s, config) -> int:
     model = _build_model(s, config)
     paths = [sample_path(s.grid, s.dim, s.seed, index) for index in range(s.paths)]
     solutions = euler_solve_paths(model, paths) if s.method == "euler" \
-        else [_converged(model, path) for path in paths]
+        else [_converged(model, path, index) for index, path in enumerate(paths)]
     _write_output(_states_text(solutions, s.grid, s.dim, s.format), s.out)
     return 0
 
@@ -275,11 +284,9 @@ def _cmd_isometry(s, config) -> int:
 def _cmd_picard_convergence(s, config) -> int:
     model = _build_model(s, config)
     records = []
-    all_converged = True
     for index in range(s.paths):
         path = sample_path(s.grid, s.dim, s.seed, index)
         _, diag = picard_solve(model, path, max_iter=s.max_iter, stop_tol=s.stop_tol)
-        all_converged = all_converged and diag.converged
         fit = diag.rate_fit
         records.append({
             "path_index": index,
@@ -291,7 +298,7 @@ def _cmd_picard_convergence(s, config) -> int:
     rows = ([rec["path_index"], i, value]
             for rec in records for i, value in enumerate(rec["d_n"], start=1))
     _write_output(_render(s.format, ["path", "iteration", "d_n"], rows, records), s.out)
-    return 0 if all_converged else 1
+    return 0 if all(rec["converged"] for rec in records) else 1
 
 
 def _cmd_trace_moment(s, config) -> int:

@@ -28,6 +28,7 @@ from .symmat import (
     ScalarFunctionSpec,
     SymmetricMatrix,
     _lift,
+    _unit,
     clipped_sqrt_fn,
     constant_fn,
     is_psd,
@@ -70,9 +71,11 @@ class SdeModel:
         for label, spec in (("g", self.g), ("f", self.f), ("b", self.b)):
             if spec.bound is None:
                 raise ValueError(f"coefficient {label} must declare a bound")
-        # relative to the start's own scale, as the symmetry rule is
-        if self.requires_psd_start and not is_psd(self.x0, tol=1e-10 * self.x0.frobenius_norm()):
-            raise ValueError("initial state must be positive semidefinite for this model")
+        if self.requires_psd_start:
+            # over the start's own scale, as the symmetry rule is, so the tolerance stays finite
+            unit = SymmetricMatrix(_unit(self.x0.entries)[0])
+            if not is_psd(unit, tol=1e-10 * unit.frobenius_norm()):
+                raise ValueError("initial state must be positive semidefinite for this model")
 
     @property
     def dim(self) -> int:
@@ -82,17 +85,15 @@ class SdeModel:
 class PathSolution:
     """States X_{t_0}, ..., X_{t_n} of one solve; `min_eigenvalues` is derived from them."""
 
-    __slots__ = ("grid", "_states", "method", "path_seed", "min_eigenvalues")
+    __slots__ = ("grid", "_states", "min_eigenvalues")
 
-    def __init__(self, grid: TimeGrid, states: np.ndarray, method: str, path_seed) -> None:
+    def __init__(self, grid: TimeGrid, states: np.ndarray) -> None:
         states = np.asarray(states, dtype=np.float64)
         if states.shape[0] != grid.steps + 1:
             raise ValueError("states must hold one matrix per grid point")
         states.setflags(write=False)
         self.grid = grid
         self._states = states
-        self.method = method
-        self.path_seed = path_seed
         self.min_eigenvalues = min_eigenvalues_stack(states)
 
     @property
@@ -128,7 +129,7 @@ def _lift_gfb(model: SdeModel, stack: np.ndarray):
     float value of a coefficient declared constant (standing for value * I).
     """
     lam, vec = spectral_decompose_stack(stack)
-    return tuple(spec.constant_value() if spec.constant
+    return tuple(spec.constant_value if spec.constant
                  else _lift(vec, spec.map_eigenvalues(lam))
                  for spec in (model.g, model.f, model.b))
 
@@ -207,8 +208,7 @@ def euler_solve_paths(model: SdeModel, paths: Sequence[BrownianPath]) -> list[Pa
             raise ValueError(f"paths must share one time grid: {path.grid} vs {grid}")
     inc = np.stack([path.increments for path in paths], axis=1)
     states = np.stack(list(_euler(model, inc, grid.dt)), axis=1)  # (P, n + 1, d, d)
-    return [PathSolution(grid, path_states, "euler", (path.seed, path.path_index))
-            for path, path_states in zip(paths, states)]
+    return [PathSolution(grid, path_states) for path_states in states]
 
 
 def euler_solve(model: SdeModel, path: BrownianPath) -> PathSolution:
@@ -299,9 +299,9 @@ def picard_solve(model: SdeModel, path: BrownianPath, max_iter: int = 25,
             converged = True
             break
 
-    solution = PathSolution(grid, prev, "picard", (path.seed, path.path_index))
-    return solution, PicardDiagnostics(len(distances), np.array(distances), converged,
-                                       fit_contraction_rate(distances, grid.horizon))
+    fit = fit_contraction_rate(distances, grid.horizon)
+    return PathSolution(grid, prev), PicardDiagnostics(len(distances), np.array(distances),
+                                                       converged, fit)
 
 
 def in_wallach_set(alpha: float, d: int) -> bool:

@@ -80,22 +80,23 @@ def _symmetric(arr: np.ndarray) -> np.ndarray:
     `ValueError`: the one symmetry rule, applied to each matrix M on its own.
 
     Non-finite entries refuse M, and so does an asymmetry ||M - M^T||_F above
-    SYMMETRY_REJECT_RTOL * ||M||_F or one that is not finite (M - M^T
-    overflowed).  An entry with the bits of its transpose partner is kept;
-    any other becomes 0.5 M + 0.5 M^T, which cannot overflow.
+    SYMMETRY_REJECT_RTOL * ||M||_F, judged over M's scale s of `_unit` so that
+    neither side overflows.  An entry with the bits of its transpose partner
+    is kept; any other becomes 0.5 M + 0.5 M^T, which cannot overflow.
     """
     if not np.isfinite(arr).all():
         raise ValueError("matrix entries must be finite")
-    flip = np.swapaxes(arr, -1, -2)
-    with np.errstate(over="ignore", invalid="ignore"):
-        skew = _frobenius(arr - flip)
-        refused = ~(skew <= SYMMETRY_REJECT_RTOL * _frobenius(arr))  # NaN is refused
+    unit, scale = _unit(arr)
+    skew = _frobenius(unit - np.swapaxes(unit, -1, -2))
+    refused = skew > SYMMETRY_REJECT_RTOL * _frobenius(unit)
     if refused.any():
-        worst = np.nan_to_num(np.max(skew, where=refused, initial=0.0), nan=np.inf)
+        with np.errstate(over="ignore"):
+            worst = np.max(scale * skew, where=refused, initial=0.0)
         raise ValueError(
             f"matrix is not symmetric: ||M - M^T||_F = {worst:.3e} "
             f"exceeds {SYMMETRY_REJECT_RTOL:.0e} * ||M||_F"
         )
+    flip = np.swapaxes(arr, -1, -2)
     sym = np.where(arr.view(np.int64) == flip.view(np.int64), arr, 0.5 * arr + 0.5 * flip)
     sym.setflags(write=False)
     return sym
@@ -190,26 +191,23 @@ class ScalarFunctionSpec:
             raise DomainPolicyError(f"scalar function {self.name or self.fn!r} returned non-finite values")
         return out
 
+    @cached_property
     def constant_value(self) -> float:
-        """The value of a function declared constant."""
+        """The value of a function declared constant, evaluated once per spec:
+        the Euler kernel reads it every step."""
         if not self.constant:
             raise ValueError(f"scalar function {self.name or self.fn!r} is not declared constant")
-        return self._constant_value
-
-    @cached_property
-    def _constant_value(self) -> float:
-        # evaluated once per spec; the Euler kernel reads it every step
         return float(self.map_eigenvalues(np.zeros(1))[0])
 
 
-def constant_fn(value: float, name: str = "") -> ScalarFunctionSpec:
+def constant_fn(value: float) -> ScalarFunctionSpec:
     value = float(value)
     # any positive M bounds the zero function
     return ScalarFunctionSpec(
         fn=lambda x: np.full_like(np.asarray(x, dtype=np.float64), value),
         domain_policy="total",
         bound=abs(value) if value != 0.0 else 1.0,
-        name=name or f"constant({value})",
+        name=f"constant({value})",
         constant=True,
     )
 
@@ -313,10 +311,14 @@ def _reconstructs_2x2(stack: np.ndarray, lam: np.ndarray, vec: np.ndarray) -> np
 
 
 def _reconstruction_check(stack: np.ndarray, lam: np.ndarray, vec: np.ndarray):
-    """Residual ||Q diag(lam) Q^T - A||_F and its bound 1e-8 * max(||A||_F, tiny)
-    of every matrix A of a stack."""
+    """Residual r = ||Q diag(lam) Q^T - A||_F, its bound 1e-8 * max(||A||_F, tiny)
+    and r <= bound of every matrix A of a stack, tested over A's scale s of
+    `_unit`, where the bound is 1e-8 * max(||A / s||_F, 1) and cannot overflow."""
+    unit, scale = _unit(stack)
     resid = _frobenius(_lift(vec, lam) - stack)
-    return resid, RECONSTRUCTION_RTOL * np.maximum(_frobenius(stack), np.finfo(np.float64).tiny)
+    bound = RECONSTRUCTION_RTOL * np.maximum(_frobenius(unit), 1.0)
+    with np.errstate(over="ignore"):
+        return resid, bound * scale, resid / scale <= bound
 
 
 def _finite(stack) -> np.ndarray:
@@ -346,9 +348,9 @@ def spectral_decompose_stack(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]
         if fits.all():
             return lam, vec
         unsure = ~fits
-    resid, bound = _reconstruction_check(stack[unsure], lam[unsure], vec[unsure])
-    if not (resid <= bound).all():
-        resid, bound = _reconstruction_check(stack, lam, vec)
+    *_, fits = _reconstruction_check(stack[unsure], lam[unsure], vec[unsure])
+    if not fits.all():
+        resid, bound, _ = _reconstruction_check(stack, lam, vec)
         raise EigensolverError(
             f"eigendecomposition reconstruction residual {float(resid.max()):.3e} "
             f"exceeds tolerance {float(bound.max()):.3e}"

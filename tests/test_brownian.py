@@ -173,7 +173,7 @@ class TestValueAt:
     """B_{t_k}, the running sum of a path's increments."""
 
     def test_zeros_path(self):
-        path = BrownianPath.zeros(TimeGrid(1.0, 4), dim=3)
+        path = BrownianPath(TimeGrid(1.0, 4), np.zeros((4, 3, 3)))
         np.testing.assert_array_equal(np.cumsum(path.increments, axis=0)[3], np.zeros((3, 3)))
 
     def test_rejects_bad_shapes(self):

@@ -341,9 +341,10 @@ class TestWorstCase:
 class TestCheckReport:
     def test_dict_keys(self):
         rep = CheckReport(name="demo", samples=10, worst_violation=0.0,
-                          tolerance=0.0, passed=True)
+                          tolerance=0.0, passed=True, details={"dim": 2})
         d = rep.to_dict()
-        assert set(d) == {"name", "samples", "worst_violation", "tolerance", "pass"}
+        assert set(d) == {"name", "samples", "worst_violation", "tolerance", "pass", "details"}
+        assert d["details"] == {"dim": 2}
 
     def test_pass_consistency(self):
         rep = check_inq_nice(100, 2, seed=9)

@@ -328,12 +328,17 @@ class TestDegenerateInputs:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: {key} must be") and captured.err.count("\n") == 1
+        assert captured.err.endswith(" got null\n")
 
     @pytest.mark.parametrize("command, key, value", [
         *[(command, "format", "xml") for command in
           ["simulate", "verify", "isometry", "picard-convergence", "trace-moment"]],
         ("simulate", "method", "rk4"),
         ("picard-convergence", "model", "heston"),
+        # quoted as the JSON the config holds, not as Python spells it
+        ("simulate", "method", None),
+        ("trace-moment", "model", True),
+        ("isometry", "format", "16"),
     ])
     def test_unknown_choice_exits_two(self, command, key, value, tmp_path, capsys):
         cfg = _write_config(tmp_path, {key: value})
@@ -342,7 +347,7 @@ class TestDegenerateInputs:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: {key} must be one of ")
-        assert captured.err.endswith(f"; got {value!r}\n") and captured.err.count("\n") == 1
+        assert captured.err.endswith(f"; got {json.dumps(value)}\n") and captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("command, text", [
         # matrices and vectors of the wrong JSON type
@@ -400,6 +405,11 @@ class TestDegenerateInputs:
         # matrices whose asymmetry M - M^T overflows
         ("isometry", '{"a_matrix": [0, 1e308, -1e308, 0]}'),
         ("simulate", '{"x0": [0, 1e308, -1e308, 0]}'),
+        # starts whose norm overflows: 1e308 (I_5 + 1e-3 e_1 e_2^T) is not
+        # symmetric, and 1e308 diag(1, 1, 1, 1, -1) is no Wishart start
+        ("simulate", json.dumps({"dim": 5, "x0": [[1e308 if i == j else 1e305 if (i, j) == (0, 1)
+                                                  else 0.0 for j in range(5)] for i in range(5)]})),
+        ("simulate", json.dumps({"dim": 5, "x0": np.diag([1e308] * 4 + [-1e308]).tolist()})),
     ])
     def test_refused_config_value_exits_two(self, command, text, tmp_path, capsys):
         cfg = tmp_path / "config.json"
@@ -411,6 +421,38 @@ class TestDegenerateInputs:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("text, tail", [
+        ('{"x0": null}', "got null"),
+        ('{"y_vector": [null, 1]}', "got [null, 1]"),
+        ('{"x0": [16, 0, 0, true]}', "got [16, 0, 0, true]"),
+        ('{"dim": true}', "got true"),
+        ('{"dim": "16"}', 'got "16"'),
+        ('{"alpha": NaN}', "got NaN"),
+        ('{"g_kind": "sqrt", "model": "custom"}', 'got "sqrt"'),
+    ])
+    def test_refused_config_value_quoted_as_written(self, text, tail, tmp_path, capsys):
+        command = "isometry" if "vector" in text else "simulate"
+        cfg = tmp_path / "config.json"
+        cfg.write_text(text)
+        assert run_cli([command, "--config", str(cfg), "--steps", "4", "--paths", "2"]) == 2
+        assert capsys.readouterr().err.endswith(f" {tail}\n")
+
+    def test_refused_flag_value_keeps_python_spelling(self, capsys):
+        assert run_cli(["simulate", "--horizon", "inf", "--steps", "4"]) == 2
+        assert capsys.readouterr().err == "error: horizon must be a finite number, got inf\n"
+
+    def test_config_value_nested_past_the_encoder_keeps_python_spelling(self, tmp_path,
+                                                                         monkeypatch, capsys):
+        # a value that json reads from the top of the stack may nest deeper
+        # than json can write it back from a parser several calls down
+        def too_deep(value):
+            raise RecursionError("maximum recursion depth exceeded while encoding a JSON object")
+
+        cfg = _write_config(tmp_path, {"x0": [None]})
+        monkeypatch.setattr("matrixdiff.cli.json.dumps", too_deep)
+        assert run_cli(["simulate", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == "error: x0 must be an array of numbers, got [None]\n"
 
     @pytest.mark.parametrize("scale", [1e-150, 1e-12, 1e-11, 1.0, 1e150])
     @pytest.mark.parametrize("start", [[-1.0, 0.0, 0.0, -1.0], [1.0, 0.0, 0.0, -1.0]])

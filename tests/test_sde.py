@@ -1,6 +1,7 @@
 """Euler and Picard solvers: stepping identities, contraction, consistency."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -53,6 +54,16 @@ class TestModelValidation:
     def test_psd_start_enforced_when_claimed(self):
         with pytest.raises(ValueError, match="semidefinite"):
             wishart_model(2, 1.0, x0=SymmetricMatrix.diagonal([1.0, -1.0]))
+
+    @pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300, 1e308])
+    def test_psd_start_enforced_where_the_norm_overflows(self, scale):
+        # ||X0||_F of 1e308 diag(1, 1, 1, 1, -1) overflows, so a tolerance
+        # taken at X0's scale would be inf and pass -1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="semidefinite"):
+                wishart_model(5, 5.0, x0=SymmetricMatrix.diagonal([scale] * 4 + [-scale]))
+            wishart_model(5, 5.0, x0=SymmetricMatrix.diagonal([scale] * 5))
 
     @pytest.mark.parametrize("scale", [1e-150, 1e-12, 1.0, 1e12, 1e150])
     def test_psd_start_keeps_zero_and_gram_matrices_at_every_scale(self, scale):
@@ -225,10 +236,9 @@ class TestEulerSolve:
     def test_zero_noise_pure_drift(self):
         grid = TimeGrid(1.0, 64)
         model = drift_only_model(SymmetricMatrix.zeros(2))
-        sol = euler_solve(model, BrownianPath.zeros(grid, 2))
+        sol = euler_solve(model, BrownianPath(grid, np.zeros((grid.steps, 2, 2))))
         np.testing.assert_array_equal(sol.states[0], np.zeros((2, 2)))
         np.testing.assert_allclose(sol.states[-1], np.eye(2), atol=1e-12)
-        assert sol.method == "euler"
 
     def test_states_exactly_symmetric(self):
         grid = TimeGrid(1.0, 32)
@@ -239,7 +249,7 @@ class TestEulerSolve:
     def test_min_eigenvalue_telemetry(self):
         grid = TimeGrid(1.0, 16)
         model = drift_only_model(SymmetricMatrix.zeros(2))
-        sol = euler_solve(model, BrownianPath.zeros(grid, 2))
+        sol = euler_solve(model, BrownianPath(grid, np.zeros((grid.steps, 2, 2))))
         assert sol.min_eigenvalues.shape == (17,)
         np.testing.assert_allclose(sol.min_eigenvalues, grid.times, atol=1e-12)
 
@@ -250,7 +260,7 @@ class TestEulerSolve:
 
     def test_solution_needs_one_state_per_grid_point(self):
         with pytest.raises(ValueError, match="one matrix per grid point"):
-            PathSolution(TimeGrid(1.0, 4), np.zeros((4, 2, 2)), "euler", (0, 0))
+            PathSolution(TimeGrid(1.0, 4), np.zeros((4, 2, 2)))
 
     def test_self_refinement_strong_convergence(self):
         # halving the step shrinks the gap to the next refinement level
@@ -324,7 +334,6 @@ class TestEulerStack:
             assert sol.states.tobytes() == alone.states.tobytes() == states.tobytes()
             assert sol.min_eigenvalues.tobytes() == alone.min_eigenvalues.tobytes() \
                 == min_eigs.tobytes()
-            assert sol.method == "euler" and sol.path_seed == (52, path.path_index)
         finals = euler_final_states(model, grid, np.stack([path.increments for path in paths], axis=1))
         assert finals.tobytes() == np.stack([sol.states[-1] for sol in solutions]).tobytes()
 
@@ -346,7 +355,7 @@ class TestPicard:
     def test_pure_drift_fixed_point_after_one_iteration(self):
         grid = TimeGrid(1.0, 16)
         model = drift_only_model(SymmetricMatrix.zeros(2))
-        sol, diag = picard_solve(model, BrownianPath.zeros(grid, 2))
+        sol, diag = picard_solve(model, BrownianPath(grid, np.zeros((grid.steps, 2, 2))))
         assert diag.converged
         assert diag.iterates_kept == 2
         assert diag.d_n[-1] == 0.0
@@ -457,7 +466,7 @@ class TestPicard:
             b=clipped_affine_fn(-0.5, 1.0, bound=50.0),
             x0=x0,
         )
-        sol, diag = picard_solve(model, BrownianPath.zeros(grid, 2))
+        sol, diag = picard_solve(model, BrownianPath(grid, np.zeros((grid.steps, 2, 2))))
         assert diag.converged
         closed = np.diag([2.0 + (v - 2.0) * math.exp(-0.5) for v in (0.5, 3.0)])
         assert np.abs(sol.states[-1] - closed).max() < 5.0 / n

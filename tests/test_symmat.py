@@ -320,6 +320,36 @@ class TestExtremeScales:
         with pytest.raises(ValueError, match="not symmetric"):
             SymmetricMatrix([[scale, 2 * scale], [-5 * scale, scale]])
 
+    @pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300, 1e308])
+    def test_rejects_asymmetric_where_the_norm_overflows(self, scale):
+        # at 1e308 ||M||_F = 2.24e308 overflows; the asymmetry, 6.3e-4 of it,
+        # is judged over M's own scale and refused as at every other scale
+        m = scale * np.eye(5)
+        m[0, 1] = 1e-3 * scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="not symmetric: .* = 1.414e"):
+                SymmetricMatrix(m)
+
+    def test_guard_rejects_perturbed_decomposition_where_the_norm_overflows(self, monkeypatch):
+        # ||A||_F of 1e308 I_5 overflows, so a bound taken at A's scale would
+        # be inf and pass eigenvalues moved by 1e302
+        solve = symmat._eig_stack
+
+        def perturbed(stack):
+            lam, vec = solve(stack)
+            return lam * (1.0 + 1e-6), vec
+
+        monkeypatch.setattr(symmat, "_eig_stack", perturbed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EigensolverError, match=r"residual 2\.236e\+302 exceeds "
+                                                       r"tolerance 2\.236e\+300"):
+                spectral_decompose_stack(1e308 * np.eye(5)[None])
+            monkeypatch.setattr(symmat, "_eig_stack", solve)
+            lam, _ = spectral_decompose_stack(1e308 * np.eye(5)[None])
+        assert (lam == 1e308).all()
+
     def test_symmetrizes_near_the_float_limit(self):
         a = SymmetricMatrix([[1.0, 1e308], [1e308, 1.0]])
         np.testing.assert_array_equal(a.entries, [[1.0, 1e308], [1e308, 1.0]])
@@ -435,12 +465,12 @@ class TestFunctionalCalculus:
             clipped_affine_fn(1.0, 0.0, bound)
 
     def test_constant_declaration(self):
-        assert constant_fn(3.0).constant and constant_fn(3.0).constant_value() == 3.0
+        assert constant_fn(3.0).constant and constant_fn(3.0).constant_value == 3.0
         one = ScalarFunctionSpec(fn=lambda x: 0.0 * np.asarray(x, dtype=np.float64) + 1.0)
         for spec in (IDENTITY, one, clipped_affine_fn(1.0, -100.0, 1.0), clipped_sqrt_fn(2.0)):
             assert not spec.constant
             with pytest.raises(ValueError, match="not declared constant"):
-                spec.constant_value()
+                spec.constant_value
 
 
 class TestOrderPredicates:
