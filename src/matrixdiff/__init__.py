@@ -29,7 +29,6 @@ from .sde import (
     PicardDiagnostics,
     SdeModel,
     WallachSetWarning,
-    euler_solve,
     euler_solve_paths,
     in_wallach_set,
     picard_solve,

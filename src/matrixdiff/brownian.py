@@ -65,6 +65,8 @@ class TimeGrid:
 def _word(name: str, value) -> int:
     """`value` as a Philox key word, an integer in [0, 2^64) (bools refused), or
     one ValueError naming the key."""
+    if type(value) is int and 0 <= value < _KEY_LIMIT:  # the common key, tested first
+        return value
     if not isinstance(value, (bool, np.bool_)):
         try:
             word = operator.index(value)
@@ -140,8 +142,10 @@ def sample_path(grid: TimeGrid, dim: int, seed: int, path_index: int = 0) -> Bro
     if dim < 1:
         raise ValueError("dim must be a positive integer")
     seed, path_index = _word("seed", seed), _word("path_index", path_index)
-    increments = _stream(seed, path_index).standard_normal((grid.steps, dim, dim))
-    increments *= math.sqrt(grid.dt)
+    # numpy draws loc + scale * z, and -0.0 is the additive identity, so every
+    # entry has the bits of z * sqrt(dt), signed zeros included (+0.0 would
+    # turn an underflowed -0.0 into +0.0)
+    increments = _stream(seed, path_index).normal(-0.0, math.sqrt(grid.dt), (grid.steps, dim, dim))
     # normal draws times the root of a finite dt are finite, and the array is
     # this call's own: adopt it without the constructor's copy and check
     path = BrownianPath.__new__(BrownianPath)

@@ -42,7 +42,6 @@ __all__ = [
     "PathSolution",
     "ContractionFit",
     "PicardDiagnostics",
-    "euler_solve",
     "euler_solve_paths",
     "euler_final_states",
     "picard_solve",
@@ -209,11 +208,6 @@ def euler_solve_paths(model: SdeModel, paths: Sequence[BrownianPath]) -> list[Pa
     inc = np.stack([path.increments for path in paths], axis=1)
     states = np.stack(list(_euler(model, inc, grid.dt)), axis=1)  # (P, n + 1, d, d)
     return [PathSolution(grid, path_states) for path_states in states]
-
-
-def euler_solve(model: SdeModel, path: BrownianPath) -> PathSolution:
-    """Euler-Maruyama recursion over the whole path."""
-    return euler_solve_paths(model, [path])[0]
 
 
 def euler_final_states(model: SdeModel, grid: TimeGrid, increments: np.ndarray) -> np.ndarray:

@@ -23,7 +23,7 @@ from matrixdiff.checks import (
     mc_trace_moment,
 )
 from matrixdiff.integrals import MatrixProcess, ito_integral
-from matrixdiff.sde import euler_solve, picard_solve, wishart_model
+from matrixdiff.sde import euler_solve_paths, picard_solve, wishart_model
 from matrixdiff.symmat import SymmetricMatrix, matrix_sqrt, spectral_decompose
 from reference import entrywise_ito
 
@@ -166,9 +166,11 @@ def test_criterion_8_picard_euler_consistency():
     model = _contraction_model()
     grids = (64, 256, 1024)
     distances = {n: [] for n in grids}
-    for index in range(20):
-        fine = sample_path(TimeGrid(1.0, 1024), 2, seed=808, path_index=index)
-        reference = euler_solve(model, fine)
+    fines = [sample_path(TimeGrid(1.0, 1024), 2, seed=808, path_index=index)
+             for index in range(20)]
+    # one stacked Euler solve; each path's states have the bits of its solve alone
+    references = euler_solve_paths(model, fines)
+    for fine, reference in zip(fines, references):
         for n in grids:
             path = fine if n == 1024 else coarsen_path(fine, 1024 // n)
             solution, diag = picard_solve(model, path)

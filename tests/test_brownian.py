@@ -59,11 +59,10 @@ class TestSampling:
         # E[B_1(i,j)^2] = 1 for every entry, 3 SE band at 1e5 paths
         n_paths = 100_000
         grid = TimeGrid(1.0, 1)
-        acc = np.zeros((2, 2))
+        b1 = np.empty((n_paths, 2, 2))
         for i in range(n_paths):
-            b = sample_path(grid, 2, seed=12, path_index=i).increments[0]  # B_1
-            acc += b * b
-        mean_sq = acc / n_paths
+            b1[i] = sample_path(grid, 2, seed=12, path_index=i).increments[0]  # B_1
+        mean_sq = (b1 * b1).mean(axis=0)
         band = 3.0 * np.sqrt(2.0) / np.sqrt(n_paths)
         assert np.abs(mean_sq - 1.0).max() < band
 
@@ -97,6 +96,20 @@ def _fresh_increments(grid, dim, seed, index):
     return path_generator(seed, index).standard_normal((grid.steps, dim, dim)) * np.sqrt(grid.dt)
 
 
+class TestScaledDraw:
+    @pytest.mark.parametrize("scale", [1e-320, 5e-324, 0.3, 1.0])
+    def test_negative_zero_loc_keeps_the_scaled_bits(self, scale):
+        # sample_path draws normal(-0.0, sqrt(dt)), which numpy computes as
+        # -0.0 + sqrt(dt) * z: the bits of z * sqrt(dt), signed zeros included.
+        # At the two subnormal scales products underflow to zeros of both
+        # signs, and a +0.0 loc would turn each -0.0 into +0.0
+        drawn = np.random.Generator(np.random.Philox(key=[7, 3])).normal(-0.0, scale, 10 ** 5)
+        scaled = np.random.Generator(np.random.Philox(key=[7, 3])).standard_normal(10 ** 5) * scale
+        if scale < 1e-300:
+            assert np.signbit(scaled[scaled == 0.0]).any()
+        assert drawn.tobytes() == scaled.tobytes()
+
+
 class TestReKeyedStream:
     # interleaved keys, a repeated key, and the extreme keys 0, 2^63, 2^64 - 1
     KEYS = [(0, 0), (7, 3), (2 ** 63, 0), (7, 3), (2 ** 64 - 1, 2 ** 64 - 1),
@@ -104,12 +117,18 @@ class TestReKeyedStream:
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_equals_fresh_generator(self, dim):
-        # steps * dim^2 draws: 1, 5 and 7 steps leave Philox's 4-word buffer part used
-        for steps in (1, 5, 7, 16):
-            grid = TimeGrid(1.0, steps)
-            for seed, index in self.KEYS:
-                drawn = sample_path(grid, dim, seed, index).increments
-                assert drawn.tobytes() == _fresh_increments(grid, dim, seed, index).tobytes()
+        # steps * dim^2 draws: 1, 5 and 7 steps leave Philox's 4-word buffer
+        # part used; at horizons 0.3 and 2.5 sqrt(dt) is inexact
+        for horizon in (1.0, 0.3, 2.5):
+            for steps in (1, 5, 7, 16):
+                grid = TimeGrid(horizon, steps)
+                for seed, index in self.KEYS:
+                    drawn = sample_path(grid, dim, seed, index).increments
+                    assert drawn.tobytes() == _fresh_increments(grid, dim, seed, index).tobytes()
+                # numpy integer keys take the general key check: the same stream
+                drawn = sample_path(grid, dim, np.uint64(2 ** 64 - 1), np.int64(7)).increments
+                assert drawn.tobytes() == sample_path(grid, dim, 2 ** 64 - 1, 7).increments.tobytes()
+                assert drawn.tobytes() == _fresh_increments(grid, dim, 2 ** 64 - 1, 7).tobytes()
 
     def test_after_a_partly_consumed_stream(self):
         grid = TimeGrid(1.0, 3)
@@ -119,7 +138,7 @@ class TestReKeyedStream:
             drawn = sample_path(grid, 2, 11, 12).increments
             assert drawn.tobytes() == _fresh_increments(grid, 2, 11, 12).tobytes()
 
-    @pytest.mark.parametrize("bad", [1.5, True, -1, 2 ** 64])
+    @pytest.mark.parametrize("bad", [1.5, True, -1, 2 ** 64, np.True_, np.float64(3.0)])
     def test_refused_keys_leave_no_trace(self, bad):
         # a refusal happens before the thread's key list is written, so the
         # next path is still exactly its fresh stream

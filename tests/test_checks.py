@@ -17,7 +17,7 @@ from matrixdiff.checks import (
     random_unit_stack,
     run_inequality_suite,
 )
-from matrixdiff.sde import SdeModel, euler_solve, wishart_model
+from matrixdiff.sde import SdeModel, euler_solve_paths, wishart_model
 from matrixdiff.symmat import (
     SymmetricMatrix,
     clipped_affine_fn,
@@ -302,8 +302,8 @@ class TestBlockSizeIndependence:
         monkeypatch.setattr(checks, "_PATH_BLOCK", 7)
         grid, paths = TimeGrid(1.0, 8), 20
         model = wishart_model(2, 3.0, x0=SymmetricMatrix.identity(2))
-        traces = np.array([np.trace(euler_solve(model, sample_path(grid, 2, 43, i)).states[-1])
-                           for i in range(paths)])
+        alone = [euler_solve_paths(model, [sample_path(grid, 2, 43, i)])[0] for i in range(paths)]
+        traces = np.array([np.trace(solution.states[-1]) for solution in alone])
         expected = checks._three_se_report("trace_moment", traces, "expected", 8.0, 43)
         assert mc_trace_moment(model, paths, grid, seed=43).to_dict() == expected.to_dict()
 

@@ -16,7 +16,6 @@ from matrixdiff.sde import (
     _lift_gfb,
     default_test_vectors,
     euler_final_states,
-    euler_solve,
     euler_solve_paths,
     fit_contraction_rate,
     in_wallach_set,
@@ -195,6 +194,11 @@ class TestScalarConstants:
                 nxt += model.x0.entries
                 prev = nxt
             assert sol.states.tobytes() == prev.tobytes()
+
+
+def euler_solve(model, path):
+    """The Euler solution of one path: `euler_solve_paths` on a one-path list."""
+    return euler_solve_paths(model, [path])[0]
 
 
 def one_step(model, db, dt):
