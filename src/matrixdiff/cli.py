@@ -21,6 +21,7 @@ configuration.  Output is deterministic byte for byte under a fixed seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -213,8 +214,9 @@ def _cell(value) -> str:
 
 
 def _render(fmt: str, columns: list, rows, json_doc) -> str:
-    """`columns` and `rows` as CSV, or `json_doc` as strict indented JSON.  Only
-    the format written reads `rows`, a generator that `json_doc` may hold."""
+    """`columns` and `rows` as CSV, or `json_doc` as strict indented JSON: the
+    report tables and Picard's distances (states CSV has its own row format).
+    Only the format written reads `rows`, a generator that `json_doc` may hold."""
     if fmt == "csv":
         lines = [",".join(columns)]
         lines += [",".join(_cell(v) for v in row) for row in rows]
@@ -239,7 +241,11 @@ def _states_text(solutions, grid: TimeGrid, dim: int, fmt: str) -> str:
     rows = (([index] if with_path else []) + [t] + vals
             for index, sol in enumerate(solutions)
             for t, vals in zip(times, sol.states[:, iu[0], iu[1]].tolist()))
-    return _render(fmt, columns, rows, {"columns": columns, "rows": rows})
+    if fmt == "json":
+        return _render(fmt, columns, rows, {"columns": columns, "rows": rows})
+    # one format string per row: '%.17g' % x is _cell(x) for every float x
+    row = ",".join((["%d"] if with_path else []) + ["%.17g"] * (len(columns) - with_path))
+    return "\n".join([",".join(columns)] + [row % tuple(cells) for cells in rows]) + "\n"
 
 
 def _converged(model: SdeModel, path, index: int):
@@ -355,6 +361,7 @@ _CONFIG_ONLY_KEYS = frozenset(
        for name in ["kind", *(name for _, params in _COEFFICIENT_KINDS.values() for name in params)]])
 
 
+@functools.cache  # parsing keeps no state in the parser, so one serves every call
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="matrixdiff",

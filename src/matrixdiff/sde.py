@@ -141,8 +141,11 @@ def _planes(a):
 
 def _times_2x2(a, b):
     """The product of two d = 2 operands given as `_planes`, as planes: a float
-    scales the other operand's planes, and two matrices multiply entry by entry
-    as a_i0 b_0j + a_i1 b_1j, in plain IEEE arithmetic."""
+    scales the other operand's planes, which 1.0 returns as they are (v * 1.0 is
+    v, bit for bit), and two matrices multiply entry by entry as
+    a_i0 b_0j + a_i1 b_1j, in plain IEEE arithmetic."""
+    if a == 1.0 or b == 1.0:  # planes never equal a float
+        return b if a == 1.0 else a
     if isinstance(a, float):
         return tuple(tuple(v * a for v in row) for row in b)
     if isinstance(b, float):
@@ -283,8 +286,9 @@ def picard_solve(model: SdeModel, path: BrownianPath, max_iter: int = 25,
         np.cumsum(steps, axis=0, out=nxt[1:])
         nxt += x0
 
-        diff = nxt - prev
-        d_iter = float(np.abs(((diff @ tv.T) * tv.T).sum(axis=1)).max())
+        # x^T (X_new - X_old) x of every state and test vector, as one stacked product
+        quad = ((nxt - prev).reshape(-1, d) @ tv.T).reshape(n + 1, d, -1) * tv.T
+        d_iter = float(np.abs(quad.sum(axis=1)).max())
         if not math.isfinite(d_iter):  # an overflow decides nothing; stop before max_iter
             raise ValueError(f"Picard iterate {len(distances) + 1} is not finite")
         distances.append(d_iter)

@@ -271,7 +271,10 @@ def _eigvals_2x2(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     half_gap = 0.5 * a - 0.5 * c
     mid = 0.5 * a + 0.5 * c
     radius = np.hypot(half_gap, b)
-    return np.stack([mid - radius, mid + radius], axis=1), half_gap
+    lam = np.empty((len(stack), 2))
+    np.subtract(mid, radius, out=lam[:, 0])
+    np.add(mid, radius, out=lam[:, 1])
+    return lam, half_gap
 
 
 def _eig_stack(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,5 +1,7 @@
 """Naive reference implementations used as independent oracles in tests."""
 
+import math
+
 import numpy as np
 
 JACOBI_MAX_SWEEPS = 50
@@ -225,6 +227,18 @@ def _lift_reference(lam, vec, fn):
     return out
 
 
+def _increment_reference(g, f, b, x, db, dt):
+    """g dB f + (g dB f)^T + b dt of one state x (nested lists) and increment
+    dB, its coefficients lifted through the eigenpairs of `jacobi_stack`."""
+    d = len(x)
+    lam, vec = jacobi_stack(np.array([x]))
+    gx, fx, bx = (_lift_reference(lam[0], vec[0], fn) for fn in (g, f, b))
+    gdb = [[sum(gx[i][k] * float(db[k, j]) for k in range(d)) for j in range(d)]
+           for i in range(d)]
+    m = [[sum(gdb[i][k] * fx[k][j] for k in range(d)) for j in range(d)] for i in range(d)]
+    return [[(m[i][j] + m[j][i]) + bx[i][j] * dt for j in range(d)] for i in range(d)]
+
+
 def euler_reference(g, f, b, x0, increments, dt):
     """Euler states X_0, ..., X_n of dX = g dB f + f dB^T g + b dt, one step of
     one matrix at a time in plain loops.
@@ -233,19 +247,57 @@ def euler_reference(g, f, b, x0, increments, dt):
     eigenpairs of `jacobi_stack`; `x0` is a (d, d) start and `increments` the
     (n, d, d) Brownian increments of one path.  Returns an (n + 1, d, d) array.
     """
-    x = [[float(v) for v in row] for row in np.asarray(x0, dtype=np.float64)]
+    x = _matrix(x0)
     d = len(x)
     states = [x]
     for db in np.asarray(increments, dtype=np.float64):
-        lam, vec = jacobi_stack(np.array([x]))
-        gx, fx, bx = (_lift_reference(lam[0], vec[0], fn) for fn in (g, f, b))
-        gdb = [[sum(gx[i][k] * float(db[k, j]) for k in range(d)) for j in range(d)]
-               for i in range(d)]
-        m = [[sum(gdb[i][k] * fx[k][j] for k in range(d)) for j in range(d)] for i in range(d)]
-        nxt = [[0.0] * d for _ in range(d)]
-        for i in range(d):
-            for j in range(i, d):
-                nxt[i][j] = nxt[j][i] = x[i][j] + (m[i][j] + m[j][i]) + bx[i][j] * dt
-        x = nxt
+        inc = _increment_reference(g, f, b, x, db, dt)
+        x = [[x[i][j] + inc[i][j] for j in range(d)] for i in range(d)]
         states.append(x)
     return np.array(states)
+
+
+def _test_vectors(d):
+    """e_1, ..., e_d, then 8 standard normal draws of seed 0, each over its length."""
+    vectors = [[float(i == j) for j in range(d)] for i in range(d)]
+    for row in np.random.default_rng(0).standard_normal((8, d)):
+        length = math.sqrt(sum(float(v) * float(v) for v in row))
+        vectors.append([float(v) / length for v in row])
+    return vectors
+
+
+def picard_reference(g, f, b, x0, increments, dt, max_iter, stop_tol):
+    """Picard sweeps for dX = g dB f + f dB^T g + b dt on one path, one matrix
+    at a time in plain loops.
+
+    From the constant path x0, each sweep rebuilds the path from the last
+    iterate X as Y_0 = x0 and Y_j = x0 + the sum over i < j of the increment
+    `_increment_reference` takes at X_i with the i-th Brownian increment.  Its
+    distance is the largest |x^T (Y_j - X_j) x| over grid times j and test
+    vectors x: the canonical basis and 8 unit vectors drawn by seed 0.  Sweeps
+    stop after the first distance below `stop_tol`, or after `max_iter`.
+
+    Returns (iterates, distances): each sweep's (n + 1, d, d) states and its
+    distance, in sweep order.
+    """
+    x0 = _matrix(x0)
+    d = len(x0)
+    vectors = _test_vectors(d)
+    increments = np.asarray(increments, dtype=np.float64)
+    prev = [x0] * (len(increments) + 1)
+    iterates, distances = [], []
+    while len(distances) < max_iter:
+        running = [[0.0] * d for _ in range(d)]
+        nxt = [x0]
+        for x, db in zip(prev, increments):
+            inc = _increment_reference(g, f, b, x, db, dt)
+            running = [[running[i][j] + inc[i][j] for j in range(d)] for i in range(d)]
+            nxt.append([[running[i][j] + x0[i][j] for j in range(d)] for i in range(d)])
+        distances.append(max(
+            abs(sum(v[i] * (new[i][j] - old[i][j]) * v[j] for i in range(d) for j in range(d)))
+            for new, old in zip(nxt, prev) for v in vectors))
+        iterates.append(np.array(nxt))
+        prev = nxt
+        if distances[-1] < stop_tol:
+            break
+    return iterates, distances

@@ -9,7 +9,10 @@ import numpy as np
 import pytest
 
 import matrixdiff
+from matrixdiff import cli
+from matrixdiff.brownian import TimeGrid
 from matrixdiff.cli import SUBCOMMANDS, run_cli
+from matrixdiff.sde import PathSolution
 
 
 def run_to_file(tmp_path, name, argv):
@@ -502,3 +505,85 @@ def _overflow_argv(tmp_path):
     })
     return ["simulate", "--dim", "2", "--steps", "8", "--seed", "1", "--format", "json",
             "--config", str(cfg)]
+
+
+# Doubles whose shortest spelling needs fewer than 17 digits, or an exponent:
+# a negative zero, the least subnormal, the largest double, a tiny negative, an
+# integral 16 (printed 16) and 0.1.
+_CSV_VALUES = [-0.0, 5e-324, 1.7976931348623157e308, -1e-300, 16.0, 0.1]
+
+
+def _cell_rows(solutions, grid, dim):
+    """The CSV rows of states, one `_cell` per value."""
+    with_path = len(solutions) > 1
+    rows = []
+    for index, sol in enumerate(solutions):
+        for t, state in zip(grid.times.tolist(), sol.states):
+            cells = ([index] if with_path else []) + [t]
+            cells += [float(state[i, j]) for i in range(dim) for j in range(i, dim)]
+            rows.append(",".join(cli._cell(value) for value in cells))
+    return rows
+
+
+class TestStatesCsv:
+    @pytest.mark.parametrize("paths", [1, 3])
+    def test_rows_are_the_cell_rendering(self, paths):
+        grid = TimeGrid(0.3, 2)
+        solutions = []
+        for index in range(paths):
+            # each value on and off the diagonal, in another place on each path
+            values = np.roll(_CSV_VALUES * 2, index)[:3 * (grid.steps + 1)].reshape(-1, 3)
+            states = np.array([[[a, b], [b, c]] for a, b, c in values])
+            solutions.append(PathSolution(grid, states))
+        header = ("path," if paths > 1 else "") + "t,x_1_1,x_1_2,x_2_2"
+        text = cli._states_text(solutions, grid, 2, "csv")
+        assert text == "\n".join([header] + _cell_rows(solutions, grid, 2)) + "\n"
+        cells = set(",".join(text.splitlines()[1:]).split(","))
+        assert {cli._cell(value) for value in _CSV_VALUES} <= cells and "16" in cells
+
+
+def _stdout(capsys, argv):
+    code = run_cli(argv)
+    return code, capsys.readouterr().out
+
+
+def _fresh_process(argv):
+    src = os.path.dirname(os.path.dirname(matrixdiff.__file__))
+    env = {key: value for key, value in os.environ.items() if key != "MATRIXDIFF_SEED"}
+    done = subprocess.run([sys.executable, "-m", "matrixdiff.cli", *argv], capture_output=True,
+                          text=True, env=dict(env, PYTHONPATH=src), timeout=120)
+    return done.returncode, done.stdout
+
+
+class TestOneParserPerProcess:
+    """The parser is built once per process; no call's flags reach the next."""
+
+    SIMULATE = ["simulate", "--dim", "2", "--steps", "4", "--paths", "2"]
+
+    def test_seed_of_one_call_does_not_stay(self, capsys, monkeypatch):
+        monkeypatch.delenv("MATRIXDIFF_SEED", raising=False)
+        seeded = _stdout(capsys, self.SIMULATE + ["--seed", "5"])
+        default = _stdout(capsys, self.SIMULATE)
+        assert default == _stdout(capsys, self.SIMULATE + ["--seed", str(cli.DEFAULT_SEED)])
+        assert default != seeded
+        monkeypatch.setenv("MATRIXDIFF_SEED", "7")
+        _stdout(capsys, self.SIMULATE + ["--seed", "5"])
+        assert _stdout(capsys, self.SIMULATE) == _stdout(capsys, self.SIMULATE + ["--seed", "7"])
+
+    def test_refused_flag_and_help_leave_the_parser_as_it_was(self, capsys):
+        argv = self.SIMULATE + ["--seed", "3"]
+        before = _stdout(capsys, argv)
+        assert before[0] == 0
+        assert run_cli(argv + ["--no-such-flag", "1"]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert _stdout(capsys, argv) == before
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["simulate", "--help"])
+        assert exc.value.code == 0 and "--method" in capsys.readouterr().out
+        assert _stdout(capsys, argv) == before
+
+    def test_back_to_back_subcommands_match_fresh_processes(self, capsys):
+        argvs = [self.SIMULATE + ["--format", "json", "--seed", "4"],
+                 ["picard-convergence", "--steps", "8", "--format", "csv", "--seed", "4"]]
+        in_process = [_stdout(capsys, argv) for argv in argvs]
+        assert in_process == [_fresh_process(argv) for argv in argvs]

@@ -1,7 +1,9 @@
 """Fast kernels against slow twins from `reference.py`, checked by property.
 
 * Euler and Picard solves agree with `euler_reference` at 1e-12 relative, at
-  d = 1, 2, 3, 5, with constant and state-dependent coefficients.
+  d = 1, 2, 3, 5, with constant and state-dependent coefficients, and every
+  Picard sweep, converged or cut short, with `picard_reference`: its distance,
+  its iterate and the sweep count.
 * At d = 2 one Euler step, `_advance`, has the bits of the step written with
   plain-loop products, whatever the stack around a matrix.
 * `spectral_decompose_stack` raises exactly when a reconstruction check built
@@ -65,6 +67,7 @@ from reference import (
     isometry_rhs_reference,
     isometry_row,
     lemma_forms,
+    picard_reference,
     prop_cauchy_violation,
     product_2x2,
 )
@@ -111,6 +114,29 @@ def test_solvers_match_the_reference(d, kind):
         assert diag.converged
         for states in (solution.states, picard.states, final[None]):
             assert np.abs(states - expected[-len(states):]).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("kind", ["wishart", "state-dependent", "constant"])
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_picard_sweeps_match_the_reference(d, kind):
+    model, coefficients = _models(d)[kind]
+    grid = TimeGrid(0.25, 6)
+    path = sample_path(grid, d, seed=63, path_index=0)
+    # sweep n + 1 repeats sweep n, the Euler path, so a distance of exactly 0 ends the sweeps
+    iterates, distances = picard_reference(*coefficients, model.x0.entries, path.increments,
+                                           grid.dt, max_iter=grid.steps + 2, stop_tol=1e-300)
+    tol = 1e-12 * np.abs(iterates[-1]).max()
+    assert distances[-1] == 0.0
+    # no distance is within the tolerance of stop_tol, so both stop after the same sweep
+    stop_tol = 1e-10
+    assert all(abs(value - stop_tol) > tol for value in distances)
+    for max_iter in (2, 3, 25):  # cut short, then to convergence
+        kept = next((k for k, value in enumerate(distances[:max_iter], start=1)
+                     if value < stop_tol), max_iter)
+        solution, diag = picard_solve(model, path, max_iter=max_iter, stop_tol=stop_tol)
+        assert (diag.iterates_kept, diag.converged) == (kept, distances[kept - 1] < stop_tol)
+        assert np.abs(diag.d_n - distances[:kept]).max() <= tol
+        assert np.abs(solution.states - iterates[kept - 1]).max() <= tol
 
 
 def _plain_step(lifts, x, db, dt):
