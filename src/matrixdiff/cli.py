@@ -243,9 +243,15 @@ def _states_text(solutions, grid: TimeGrid, dim: int, fmt: str) -> str:
             for t, vals in zip(times, sol.states[:, iu[0], iu[1]].tolist()))
     if fmt == "json":
         return _render(fmt, columns, rows, {"columns": columns, "rows": rows})
-    # one format string per row: '%.17g' % x is _cell(x) for every float x
-    row = ",".join((["%d"] if with_path else []) + ["%.17g"] * (len(columns) - with_path))
-    return "\n".join([",".join(columns)] + [row % tuple(cells) for cells in rows]) + "\n"
+    # one format string per path, over its rows' cells: '%.17g' % x is _cell(x)
+    # for every float x
+    row = ",".join(["%.17g"] * (1 + iu[0].size))
+    text = [",".join(columns)]
+    for index, sol in enumerate(solutions):
+        cells = np.column_stack([grid.times, sol.states[:, iu[0], iu[1]]])
+        path_rows = "\n".join([f"{index},{row}" if with_path else row] * len(cells))
+        text.append(path_rows % tuple(cells.ravel().tolist()))
+    return "\n".join(text) + "\n"
 
 
 def _converged(model: SdeModel, path, index: int):

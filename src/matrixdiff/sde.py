@@ -14,6 +14,7 @@ callers can see how far a discretized path strays outside the cone.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from collections import deque
@@ -144,13 +145,14 @@ def _times_2x2(a, b):
     scales the other operand's planes, which 1.0 returns as they are (v * 1.0 is
     v, bit for bit), and two matrices multiply entry by entry as
     a_i0 b_0j + a_i1 b_1j, in plain IEEE arithmetic."""
-    if a == 1.0 or b == 1.0:  # planes never equal a float
-        return b if a == 1.0 else a
     if isinstance(a, float):
-        return tuple(tuple(v * a for v in row) for row in b)
+        return b if a == 1.0 else tuple(tuple(v * a for v in row) for row in b)
     if isinstance(b, float):
-        return tuple(tuple(v * b for v in row) for row in a)
-    return tuple(tuple(a[i][0] * b[0][j] + a[i][1] * b[1][j] for j in (0, 1)) for i in (0, 1))
+        return a if b == 1.0 else tuple(tuple(v * b for v in row) for row in a)
+    (a00, a01), (a10, a11) = a
+    (b00, b01), (b10, b11) = b
+    return ((a00 * b00 + a01 * b10, a00 * b01 + a01 * b11),
+            (a10 * b00 + a11 * b10, a10 * b01 + a11 * b11))
 
 
 def _increment(g_x, f_x, b_x, db: np.ndarray, dt: float) -> np.ndarray:
@@ -165,16 +167,18 @@ def _increment(g_x, f_x, b_x, db: np.ndarray, dt: float) -> np.ndarray:
     neither the BLAS kernel nor the stack size; d >= 3 multiplies with `@`.
     """
     if db.shape[-1] == 2:
-        m = _times_2x2(_times_2x2(_planes(g_x), _planes(db)), _planes(f_x))
-        drift = b_x * dt
+        (m00, m01), (m10, m11) = _times_2x2(_times_2x2(_planes(g_x), _planes(db)), _planes(f_x))
         inc = np.empty(db.shape)
-        for i, j in ((0, 0), (0, 1), (1, 1)):
-            entry = m[i][j] + m[j][i]
-            if not isinstance(drift, float):
-                entry += drift[:, i, j]
-            elif i == j:
-                entry += drift
-            inc[:, i, j] = inc[:, j, i] = entry
+        np.add(m00, m00, out=inc[:, 0, 0])
+        np.add(m01, m10, out=inc[:, 0, 1])
+        np.add(m11, m11, out=inc[:, 1, 1])
+        inc[:, 1, 0] = inc[:, 0, 1]
+        drift = b_x * dt
+        if isinstance(drift, float):  # the diagonal alone, so an off-diagonal -0.0 stays
+            inc[:, 0, 0] += drift
+            inc[:, 1, 1] += drift
+        else:  # an exactly symmetric lift
+            inc += drift
         return inc
     g_db = db * g_x if isinstance(g_x, float) else g_x @ db
     m = g_db * f_x if isinstance(f_x, float) else g_db @ f_x
@@ -227,10 +231,14 @@ def euler_final_states(model: SdeModel, grid: TimeGrid, increments: np.ndarray) 
     return deque(_euler(model, inc, grid.dt), maxlen=1).pop()
 
 
+@functools.cache
 def default_test_vectors(d: int) -> np.ndarray:
-    """Canonical basis plus 8 random unit vectors, fixed by seed 0."""
+    """Canonical basis plus 8 random unit vectors, fixed by seed 0: one
+    read-only (d + 8, d) array per dimension, built on the first call."""
     raw = np.random.default_rng(0).standard_normal((8, d))
-    return np.vstack([np.eye(d), raw / np.linalg.norm(raw, axis=1, keepdims=True)])
+    tv = np.vstack([np.eye(d), raw / np.linalg.norm(raw, axis=1, keepdims=True)])
+    tv.setflags(write=False)
+    return tv
 
 
 def fit_contraction_rate(d_n: Sequence[float], horizon: float) -> Optional[ContractionFit]:
@@ -286,9 +294,13 @@ def picard_solve(model: SdeModel, path: BrownianPath, max_iter: int = 25,
         np.cumsum(steps, axis=0, out=nxt[1:])
         nxt += x0
 
-        # x^T (X_new - X_old) x of every state and test vector, as one stacked product
-        quad = ((nxt - prev).reshape(-1, d) @ tv.T).reshape(n + 1, d, -1) * tv.T
-        d_iter = float(np.abs(quad.sum(axis=1)).max())
+        # x^T (X_new - X_old) x of every state and test vector: the stacked
+        # product (X_new - X_old) x, then x_i times its entry i, summed over i in order
+        diff_x = ((nxt - prev).reshape(-1, d) @ tv.T).reshape(n + 1, d, -1)
+        form = diff_x[:, 0] * tv[:, 0]
+        for i in range(1, d):
+            form += diff_x[:, i] * tv[:, i]
+        d_iter = float(np.abs(form).max())
         if not math.isfinite(d_iter):  # an overflow decides nothing; stop before max_iter
             raise ValueError(f"Picard iterate {len(distances) + 1} is not finite")
         distances.append(d_iter)

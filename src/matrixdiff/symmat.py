@@ -267,10 +267,10 @@ def _lift(vec: np.ndarray, vals: np.ndarray) -> np.ndarray:
 def _eigvals_2x2(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues mid -+ hypot((a - c)/2, b) of a d = 2 stack, and
     (a - c)/2, halved before subtracting so that it stays finite."""
-    a, b, c = stack[:, 0, 0], stack[:, 0, 1], stack[:, 1, 1]
-    half_gap = 0.5 * a - 0.5 * c
-    mid = 0.5 * a + 0.5 * c
-    radius = np.hypot(half_gap, b)
+    half_a, half_c = 0.5 * stack[:, 0, 0], 0.5 * stack[:, 1, 1]
+    half_gap = half_a - half_c
+    mid = half_a + half_c
+    radius = np.hypot(half_gap, stack[:, 0, 1])
     lam = np.empty((len(stack), 2))
     np.subtract(mid, radius, out=lam[:, 0])
     np.add(mid, radius, out=lam[:, 1])

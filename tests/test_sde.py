@@ -481,6 +481,31 @@ class TestPicard:
         np.testing.assert_array_equal(tv[:3], np.eye(3))
         np.testing.assert_allclose(np.linalg.norm(tv, axis=1), np.ones(11), atol=1e-12)
         np.testing.assert_array_equal(tv, default_test_vectors(3))
+        # built once per dimension: every call returns the same read-only array
+        assert default_test_vectors(3) is tv
+        assert not tv.flags.writeable
+        with pytest.raises(ValueError):
+            tv[0, 0] = 2.0
+        raw = np.random.default_rng(0).standard_normal((8, 3))
+        seeded = np.vstack([np.eye(3), raw / np.linalg.norm(raw, axis=1, keepdims=True)])
+        assert tv.tobytes() == seeded.tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
+    def test_sweep_distance_keeps_the_stacked_sum_bits(self, d):
+        # the k-th distance, from the iterates after k - 1 and k sweeps, equals
+        # the sum over the length-d axis that numpy takes in one reduction
+        model = wishart_model(d, float(d), x0=SymmetricMatrix(16.0 * np.eye(d)),
+                              sqrt_clip_bound=10.0)
+        path = sample_path(TimeGrid(1.0, 64), d, seed=4)
+        tv = default_test_vectors(d)
+        before, _ = picard_solve(model, path, max_iter=1)
+        for k in range(2, 7):
+            after, diag = picard_solve(model, path, max_iter=k)
+            assert not diag.converged and diag.iterates_kept == k
+            diff = after.states - before.states
+            quad = (diff.reshape(-1, d) @ tv.T).reshape(len(diff), d, -1) * tv.T
+            assert diag.d_n[k - 1] == float(np.abs(quad.sum(axis=1)).max()), k
+            before = after
 
 
 class TestRateFit:
