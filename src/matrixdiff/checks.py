@@ -70,6 +70,8 @@ def random_symmetric_stack(rng: np.random.Generator, count: int, d: int) -> np.n
     upper *= np.where(rows == cols, 1.0, np.sqrt(0.5))
     position = np.empty((d, d), dtype=np.intp)
     position[rows, cols] = position[cols, rows] = np.arange(rows.size)
+    # C-ordered, which `check_inq2`'s BLAS products take their bits from;
+    # the faster gather `upper[:, position]` gives F-ordered strides
     return np.take(upper, position, axis=1)
 
 
@@ -138,8 +140,17 @@ def _cauchy_steps(rng: np.random.Generator, count: int, n: int, d: int):
     x = random_unit_stack(rng, count, d)
     zw = rng.standard_normal((count, n, d + 1))
     ax = zw[..., 1:]  # sqrt(1/2) w_k, then A_k x, in place
-    ax *= np.sqrt(0.5)
-    ax += (zw[..., :1] - ax @ x[:, :, None]) * x[:, None, :]
+    # each entry gets the operations of `ax *= sqrt(1/2)` and then of the
+    # (count, n, d) broadcast `ax += (z - ax @ x) x`, in that order, so the same
+    # bits, but over the whole contiguous draw and then one entry plane at a
+    # time, not in inner loops of length d; z_k is copied out before zw is
+    # scaled, and the scaled z_k is never read
+    along = zw[..., 0].copy()
+    zw *= np.sqrt(0.5)
+    along -= (ax @ x[:, :, None])[..., 0]
+    step = np.empty_like(along)
+    for i in range(d):
+        zw[..., 1 + i] += np.multiply(along, x[:, None, i], out=step)
     return x, ax
 
 

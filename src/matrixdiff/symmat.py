@@ -187,7 +187,7 @@ class ScalarFunctionSpec:
         out = np.asarray(self.fn(lam), dtype=np.float64)
         if out.shape != lam.shape:
             raise ValueError("scalar function must evaluate elementwise")
-        if not np.isfinite(out).all():
+        if np.count_nonzero(np.isfinite(out)) != out.size:
             raise DomainPolicyError(f"scalar function {self.name or self.fn!r} returned non-finite values")
         return out
 
@@ -327,7 +327,7 @@ def _reconstruction_check(stack: np.ndarray, lam: np.ndarray, vec: np.ndarray):
 def _finite(stack) -> np.ndarray:
     """`stack` as a float array, or `EigensolverError` if an entry is not finite."""
     stack = np.asarray(stack, dtype=np.float64)
-    if not np.isfinite(stack).all():
+    if np.count_nonzero(np.isfinite(stack)) != stack.size:
         raise EigensolverError("cannot decompose a matrix with non-finite entries")
     return stack
 
@@ -348,11 +348,11 @@ def spectral_decompose_stack(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     unsure = slice(None)
     if stack.shape[-1] == 2:
         fits = _reconstructs_2x2(stack, lam, vec)
-        if fits.all():
+        if np.count_nonzero(fits) == fits.size:
             return lam, vec
         unsure = ~fits
     *_, fits = _reconstruction_check(stack[unsure], lam[unsure], vec[unsure])
-    if not fits.all():
+    if np.count_nonzero(fits) != fits.size:
         resid, bound, _ = _reconstruction_check(stack, lam, vec)
         raise EigensolverError(
             f"eigendecomposition reconstruction residual {float(resid.max()):.3e} "
@@ -401,7 +401,7 @@ def min_eigenvalues_stack(stack: np.ndarray) -> np.ndarray:
         square_gap = np.abs(np.einsum("mi,mi->m", mu, mu) - sumsq) / (norm * norm)
         ok = (trace_gap <= RECONSTRUCTION_RTOL) & (square_gap <= RECONSTRUCTION_RTOL) \
             & (mu[:, 1:] >= mu[:, :-1]).all(axis=1)
-    if not ok.all():
+    if np.count_nonzero(ok) != ok.size:
         raise EigensolverError(f"eigenvalues of {int((~ok).sum())} of {ok.size} matrices are not "
                                "sorted, or miss tr A or ||A||_F^2")
     return lam[:, 0]

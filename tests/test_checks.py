@@ -84,6 +84,28 @@ class TestSamplers:
         twin.standard_normal(count * d + count * n * (d + 1))
         assert rng.standard_normal(4).tobytes() == twin.standard_normal(4).tobytes()
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 13, 31])
+    @pytest.mark.parametrize("count, n", [(1, 1), (7, 3), (5, 32), (1024, 32)])
+    def test_cauchy_steps_keep_the_broadcast_bits(self, count, n, d):
+        # the draw completed with one (count, n, d) broadcast, from a twin generator
+        x, ax = checks._cauchy_steps(np.random.default_rng(37), count, n, d)
+        twin = np.random.default_rng(37)
+        ref_x = random_unit_stack(twin, count, d)
+        zw = twin.standard_normal((count, n, d + 1))
+        ref_ax = zw[..., 1:]
+        ref_ax *= np.sqrt(0.5)
+        ref_ax += (zw[..., :1] - ref_ax @ ref_x[:, :, None]) * ref_x[:, None, :]
+        assert x.tobytes() == ref_x.tobytes()
+        assert ax.tobytes() == ref_ax.tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
+    def test_symmetric_stack_is_c_contiguous(self, d):
+        # check_inq2's BLAS products take their bits from this layout: a fancy-index
+        # gather `upper[:, position]` returns F-ordered strides and moved verify's bytes
+        stack = random_symmetric_stack(np.random.default_rng(41), 6, d)
+        assert stack.shape == (6, d, d)
+        assert stack.flags.c_contiguous
+
     def test_psd_stack(self):
         stack = random_psd_stack(np.random.default_rng(0), 10, 4)
         assert (np.linalg.eigvalsh(stack) > -1e-12).all()
