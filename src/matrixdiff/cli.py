@@ -26,12 +26,13 @@ import json
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
 from .brownian import TimeGrid, sample_path
 from .checks import mc_isometry, mc_trace_moment, run_inequality_suite
-from .sde import SdeModel, euler_solve_paths, picard_solve, wishart_model
+from .sde import SdeModel, WallachSetWarning, euler_solve_paths, picard_solve, wishart_model
 from .symmat import (
     EigensolverError,
     ScalarFunctionSpec,
@@ -392,13 +393,19 @@ def run_cli(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         config = _load_config(args.config)
         run, _, declared = SUBCOMMANDS[args.command]
-        # states that overflow are reported once, by the guard, not by numpy too
-        with np.errstate(over="ignore", invalid="ignore"):
-            return run(_settings(declared, args, config), config)
+        # states that overflow are reported once, by the guard, not by numpy too;
+        # a Wallach warning is recorded on every run, not on a process's first alone
+        with np.errstate(over="ignore", invalid="ignore"), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", WallachSetWarning)
+            code = run(_settings(declared, args, config), config)
     except (ConfigError, ValueError, EigensolverError, MemoryError) as exc:
         # a newline in a quoted value (a path, an argv word) stays on the one line
         sys.stderr.write("error: " + str(exc).replace("\n", "\\n") + "\n")
         return 2
+    for warning in caught:
+        sys.stderr.write(f"warning: {warning.message}\n")
+    return code
 
 
 def main() -> None:

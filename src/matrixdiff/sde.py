@@ -28,6 +28,7 @@ from .brownian import BrownianPath, TimeGrid
 from .symmat import (
     ScalarFunctionSpec,
     SymmetricMatrix,
+    _empty_2x2,
     _lift,
     _unit,
     clipped_sqrt_fn,
@@ -164,11 +165,12 @@ def _increment(g_x, f_x, b_x, db: np.ndarray, dt: float) -> np.ndarray:
     products with c * I, whose other terms are exact zeros, up to the sign of
     a zero.  At d = 2 the increment is written out on the entry planes, as
     `_lift` is, so its products are plain IEEE arithmetic, whose bits depend on
-    neither the BLAS kernel nor the stack size; d >= 3 multiplies with `@`.
+    neither the BLAS kernel nor the stack size, into a stack of `_empty_2x2`;
+    d >= 3 multiplies with `@`.
     """
     if db.shape[-1] == 2:
         (m00, m01), (m10, m11) = _times_2x2(_times_2x2(_planes(g_x), _planes(db)), _planes(f_x))
-        inc = np.empty(db.shape)
+        inc = _empty_2x2(db.shape[0])
         np.add(m00, m00, out=inc[:, 0, 0])
         np.add(m01, m10, out=inc[:, 0, 1])
         np.add(m11, m11, out=inc[:, 1, 1])
@@ -222,7 +224,8 @@ def euler_final_states(model: SdeModel, grid: TimeGrid, increments: np.ndarray) 
 
     `increments` are step-major, (grid.steps, P, d, d) with d the model's
     dimension, and any other shape raises `ValueError`.  Each path's final
-    state has the bits of the path stepped alone.
+    state has the bits of the path stepped alone.  No memory layout is
+    promised: at d = 2 the (P, d, d) result is laid out plane by plane.
     """
     inc = np.asarray(increments, dtype=np.float64)
     if inc.ndim != 4 or inc.shape[0] != grid.steps or inc.shape[2:] != (model.dim, model.dim):

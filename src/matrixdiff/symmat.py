@@ -246,12 +246,19 @@ def _lift_2x2(vec: np.ndarray, vals: np.ndarray):
     return ss * lo + cc * hi, c * s * (hi - lo), cc * lo + ss * hi
 
 
+def _empty_2x2(m: int) -> np.ndarray:
+    """An unfilled (m, 2, 2) stack laid out entry-plane-major, so that each entry
+    plane a[:, i, j] is contiguous: the d = 2 kernels read and write whole planes."""
+    return np.empty((2, 2, m)).transpose(2, 0, 1)
+
+
 def _lift(vec: np.ndarray, vals: np.ndarray) -> np.ndarray:
     """Q diag(vals) Q^T for every matrix of a stack, exactly symmetric: written
-    out by `_lift_2x2` for d = 2, otherwise the matmul R averaged with R^T as
-    0.5 (R + R^T), or as 0.5 R + 0.5 R^T where R + R^T overflowed."""
+    out by `_lift_2x2` for d = 2 into a stack of `_empty_2x2`, otherwise the
+    matmul R averaged with R^T as 0.5 (R + R^T), or as 0.5 R + 0.5 R^T where
+    R + R^T overflowed."""
     if vec.shape[-1] == 2:
-        out = np.empty((vec.shape[0], 2, 2))
+        out = _empty_2x2(vec.shape[0])
         out[:, 0, 0], out[:, 0, 1], out[:, 1, 1] = _lift_2x2(vec, vals)
         out[:, 1, 0] = out[:, 0, 1]
         return out
@@ -265,13 +272,14 @@ def _lift(vec: np.ndarray, vals: np.ndarray) -> np.ndarray:
 
 
 def _eigvals_2x2(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues mid -+ hypot((a - c)/2, b) of a d = 2 stack, and
-    (a - c)/2, halved before subtracting so that it stays finite."""
+    """Ascending eigenvalues mid -+ hypot((a - c)/2, b) of a d = 2 stack, as an
+    (m, 2) array whose two columns are contiguous, and (a - c)/2, halved before
+    subtracting so that it stays finite."""
     half_a, half_c = 0.5 * stack[:, 0, 0], 0.5 * stack[:, 1, 1]
     half_gap = half_a - half_c
     mid = half_a + half_c
     radius = np.hypot(half_gap, stack[:, 0, 1])
-    lam = np.empty((len(stack), 2))
+    lam = np.empty((2, len(stack))).T
     np.subtract(mid, radius, out=lam[:, 0])
     np.add(mid, radius, out=lam[:, 1])
     return lam, half_gap
@@ -279,14 +287,14 @@ def _eigvals_2x2(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _eig_stack(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues and eigenvectors: the closed form of `_eigvals_2x2`
-    rotated by atan2(b, (a - c)/2)/2 for d = 2, LAPACK otherwise (for d = 1
-    the entry and +1.0, bit for bit)."""
+    rotated by atan2(b, (a - c)/2)/2 for d = 2, its eigenvectors in a stack of
+    `_empty_2x2`, LAPACK otherwise (for d = 1 the entry and +1.0, bit for bit)."""
     if stack.shape[-1] != 2:
         return np.linalg.eigh(stack)
     lam, half_gap = _eigvals_2x2(stack)
     theta = 0.5 * np.arctan2(stack[:, 0, 1], half_gap)
     cos, sin = np.cos(theta), np.sin(theta)
-    vec = np.empty((stack.shape[0], 2, 2))
+    vec = _empty_2x2(stack.shape[0])
     vec[:, 0, 0], vec[:, 1, 0] = -sin, cos  # eigenvector of mid - radius
     vec[:, 0, 1], vec[:, 1, 1] = cos, sin   # eigenvector of mid + radius
     return lam, vec
@@ -308,8 +316,8 @@ def _reconstructs_2x2(stack: np.ndarray, lam: np.ndarray, vec: np.ndarray) -> np
     with np.errstate(over="ignore"):  # an overflowed sum is out of range
         rr = ((l00 - stack[:, 0, 0]) ** 2 + (l01 - stack[:, 0, 1]) ** 2) \
             + ((l01 - stack[:, 1, 0]) ** 2 + (l11 - stack[:, 1, 1]) ** 2)
-        sq = stack.reshape(-1, 4) ** 2
-        aa = (sq[:, 0] + sq[:, 1]) + (sq[:, 2] + sq[:, 3])
+        aa = (stack[:, 0, 0] ** 2 + stack[:, 0, 1] ** 2) \
+            + (stack[:, 1, 0] ** 2 + stack[:, 1, 1] ** 2)
         return (aa >= _SUMSQ_LOW) & (aa <= _SUMSQ_HIGH) & (rr <= _ACCEPT_SUMSQ_RATIO * aa)
 
 

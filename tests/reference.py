@@ -1,6 +1,8 @@
 """Naive reference implementations used as independent oracles in tests."""
 
 import math
+import struct
+import sys
 
 import numpy as np
 
@@ -116,6 +118,42 @@ def product_2x2(a, b):
 def _matrix(a):
     """A (d, d) array as nested lists of floats."""
     return [[float(v) for v in row] for row in np.asarray(a, dtype=np.float64)]
+
+
+def _norm_over_largest(a):
+    """Frobenius norm of nested lists, every entry divided by the largest
+    |entry| before squaring; 0.0 for a zero matrix."""
+    largest = max(abs(v) for row in a for v in row)
+    if largest == 0.0:
+        return 0.0
+    return largest * math.sqrt(sum((v / largest) ** 2 for row in a for v in row))
+
+
+def symmetric_reference(a):
+    """The symmetry rule on one (d, d) matrix M, in plain loops: None where it
+    refuses M, else M exactly symmetric, with its ratio of asymmetry to bound.
+
+    M / s, s = max(max |M_ij|, smallest normal double), is refused when
+    ||M / s - (M / s)^T||_F exceeds 1e-8 ||M / s||_F, both norms taken over
+    their own largest entry.  An accepted entry with the bits of its
+    transpose partner stays, any other becomes 0.5 M_ij + 0.5 M_ji.  Raises
+    ValueError on a non-finite entry.
+    """
+    a = _matrix(a)
+    d = len(a)
+    if not all(math.isfinite(v) for row in a for v in row):
+        raise ValueError("matrix entries must be finite")
+    scale = max(max(abs(v) for row in a for v in row), sys.float_info.min)
+    unit = [[v / scale for v in row] for row in a]
+    skew = _norm_over_largest([[unit[i][j] - unit[j][i] for j in range(d)] for i in range(d)])
+    bound = 1e-8 * _norm_over_largest(unit)
+    ratio = skew / bound if bound > 0.0 else 0.0  # a zero bound is a zero M
+    if skew > bound:
+        return None, ratio
+    same = [[struct.pack("<d", a[i][j]) == struct.pack("<d", a[j][i]) for j in range(d)]
+            for i in range(d)]
+    return [[a[i][j] if same[i][j] else 0.5 * a[i][j] + 0.5 * a[j][i] for j in range(d)]
+            for i in range(d)], ratio
 
 
 def _product(a, b):

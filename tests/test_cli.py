@@ -548,11 +548,12 @@ def _stdout(capsys, argv):
 
 
 def _fresh_process(argv):
+    """Exit code, stdout and stderr of argv run in a new interpreter."""
     src = os.path.dirname(os.path.dirname(matrixdiff.__file__))
     env = {key: value for key, value in os.environ.items() if key != "MATRIXDIFF_SEED"}
     done = subprocess.run([sys.executable, "-m", "matrixdiff.cli", *argv], capture_output=True,
                           text=True, env=dict(env, PYTHONPATH=src), timeout=120)
-    return done.returncode, done.stdout
+    return done.returncode, done.stdout, done.stderr
 
 
 class TestOneParserPerProcess:
@@ -586,4 +587,32 @@ class TestOneParserPerProcess:
         argvs = [self.SIMULATE + ["--format", "json", "--seed", "4"],
                  ["picard-convergence", "--steps", "8", "--format", "csv", "--seed", "4"]]
         in_process = [_stdout(capsys, argv) for argv in argvs]
-        assert in_process == [_fresh_process(argv) for argv in argvs]
+        assert in_process == [_fresh_process(argv)[:2] for argv in argvs]
+
+
+class TestWallachWarning:
+    """An alpha outside the Wallach set is one `warning:` line on every run
+    that exits 0 or 1, in process or not; a run that exits 2 prints its
+    `error:` line alone.  The library's `WallachSetWarning` stays."""
+
+    LINE = "warning: alpha=0.5 is outside the Wallach set for d=2; simulating anyway\n"
+
+    @pytest.mark.parametrize("argv, code", [
+        (["simulate", "--alpha", "0.5", "--steps", "4"], 0),
+        (["picard-convergence", "--alpha", "0.5", "--steps", "4", "--max-iter", "1"], 1),
+    ])
+    def test_every_run_prints_the_same_line(self, argv, code, capsys):
+        argv = argv + ["--seed", "1"]
+        runs = []
+        for _ in range(2):
+            runs.append((run_cli(argv), *capsys.readouterr()))
+        fresh = _fresh_process(argv)
+        assert runs[0] == runs[1] == fresh
+        assert fresh[0] == code and fresh[1] and fresh[2] == self.LINE
+
+    def test_a_run_that_exits_two_prints_its_error_alone(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, {"x0": [1.0, 0.0, 0.0, -1.0]})
+        argv = ["simulate", "--alpha", "0.5", "--steps", "4", "--seed", "1", "--config", str(cfg)]
+        assert run_cli(argv) == 2
+        assert capsys.readouterr() == (
+            "", "error: initial state must be positive semidefinite for this model\n")

@@ -8,7 +8,9 @@ take.  Whatever the input:
 * exit 2 prints exactly one `error:` line and nothing on stdout;
 * a flag the subcommand does not take, or a config key that no subcommand
   reads, exits 2;
-* exit 0/1 prints strict JSON or well-formed CSV of finite numbers;
+* exit 0/1 prints strict JSON or well-formed CSV of finite numbers, and on
+  stderr one `warning:` line when a Wishart model's alpha is outside the
+  Wallach set, else nothing;
 * every accepted setting is used as given: `simulate` prints paths * (steps + 1)
   rows of d(d + 1)/2 state columns ending at the horizon, and each report
   carries the sample count and seed asked for;
@@ -33,6 +35,7 @@ from hypothesis import strategies as st
 
 from matrixdiff import cli
 from matrixdiff.cli import run_cli
+from matrixdiff.sde import in_wallach_set
 
 FORMATS, METHODS, MODELS = ("csv", "json"), ("euler", "picard"), ("wishart", "custom")
 SIZES = ("dim", "steps", "paths", "samples")
@@ -330,8 +333,17 @@ def test_input_contract(data, tmp_path_factory):
         return
     assert not_taken is None, f"--{not_taken} was accepted by {command}"
     assert unknown is None, f"config key {unknown!r} was accepted by {command}"
-    assert err == ""
+    assert err == _expected_warning(effective)
     _check_accepted(command, effective, code, out)
+
+
+def _expected_warning(s):
+    """The stderr of an accepted run: the Wallach warning of a Wishart model
+    whose alpha is outside the set, else nothing."""
+    if s.get("model") != "wishart" or in_wallach_set(float(s["alpha"]), s["dim"]):
+        return ""
+    return (f"warning: alpha={float(s['alpha'])} is outside the Wallach set for "
+            f"d={s['dim']}; simulating anyway\n")
 
 
 @pytest.mark.parametrize("command, flags", [

@@ -5,7 +5,12 @@
   Picard sweep, converged or cut short, with `picard_reference`: its distance,
   its iterate and the sweep count.
 * At d = 2 one Euler step, `_advance`, has the bits of the step written with
-  plain-loop products, whatever the stack around a matrix.
+  plain-loop products, whatever the stack around a matrix.  The d = 2 bits of
+  the decomposition, the minimum eigenvalue and both solvers do not depend on
+  the memory layout of their inputs, and the d = 2 kernels write contiguous
+  entry planes.
+* `_symmetric`, the symmetry rule, refuses and symmetrizes as its plain-loop
+  twin does, matrix by matrix, from 1e-150 to 1e150.
 * `spectral_decompose_stack` raises exactly when a reconstruction check built
   on `frobenius_max_scaled` fails, from 1e-300 to 1e300, on subnormal stacks,
   off-diagonals one ulp or more apart and perturbed eigenvalues.
@@ -29,7 +34,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from matrixdiff import symmat
-from matrixdiff.brownian import TimeGrid, sample_path
+from matrixdiff.brownian import BrownianPath, TimeGrid, sample_path
 from matrixdiff.checks import (
     check_inq2,
     check_inq_nice,
@@ -44,6 +49,7 @@ from matrixdiff.integrals import MatrixProcess, isometry_rhs
 from matrixdiff.sde import (
     SdeModel,
     _advance,
+    _increment,
     _lift_gfb,
     euler_final_states,
     euler_solve_paths,
@@ -52,6 +58,7 @@ from matrixdiff.sde import (
 from matrixdiff.symmat import (
     EigensolverError,
     SymmetricMatrix,
+    _lift,
     clipped_affine_fn,
     clipped_sqrt_fn,
     constant_fn,
@@ -70,6 +77,7 @@ from reference import (
     picard_reference,
     prop_cauchy_violation,
     product_2x2,
+    symmetric_reference,
 )
 
 
@@ -160,6 +168,51 @@ def test_two_by_two_step_is_the_plain_loop_step_in_any_stack(kind):
         assert _advance(model, x[rows], db[rows], 0.01).tobytes() == expected[rows].tobytes()
 
 
+def _layouts(a):
+    """`a`, matrices on its last two axes, C-ordered, entry-plane-major,
+    Fortran-ordered, and as every other matrix of a stack twice as long."""
+    planes = np.empty(a.shape[-2:] + a.shape[:-2]).transpose(*range(2, a.ndim), 0, 1)
+    every_other = np.empty(a.shape[:-3] + (2 * a.shape[-3],) + a.shape[-2:])[..., ::2, :, :]
+    planes[...] = every_other[...] = a
+    return [np.ascontiguousarray(a), planes, np.asfortranarray(a), every_other]
+
+
+def _states(seed, count):
+    """`count` random positive definite 2 x 2 matrices."""
+    raw = np.random.default_rng(seed).standard_normal((count, 2, 2))
+    return raw @ raw.transpose(0, 2, 1) + 0.1 * np.eye(2)
+
+
+@pytest.mark.parametrize("kind", ["wishart", "state-dependent", "constant"])
+def test_two_by_two_bits_do_not_depend_on_layout(kind):
+    model, _ = _models(2)[kind]
+    grid = TimeGrid(0.25, 6)
+    inc = 0.5 * np.random.default_rng(64).standard_normal((grid.steps, 5, 2, 2))
+    path_inc = sample_path(grid, 2, seed=64, path_index=0).increments
+    outputs = set()
+    for stack, block, steps in zip(_layouts(_states(64, 33)), _layouts(inc), _layouts(path_inc)):
+        path = object.__new__(BrownianPath)
+        path._adopt(grid, steps)  # as laid out, where the constructor would copy
+        solution, diag = picard_solve(model, path)
+        outputs.add(b"".join(out.tobytes() for out in (
+            *spectral_decompose_stack(stack), min_eigenvalues_stack(stack),
+            euler_final_states(model, grid, block), solution.states, diag.d_n)))
+    assert len(outputs) == 1
+
+
+def test_two_by_two_kernels_write_contiguous_entry_planes():
+    x, db = _states(65, 64), 0.1 * np.random.default_rng(65).standard_normal((64, 2, 2))
+    lam, vec = spectral_decompose_stack(x)
+    stacks = [vec, _lift(vec, lam)]
+    for kind in ("wishart", "state-dependent"):  # float and lifted coefficients
+        model, _ = _models(2)[kind]
+        stacks.append(_increment(*_lift_gfb(model, x), db, 0.01))
+        stacks.append(euler_final_states(model, TimeGrid(0.25, 2), np.stack([db, db])))
+    planes = [lam[:, 0], lam[:, 1], min_eigenvalues_stack(x)]
+    planes += [a[:, i, j] for a in stacks for i in range(2) for j in range(2)]
+    assert all(plane.flags.c_contiguous for plane in planes)
+
+
 # The guard's verdict is compared where the reference's residual-to-bound
 # ratio is not within this of 1.  The reference's lift and the guard's round
 # differently, by about 1e-16 ||A||, which is 1e-8 of the bound: closer to 1,
@@ -245,6 +298,49 @@ def test_non_finite_entries_keep_their_own_refusal(d, bad):
     stack[1, 0, -1] = bad
     with pytest.raises(EigensolverError, match="non-finite"):
         spectral_decompose_stack(stack)
+
+
+@st.composite
+def _near_symmetric(draw):
+    """A stack of 1 to 3 d x d matrices, d = 1 to 4, each at a scale from
+    1e-150 to 1e150, symmetric, an ulp off, with an asymmetry planted at a
+    multiple of the symmetry rule's bound, or with a non-finite entry."""
+    d, count = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    unit = st.floats(-1.0, 1.0, allow_subnormal=False)
+    raw = np.array(draw(st.lists(unit, min_size=count * d * d, max_size=count * d * d)))
+    stack = raw.reshape(count, d, d)
+    stack = stack + stack.transpose(0, 2, 1)
+    for m in stack:
+        m *= 10.0 ** draw(st.integers(-150, 150))
+        kind = draw(st.sampled_from(["none", "ulp", "planted", "planted", "planted", "non-finite"]
+                                    if d > 1 else ["none", "non-finite"]))
+        i = draw(st.integers(0, d - 2)) if d > 1 else 0
+        j = draw(st.integers(i + 1, d - 1)) if d > 1 else 0
+        if kind == "ulp":
+            m[j, i] = np.nextafter(m[i, j], draw(st.sampled_from([-np.inf, np.inf])))
+        elif kind == "planted":  # ||M - M^T||_F = sqrt(2) |M_ji - M_ij|
+            m[j, i] = m[i, j] + draw(_TARGETS) * 1e-8 * frobenius_max_scaled(m) / math.sqrt(2.0)
+        elif kind == "non-finite":
+            m[i, j] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    return stack
+
+
+@settings(max_examples=150, deadline=None)
+@given(stack=_near_symmetric())
+def test_symmetry_rule_matches_its_twin(stack):
+    try:
+        twins = [symmetric_reference(m) for m in stack]
+    except ValueError:
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            symmat._symmetric(stack)
+        return
+    # the twin's norms round differently, so a ratio this close to 1 decides nothing
+    assume(all(abs(ratio - 1.0) >= _RATIO_EXCLUSION for _, ratio in twins))
+    if any(sym is None for sym, _ in twins):
+        with pytest.raises(ValueError, match="matrix is not symmetric"):
+            symmat._symmetric(stack)
+    else:
+        assert symmat._symmetric(stack).tobytes() == np.array([sym for sym, _ in twins]).tobytes()
 
 
 def _shifted(lam, stack):

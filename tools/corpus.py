@@ -77,6 +77,11 @@ def corpus(head):
         "isometry --dim 1 --steps 16 --paths 2000", "isometry --dim 3 --steps 16 --paths 2000",
         "isometry --horizon 2.5", "trace-moment --horizon 0.3 --steps 64",
         *(f"simulate --dim 5 --config {name}" for name in ("asym5.json", "indef5.json")),
+        # the trace moment over 2048-path blocks and a last block of one path: the d = 2 kernels'
+        # entry-plane stacks at m = 1 after m = 2048, whose bits must be those of each path alone
+        "trace-moment --paths 2049 --steps 16",
+        # alpha outside the Wallach set: the one `warning:` line on stderr of every run
+        "simulate --alpha 0.5 --steps 4",
     ]
     readme, picard, _ = readme_examples(head)
     argvs = [argv for workload in WORKLOADS.values() for seed in (1, 2, 3)
