@@ -15,7 +15,8 @@ back to the MATRIXDIFF_SEED environment variable before its default.  One
 config file may serve several subcommands, so it may hold any key that some
 subcommand reads, and a key that none reads is refused.
 Exit codes: 0 all requested checks passed, 1 a check failed, 2 bad
-configuration.  Output is deterministic byte for byte under a fixed seed.
+configuration or an --out that cannot be written.  Output is deterministic
+byte for byte under a fixed seed.
 """
 
 from __future__ import annotations
@@ -120,7 +121,7 @@ def _settings(declared: dict, args: argparse.Namespace, config: dict) -> argpars
     """Every declared setting from its flag, else the config, else (the seed
     only) MATRIXDIFF_SEED, else its default, each checked by `_take`; plus the
     time grid of a subcommand that declares one."""
-    settings = argparse.Namespace(out=args.out)
+    settings = argparse.Namespace()
     for key, (kind, default, *bounds) in declared.items():
         value, spell = getattr(args, key), repr  # a flag value as Python parsed it
         if value is None and key in config:
@@ -198,14 +199,6 @@ def _build_model(settings, config: dict) -> SdeModel:
                     x0=SymmetricMatrix.zeros(dim) if x0 is None else x0)
 
 
-def _write_output(text: str, out_path) -> None:
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-
-
 def _cell(value) -> str:
     if isinstance(value, bool):
         return str(value).lower()
@@ -225,11 +218,12 @@ def _render(fmt: str, columns: list, rows, json_doc) -> str:
     return json.dumps(json_doc, indent=2, allow_nan=False, default=list) + "\n"
 
 
-def _reports_text(reports, fmt: str) -> str:
+def _reports(reports, fmt: str) -> tuple[str, bool]:
     columns = ["name", "samples", "worst_violation", "tolerance", "pass"]
     rows = ([rep.name, rep.samples, rep.worst_violation, rep.tolerance, rep.passed]
             for rep in reports)
-    return _render(fmt, columns, rows, [rep.to_dict() for rep in reports])
+    text = _render(fmt, columns, rows, [rep.to_dict() for rep in reports])
+    return text, all(rep.passed for rep in reports)
 
 
 def _states_text(solutions, grid: TimeGrid, dim: int, fmt: str) -> str:
@@ -264,23 +258,20 @@ def _converged(model: SdeModel, path, index: int):
     return solution
 
 
-def _cmd_simulate(s, config) -> int:
+def _cmd_simulate(s, config) -> tuple[str, bool]:
     model = _build_model(s, config)
     paths = [sample_path(s.grid, s.dim, s.seed, index) for index in range(s.paths)]
     solutions = euler_solve_paths(model, paths) if s.method == "euler" \
         else [_converged(model, path, index) for index, path in enumerate(paths)]
-    _write_output(_states_text(solutions, s.grid, s.dim, s.format), s.out)
-    return 0
+    return _states_text(solutions, s.grid, s.dim, s.format), True
 
 
-def _cmd_verify(s, config) -> int:
+def _cmd_verify(s, config) -> tuple[str, bool]:
     dims = [2, 3, 5, 8] if s.dim is None else [s.dim]
-    reports = run_inequality_suite(s.samples, dims, s.seed)
-    _write_output(_reports_text(reports, s.format), s.out)
-    return 0 if all(rep.passed for rep in reports) else 1
+    return _reports(run_inequality_suite(s.samples, dims, s.seed), s.format)
 
 
-def _cmd_isometry(s, config) -> int:
+def _cmd_isometry(s, config) -> tuple[str, bool]:
     dim = s.dim
     a = SymmetricMatrix(_parse_matrix(config["a_matrix"], dim, "a_matrix")) if "a_matrix" in config \
         else SymmetricMatrix.diagonal(np.arange(1, dim + 1, dtype=np.float64))
@@ -289,12 +280,10 @@ def _cmd_isometry(s, config) -> int:
     e_last = np.eye(dim)[-1]
     x = _parse_vector(config["x_vector"], dim, "x_vector") if "x_vector" in config else e_last
     y = _parse_vector(config["y_vector"], dim, "y_vector") if "y_vector" in config else e_last
-    report = mc_isometry(a, c, x, y, s.paths, s.grid, s.seed)
-    _write_output(_reports_text([report], s.format), s.out)
-    return 0 if report.passed else 1
+    return _reports([mc_isometry(a, c, x, y, s.paths, s.grid, s.seed)], s.format)
 
 
-def _cmd_picard_convergence(s, config) -> int:
+def _cmd_picard_convergence(s, config) -> tuple[str, bool]:
     model = _build_model(s, config)
     records = []
     for index in range(s.paths):
@@ -310,14 +299,12 @@ def _cmd_picard_convergence(s, config) -> int:
         })
     rows = ([rec["path_index"], i, value]
             for rec in records for i, value in enumerate(rec["d_n"], start=1))
-    _write_output(_render(s.format, ["path", "iteration", "d_n"], rows, records), s.out)
-    return 0 if all(rec["converged"] for rec in records) else 1
+    return (_render(s.format, ["path", "iteration", "d_n"], rows, records),
+            all(rec["converged"] for rec in records))
 
 
-def _cmd_trace_moment(s, config) -> int:
-    report = mc_trace_moment(_build_model(s, config), s.paths, s.grid, s.seed)
-    _write_output(_reports_text([report], s.format), s.out)
-    return 0 if report.passed else 1
+def _cmd_trace_moment(s, config) -> tuple[str, bool]:
+    return _reports([mc_trace_moment(_build_model(s, config), s.paths, s.grid, s.seed)], s.format)
 
 
 # Each subcommand's settings, once: name -> (kind, default[, lowest[, first
@@ -398,14 +385,22 @@ def run_cli(argv=None) -> int:
         with np.errstate(over="ignore", invalid="ignore"), \
                 warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", WallachSetWarning)
-            code = run(_settings(declared, args, config), config)
+            text, passed = run(_settings(declared, args, config), config)
+        if args.out is None:
+            sys.stdout.write(text)
+        else:
+            try:
+                with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise ConfigError(f"cannot write {args.out}: {exc}") from exc
     except (ConfigError, ValueError, EigensolverError, MemoryError) as exc:
         # a newline in a quoted value (a path, an argv word) stays on the one line
         sys.stderr.write("error: " + str(exc).replace("\n", "\\n") + "\n")
         return 2
     for warning in caught:
         sys.stderr.write(f"warning: {warning.message}\n")
-    return code
+    return 0 if passed else 1
 
 
 def main() -> None:

@@ -66,17 +66,11 @@ class SdeModel:
     f: ScalarFunctionSpec
     b: ScalarFunctionSpec
     x0: SymmetricMatrix
-    requires_psd_start: bool = False
 
     def __post_init__(self) -> None:
         for label, spec in (("g", self.g), ("f", self.f), ("b", self.b)):
             if spec.bound is None:
                 raise ValueError(f"coefficient {label} must declare a bound")
-        if self.requires_psd_start:
-            # over the start's own scale, as the symmetry rule is, so the tolerance stays finite
-            unit = SymmetricMatrix(_unit(self.x0.entries)[0])
-            if not is_psd(unit, tol=1e-10 * unit.frobenius_norm()):
-                raise ValueError("initial state must be positive semidefinite for this model")
 
     @property
     def dim(self) -> int:
@@ -334,7 +328,8 @@ def wishart_model(d: int, alpha: float, x0: Optional[SymmetricMatrix] = None,
     The square root is clipped at `sqrt_clip_bound` so the coefficients are
     bounded; desk-scale paths never reach the clip.  A drift parameter outside
     the Wallach set only triggers a warning: the discretized dynamics remain
-    well defined for any alpha.
+    well defined for any alpha.  A start that is not positive semidefinite, its
+    least eigenvalue below -1e-10 ||x0||_F over its own scale, is a `ValueError`.
     """
     if d < 1:
         raise ValueError("d must be a positive integer")
@@ -347,10 +342,10 @@ def wishart_model(d: int, alpha: float, x0: Optional[SymmetricMatrix] = None,
             f"alpha={alpha} is outside the Wallach set for d={d}; "
             "simulating anyway", WallachSetWarning, stacklevel=2,
         )
-    return SdeModel(
-        g=clipped_sqrt_fn(sqrt_clip_bound),
-        f=constant_fn(1.0),
-        b=constant_fn(float(alpha)),
-        x0=x0,
-        requires_psd_start=True,
-    )
+    model = SdeModel(g=clipped_sqrt_fn(sqrt_clip_bound), f=constant_fn(1.0),
+                     b=constant_fn(float(alpha)), x0=x0)
+    # over the start's own scale, as the symmetry rule is, so the tolerance stays finite
+    unit = SymmetricMatrix(_unit(x0.entries)[0])
+    if not is_psd(unit, tol=1e-10 * unit.frobenius_norm()):
+        raise ValueError("initial state must be positive semidefinite for this model")
+    return model

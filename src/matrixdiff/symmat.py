@@ -23,7 +23,6 @@ __all__ = [
     "SymmetricMatrix",
     "SpectralDecomposition",
     "ScalarFunctionSpec",
-    "DOMAIN_POLICIES",
     "constant_fn",
     "clipped_affine_fn",
     "clipped_sqrt_fn",
@@ -152,38 +151,30 @@ class SpectralDecomposition:
     eigenvectors: np.ndarray
 
 
-DOMAIN_POLICIES = ("total", "clip_negative_to_zero")
-
-
 @dataclass(frozen=True)
 class ScalarFunctionSpec:
-    """A scalar function together with its domain policy and optional bound.
+    """A scalar function together with its optional bound.
 
-    `fn` must act elementwise on float arrays.  The domain policy
-    `clip_negative_to_zero` replaces negative eigenvalues by zero before
-    evaluation; `total` passes them through.  A non-finite value of `fn`
-    raises `DomainPolicyError`.  `bound`, when set, declares sup |fn| <= bound
-    on the admitted domain; the SDE solver requires it.  `constant` declares
-    that fn takes one value everywhere, so its lift is that value times the
-    identity and needs no eigendecomposition.
+    `fn` must act elementwise on float arrays and is evaluated on every
+    eigenvalue as it is: a function defined on part of the line clamps its own
+    argument, as `clipped_sqrt_fn` takes sqrt(max(x, 0)).  A non-finite value
+    of `fn` raises `DomainPolicyError`.  `bound`, when set, declares
+    sup |fn| <= bound on the whole line; the SDE solver requires it.
+    `constant` declares that fn takes one value everywhere, so its lift is
+    that value times the identity and needs no eigendecomposition.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
-    domain_policy: str = "total"
     bound: Optional[float] = None
     name: str = field(default="", compare=False)
     constant: bool = False
 
     def __post_init__(self) -> None:
-        if self.domain_policy not in DOMAIN_POLICIES:
-            raise ValueError(f"unknown domain policy {self.domain_policy!r}")
         if self.bound is not None and not (self.bound > 0 and math.isfinite(self.bound)):
             raise ValueError(f"bound must be positive and finite when set, got {self.bound!r}")
 
     def map_eigenvalues(self, lam: np.ndarray) -> np.ndarray:
         lam = np.asarray(lam, dtype=np.float64)
-        if self.domain_policy == "clip_negative_to_zero":
-            lam = np.maximum(lam, 0.0)
         out = np.asarray(self.fn(lam), dtype=np.float64)
         if out.shape != lam.shape:
             raise ValueError("scalar function must evaluate elementwise")
@@ -205,7 +196,6 @@ def constant_fn(value: float) -> ScalarFunctionSpec:
     # any positive M bounds the zero function
     return ScalarFunctionSpec(
         fn=lambda x: np.full_like(np.asarray(x, dtype=np.float64), value),
-        domain_policy="total",
         bound=abs(value) if value != 0.0 else 1.0,
         name=f"constant({value})",
         constant=True,
@@ -218,7 +208,6 @@ def clipped_affine_fn(a: float, b: float, bound: float) -> ScalarFunctionSpec:
         raise ValueError("bound must be positive")
     return ScalarFunctionSpec(
         fn=lambda x: np.clip(a * np.asarray(x, dtype=np.float64) + b, -bound, bound),
-        domain_policy="total",
         bound=float(bound),
         name=f"clipped_affine({a},{b},{bound})",
     )
@@ -229,8 +218,7 @@ def clipped_sqrt_fn(clip: float) -> ScalarFunctionSpec:
     if not clip > 0:
         raise ValueError("clip bound must be positive")
     return ScalarFunctionSpec(
-        fn=lambda x: np.minimum(np.sqrt(x), clip),
-        domain_policy="clip_negative_to_zero",
+        fn=lambda x: np.minimum(np.sqrt(np.maximum(x, 0.0)), clip),
         bound=float(clip),
         name=f"clipped_sqrt({clip})",
     )
@@ -382,12 +370,9 @@ def apply_scalar_fn(spec: ScalarFunctionSpec, a: SymmetricMatrix) -> SymmetricMa
 
 
 def matrix_sqrt(a: SymmetricMatrix) -> SymmetricMatrix:
-    """PSD square root via the spectral lift of sqrt(max(x, 0)).
-
-    Negative eigenvalues are clipped to zero so that discretized paths which
-    drift slightly outside the PSD cone still have a well-defined square root.
-    """
-    spec = ScalarFunctionSpec(fn=np.sqrt, domain_policy="clip_negative_to_zero", name="sqrt")
+    """PSD square root: the spectral lift of sqrt(max(x, 0)), whose own clamp
+    gives paths that drift slightly outside the PSD cone a well-defined root."""
+    spec = ScalarFunctionSpec(fn=lambda x: np.sqrt(np.maximum(x, 0.0)), name="sqrt")
     return apply_scalar_fn(spec, a)
 
 

@@ -310,6 +310,22 @@ class TestDegenerateInputs:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--steps", "4", "--alpha", "0.5"],  # its Wallach warning is not printed
+        ["verify", "--dim", "2", "--samples", "8"],
+        ["isometry", "--paths", "8", "--steps", "4"],
+        ["picard-convergence", "--steps", "4"],
+        ["trace-moment", "--paths", "8", "--steps", "4"],
+    ])
+    @pytest.mark.parametrize("target", ["missing/out.txt", "."])
+    def test_an_out_that_cannot_be_written_exits_two(self, argv, target, tmp_path, capsys):
+        out = tmp_path / target  # in a directory that does not exist, or a directory
+        assert run_cli(argv + ["--seed", "1", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {out}: ")
+        assert captured.err.count("\n") == 1
+
     def test_an_allocation_that_fails_exits_two(self, monkeypatch, capsys):
         # sizes below their limits may still not fit in memory together
         def refuse(*args):

@@ -54,6 +54,17 @@ class TestModelValidation:
         with pytest.raises(ValueError, match="semidefinite"):
             wishart_model(2, 1.0, x0=SymmetricMatrix.diagonal([1.0, -1.0]))
 
+    def test_only_the_wishart_model_requires_a_psd_start(self):
+        # the Wishart model refuses starts below the cone at every scale; a model
+        # built directly takes them, here with the same clipped root for g
+        small = SymmetricMatrix.diagonal([1e-12, -1e-12])
+        for x0 in (small, SymmetricMatrix.diagonal([1e308] * 4 + [-1e308])):
+            with pytest.raises(ValueError, match="^initial state must be positive semidefinite "
+                                                 "for this model$"):
+                wishart_model(x0.dim, float(x0.dim), x0=x0)
+        model = SdeModel(g=clipped_sqrt_fn(1e6), f=constant_fn(1.0), b=constant_fn(2.0), x0=small)
+        assert model.x0 is small
+
     @pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300, 1e308])
     def test_psd_start_enforced_where_the_norm_overflows(self, scale):
         # ||X0||_F of 1e308 diag(1, 1, 1, 1, -1) overflows, so a tolerance

@@ -45,6 +45,8 @@ def corpus(head):
         "affine.json": {**custom, "f_kind": "clipped_affine", "f_a": -0.05, "f_b": 2, "f_bound": 3},
         "minus.json": {**custom, "f_kind": "constant", "f_value": -1.3},
         "one.json": {**custom, "f_kind": "constant", "f_value": 1.0},
+        # one.json from diag(1, -1): only the Wishart model requires a PSD start
+        "indef.json": {**custom, "x0": [1, 0, 0, -1], "f_kind": "constant", "f_value": 1.0},
         # starts at d = 5 whose norm, about 2.2e308, overflows: asym5.json is 1e308 I with 1e305
         # above the diagonal, not symmetric, and indef5.json is 1e308 diag(1, 1, 1, 1, -1), not PSD
         "asym5.json": {**CONTRACTION, "x0": [[1e308, 1e305, 0.0, 0.0, 0.0],
@@ -71,19 +73,26 @@ def corpus(head):
         # Picard's d_n at d = 5 and 8 from 16 I, converged and cut short by --max-iter 3 (exit 1)
         *(f"picard-convergence --dim {d} --alpha {d} --paths 2 --config contraction{d}.json{cut}"
           for d in (5, 8) for cut in ("", " --max-iter 3")),
+        # the custom models' coefficient kinds on every solver, and a custom model that
+        # runs from an indefinite start
         *(f"{solver} --model custom --paths 2 --config {name}"
           for name in ("affine.json", "minus.json", "one.json") for solver in SOLVERS),
+        "simulate --model custom --paths 2 --steps 8 --config indef.json",
         # the path draw at d = 1 and 3, and on horizons 2.5 and 0.3, where sqrt(dt) is inexact
         "isometry --dim 1 --steps 16 --paths 2000", "isometry --dim 3 --steps 16 --paths 2000",
         "isometry --horizon 2.5", "trace-moment --horizon 0.3 --steps 64",
+        # starts refused where their norm overflows (exit 2)
         *(f"simulate --dim 5 --config {name}" for name in ("asym5.json", "indef5.json")),
         # the trace moment over 2048-path blocks and a last block of one path: the d = 2 kernels'
         # entry-plane stacks at m = 1 after m = 2048, whose bits must be those of each path alone
         "trace-moment --paths 2049 --steps 16",
         # alpha outside the Wallach set: the one `warning:` line on stderr of every run
         "simulate --alpha 0.5 --steps 4",
+        # an --out that cannot be written: one `error:` line and exit 2
+        "simulate --steps 4 --out missing/states.csv",
     ]
     readme, picard, _ = readme_examples(head)
+    # the benchmark workloads' argvs at seeds 1, 2 and 3, and README's examples
     argvs = [argv for workload in WORKLOADS.values() for seed in (1, 2, 3)
              for argv in workload.argvs(seed, "contraction.json")]
     argvs += readme + [[*argv.split(), "--seed", str(s)] for argv in seeded for s in (1, 2, 3)]
