@@ -12,8 +12,9 @@ Sampling conventions: a random symmetric matrix has independent Gaussian
 entries on and above the diagonal, N(0, 1) on it and N(0, 1/2) off it, the law
 of (R + R^T)/2 for a standard Gaussian R; a unit vector is uniform on the
 sphere.  For such a matrix A and a unit x, A x ~ N(0, (I + x x^T)/2), so a
-check that reads A only through A x draws that vector instead: x first, then
-per step one normal z along x and d normals w, A x = z x + sqrt(1/2) (w - (w.x) x).
+check that reads A only through A x draws that vector instead, from d normals
+w: A x = sqrt(1/2) w + (1 - sqrt(1/2)) (w.x) x.  `check_inq_nice` and
+`check_prop_cauchy` both do: x first, then one such vector per A.
 """
 
 from __future__ import annotations
@@ -66,13 +67,17 @@ def random_symmetric_stack(rng: np.random.Generator, count: int, d: int) -> np.n
     one per upper-triangle entry in row-major order, off the diagonal scaled
     by sqrt(1/2); both triangles hold the same bits."""
     rows, cols = np.triu_indices(d)
+    # the stack is allocated before its draw: drawn first, the 1.2 MB draw of
+    # `check_inq2` at d = 8 left a heap hole that its 2 MB stacks could not
+    # reuse, which raised `verify`'s peak RSS by 1.7 MB
+    stack = np.empty((count, d, d))
     upper = rng.standard_normal((count, rows.size))
     upper *= np.where(rows == cols, 1.0, np.sqrt(0.5))
     position = np.empty((d, d), dtype=np.intp)
     position[rows, cols] = position[cols, rows] = np.arange(rows.size)
     # C-ordered, which `check_inq2`'s BLAS products take their bits from;
     # the faster gather `upper[:, position]` gives F-ordered strides
-    return np.take(upper, position, axis=1)
+    return np.take(upper, position, axis=1, out=stack)
 
 
 def random_unit_stack(rng: np.random.Generator, count: int, d: int) -> np.ndarray:
@@ -122,36 +127,37 @@ def check_inq2(samples: int, d: int, seed: int) -> CheckReport:
     return _worst_case("inq2", 1e-10, samples, seed, {"dim": d}, violations)
 
 
+def _random_images(rng: np.random.Generator, x: np.ndarray, n: int) -> np.ndarray:
+    """A_k x for n independent random symmetric A_k per unit x of the (count, d)
+    stack x: a (count, n, d) array from count * n * d normals w, in that order,
+    set to sqrt(1/2) w + (1 - sqrt(1/2)) (w.x) x ~ N(0, (I + x x^T)/2)."""
+    count, d = x.shape
+    ax = rng.standard_normal((count, n, d))  # w, then A x in place
+    # each entry gets the operations of the (count, n, d) broadcast
+    # `sqrt(1/2) w + ((1 - sqrt(1/2)) (w.x))[..., None] x`, in that order, so the
+    # same bits, but over the whole draw and then one entry plane at a time
+    along = np.einsum("mki,mi->mk", ax, x)
+    along *= 1.0 - np.sqrt(0.5)
+    ax *= np.sqrt(0.5)
+    step = np.empty_like(along)
+    for i in range(d):
+        ax[..., i] += np.multiply(along, x[:, None, i], out=step)
+    return ax
+
+
 def check_inq_nice(samples: int, d: int, seed: int) -> CheckReport:
-    """(x^T A x)^2 <= x^T A^2 x for unit x, to within 1e-12."""
+    """(x^T A x)^2 <= x^T A^2 x for unit x, to within 1e-12.
+
+    The kernel reads A only through A x, so a sample draws its unit x and then
+    A x from d normals (see the module's sampling conventions).
+    """
     def violations(rng, count):
-        a = random_symmetric_stack(rng, count, d)
         x = random_unit_stack(rng, count, d)
-        ax = np.einsum("mij,mj->mi", a, x)
+        ax = _random_images(rng, x, 1)[:, 0]
         quad = np.einsum("mi,mi->m", x, ax)
         return quad * quad - np.einsum("mi,mi->m", ax, ax)
 
     return _worst_case("inq_nice", 1e-12, samples, seed, {"dim": d}, violations)
-
-
-def _cauchy_steps(rng: np.random.Generator, count: int, n: int, d: int):
-    """`count` unit vectors x, (count, d), and the A_k x of `check_prop_cauchy`'s
-    draw, (count, n, d), from count * d + count * n * (d + 1) normals."""
-    x = random_unit_stack(rng, count, d)
-    zw = rng.standard_normal((count, n, d + 1))
-    ax = zw[..., 1:]  # sqrt(1/2) w_k, then A_k x, in place
-    # each entry gets the operations of `ax *= sqrt(1/2)` and then of the
-    # (count, n, d) broadcast `ax += (z - ax @ x) x`, in that order, so the same
-    # bits, but over the whole contiguous draw and then one entry plane at a
-    # time, not in inner loops of length d; z_k is copied out before zw is
-    # scaled, and the scaled z_k is never read
-    along = zw[..., 0].copy()
-    zw *= np.sqrt(0.5)
-    along -= (ax @ x[:, :, None])[..., 0]
-    step = np.empty_like(along)
-    for i in range(d):
-        zw[..., 1 + i] += np.multiply(along, x[:, None, i], out=step)
-    return x, ax
 
 
 def check_prop_cauchy(process_samples: int, d: int, n: int, seed: int) -> CheckReport:
@@ -160,14 +166,15 @@ def check_prop_cauchy(process_samples: int, d: int, n: int, seed: int) -> CheckR
     Verifies sum_k x^T A_k^2 x dt - (sum_k x^T A_k x dt)^2 >= -1e-10, dt = 1 / n,
     the discrete form whose refinement limit is the continuous inequality.  The
     kernel reads each random symmetric A_k only through A_k x, so a sample draws
-    its unit x, then for k = 1..n one normal z_k and d normals w_k, and sets
-    A_k x = z_k x + sqrt(1/2) (w_k - (w_k . x) x) ~ N(0, (I + x x^T)/2): the
-    joint law of (x, A_1 x, ..., A_n x), from d + 1 normals per step.
+    its unit x, then for k = 1..n d normals w_k, and sets
+    A_k x = sqrt(1/2) w_k + (1 - sqrt(1/2)) (w_k . x) x ~ N(0, (I + x x^T)/2):
+    the joint law of (x, A_1 x, ..., A_n x), from d normals per step.
     """
     dt = 1.0 / n
 
     def violations(rng, count):
-        x, ax = _cauchy_steps(rng, count, n, d)
+        x = random_unit_stack(rng, count, d)
+        ax = _random_images(rng, x, n)
         lin = np.einsum("mi,mki->m", x, ax) * dt
         return lin * lin - np.einsum("mki,mki->m", ax, ax) * dt
 
@@ -250,10 +257,16 @@ def estimate_lemma_beta(a_const: SymmetricMatrix, c_const: SymmetricMatrix,
     x^T M^2 x), and both quadratic forms are inner products of Mx and M^T x.
     """
     x = np.asarray(x, dtype=np.float64).reshape(-1)
+    a, c = a_const.entries, c_const.entries
+    cx, atx = c @ x, x @ a  # C x and A^T x
 
     def forms(inc):  # x^T (M + M^T)^2 x and x^T M^2 x of each path at each grid time
-        prefix = (a_const.entries @ np.cumsum(inc, axis=0) @ c_const.entries).swapaxes(0, 1)
-        mx, mtx = prefix @ x, x @ prefix
+        # M x = A (S (C x)) and M^T x = C^T (S^T (A^T x)), S the running sum of dB,
+        # by matrix-vector products: M itself is never formed; einsum, not BLAS,
+        # so a path's bits do not depend on its place in the block
+        path_sums = np.cumsum(inc, axis=0)
+        mx = np.einsum("ij,kpj->pki", a, np.einsum("kpij,j->kpi", path_sums, cx))
+        mtx = np.einsum("kpj,ji->pki", np.einsum("j,kpji->kpi", atx, path_sums), c)
         sym = mx + mtx
         return np.stack([np.einsum("pki,pki->pk", sym, sym), np.einsum("pki,pki->pk", mtx, mx)],
                         axis=1)

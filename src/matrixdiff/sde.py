@@ -328,8 +328,9 @@ def wishart_model(d: int, alpha: float, x0: Optional[SymmetricMatrix] = None,
     The square root is clipped at `sqrt_clip_bound` so the coefficients are
     bounded; desk-scale paths never reach the clip.  A drift parameter outside
     the Wallach set only triggers a warning: the discretized dynamics remain
-    well defined for any alpha.  A start that is not positive semidefinite, its
-    least eigenvalue below -1e-10 ||x0||_F over its own scale, is a `ValueError`.
+    well defined for any alpha.  A start that is not d x d, or not positive
+    semidefinite (its least eigenvalue below -1e-10 ||x0||_F over its own
+    scale), is a `ValueError`.
     """
     if d < 1:
         raise ValueError("d must be a positive integer")
@@ -337,6 +338,8 @@ def wishart_model(d: int, alpha: float, x0: Optional[SymmetricMatrix] = None,
         raise ValueError("sqrt_clip_bound must be positive")
     if x0 is None:
         x0 = SymmetricMatrix.zeros(d)
+    elif x0.dim != d:
+        raise ValueError(f"dimension mismatch: model d={d} vs x0 d={x0.dim}")
     if not in_wallach_set(alpha, d):
         warnings.warn(
             f"alpha={alpha} is outside the Wallach set for d={d}; "

@@ -62,12 +62,14 @@ class TestSamplers:
         assert rng.standard_normal(4).tobytes() == twin.standard_normal(4).tobytes()
 
     @pytest.mark.parametrize("d", [1, 2, 4])
-    def test_cauchy_steps_law(self, d):
+    def test_random_images_law(self, d):
         # given x, A_k x ~ N(0, (I + x x^T)/2) and the steps are independent:
         # A_k x, every entry of A_k x (A_k x)^T - (I + x x^T)/2, (x . A_k x)^2 - 1
         # and every entry of A_1 x (A_2 x)^T have mean 0 within 4 SE at a fixed seed
         count = 20000
-        x, ax = checks._cauchy_steps(np.random.default_rng(29), count, 2, d)
+        rng = np.random.default_rng(29)
+        x = random_unit_stack(rng, count, d)
+        ax = checks._random_images(rng, x, 2)
         cov = 0.5 * (np.eye(d) + x[:, :, None] * x[:, None, :])
         stats = [ax, ax[..., :, None] * ax[..., None, :] - cov[:, None],
                  np.einsum("mi,mki->mk", x, ax) ** 2 - 1.0,
@@ -78,25 +80,22 @@ class TestSamplers:
             assert (np.abs(values.mean(axis=0)) <= 4.0 * se).all()
 
     @pytest.mark.parametrize("count, n, d", [(1, 1, 1), (7, 3, 2), (5, 32, 8)])
-    def test_cauchy_steps_draw_d_plus_one_normals_per_step(self, count, n, d):
+    def test_random_images_draw_d_normals_per_vector(self, count, n, d):
         rng, twin = np.random.default_rng(31), np.random.default_rng(31)
-        checks._cauchy_steps(rng, count, n, d)
-        twin.standard_normal(count * d + count * n * (d + 1))
+        checks._random_images(rng, random_unit_stack(rng, count, d), n)
+        twin.standard_normal(count * d + count * n * d)
         assert rng.standard_normal(4).tobytes() == twin.standard_normal(4).tobytes()
 
     @pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 13, 31])
     @pytest.mark.parametrize("count, n", [(1, 1), (7, 3), (5, 32), (1024, 32)])
-    def test_cauchy_steps_keep_the_broadcast_bits(self, count, n, d):
-        # the draw completed with one (count, n, d) broadcast, from a twin generator
-        x, ax = checks._cauchy_steps(np.random.default_rng(37), count, n, d)
-        twin = np.random.default_rng(37)
-        ref_x = random_unit_stack(twin, count, d)
-        zw = twin.standard_normal((count, n, d + 1))
-        ref_ax = zw[..., 1:]
-        ref_ax *= np.sqrt(0.5)
-        ref_ax += (zw[..., :1] - ref_ax @ ref_x[:, :, None]) * ref_x[:, None, :]
-        assert x.tobytes() == ref_x.tobytes()
-        assert ax.tobytes() == ref_ax.tobytes()
+    def test_random_images_keep_the_broadcast_bits(self, count, n, d):
+        # the images in one (count, n, d) broadcast, from a twin generator
+        rng, twin = np.random.default_rng(37), np.random.default_rng(37)
+        ax = checks._random_images(rng, random_unit_stack(rng, count, d), n)
+        x = random_unit_stack(twin, count, d)
+        w = twin.standard_normal((count, n, d))
+        along = (1.0 - np.sqrt(0.5)) * np.einsum("mki,mi->mk", w, x)
+        assert ax.tobytes() == (np.sqrt(0.5) * w + along[..., None] * x[:, None, :]).tobytes()
 
     @pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
     def test_symmetric_stack_is_c_contiguous(self, d):

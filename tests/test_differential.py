@@ -408,18 +408,21 @@ def test_inequality_kernels_match_their_twins(d):
     rng = np.random.default_rng(seed)
     a, b = random_symmetric_stack(rng, samples, d), random_symmetric_stack(rng, samples, d)
     twins = {"inq2": max(map(inq2_violation, a, b))}
-    rng = np.random.default_rng(seed)
-    a, x = random_symmetric_stack(rng, samples, d), random_unit_stack(rng, samples, d)
-    twins["inq_nice"] = max(map(inq_nice_violation, a, x))
-    # x, then per step z_k and w_k; the symmetric A_k = z_k x x^T + sqrt(1/2)
-    # (w x^T + x w^T), w = w_k - (w_k . x) x, has the drawn A_k x
-    rng = np.random.default_rng(seed)
-    x = random_unit_stack(rng, samples, d)
-    zw = rng.standard_normal((samples, n, d + 1))
-    z, w = zw[..., 0], zw[..., 1:]
-    w = w - np.einsum("mki,mi->mk", w, x)[..., None] * x[:, None]
-    a = (z[..., None, None] * np.einsum("mi,mj->mij", x, x)[:, None]
-         + np.sqrt(0.5) * (np.einsum("mki,mj->mkij", w, x) + np.einsum("mi,mkj->mkij", x, w)))
+
+    def drawn(steps):  # each sample's x and its `steps` symmetric A, drawn as the checks draw
+        # x, then per A the d normals w; the symmetric A = sqrt(1/2) (w x^T + x w^T)
+        # + (1 - sqrt(2)) (w . x) x x^T has the drawn A x = sqrt(1/2) w + (1 - sqrt(1/2)) (w . x) x
+        rng = np.random.default_rng(seed)
+        x = random_unit_stack(rng, samples, d)
+        w = rng.standard_normal((samples, steps, d))
+        a = (np.sqrt(0.5) * (np.einsum("mki,mj->mkij", w, x) + np.einsum("mi,mkj->mkij", x, w))
+             + ((1.0 - np.sqrt(2.0)) * np.einsum("mki,mi->mk", w, x))[..., None, None]
+             * np.einsum("mi,mj->mij", x, x)[:, None])
+        return a, x
+
+    a, x = drawn(1)
+    twins["inq_nice"] = max(map(inq_nice_violation, a[:, 0], x))
+    a, x = drawn(n)
     twins["prop_cauchy"] = max(prop_cauchy_violation(steps, v, 1.0 / n) for steps, v in zip(a, x))
     for report in (check_inq2(samples, d, seed), check_inq_nice(samples, d, seed),
                    check_prop_cauchy(samples, d, n, seed)):

@@ -54,6 +54,14 @@ class TestModelValidation:
         with pytest.raises(ValueError, match="semidefinite"):
             wishart_model(2, 1.0, x0=SymmetricMatrix.diagonal([1.0, -1.0]))
 
+    def test_start_of_another_dimension_refused_before_the_wallach_test(self):
+        # alpha = 1.5 is outside the Wallach set at d = 3 but inside it at d = 2,
+        # so a warning here would judge alpha against the wrong dimension
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^dimension mismatch: model d=3 vs x0 d=2$"):
+                wishart_model(3, 1.5, x0=SymmetricMatrix.identity(2))
+
     def test_only_the_wishart_model_requires_a_psd_start(self):
         # the Wishart model refuses starts below the cone at every scale; a model
         # built directly takes them, here with the same clipped root for g

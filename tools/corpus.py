@@ -59,6 +59,8 @@ def corpus(head):
         # would print a non-finite worst violation that JSON output refuses
         "verify --dim 1 --samples 4096", "verify --dim 13 --samples 1500",
         "verify --dim 31 --samples 256", "verify --samples 512 --format csv",
+        # one-sample blocks through all three kernels at every default d
+        "verify --samples 1",
         # the solvers at d = 3, whose bits a d = 2 change must leave alone
         *(f"{solver} --dim 3 --alpha 4 --steps 256 --paths 2 --config {name}"
           for solver in SOLVERS for name in ("contraction3.json", "big3.json")),
