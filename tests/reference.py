@@ -38,13 +38,21 @@ def jacobi_stack(stack):
     off-diagonal Frobenius norm of every matrix falls below
     1e-12 * ||A||_F, or the 50-sweep budget is exhausted (an AssertionError).
     Returns (eigenvalues sorted non-decreasing, matching eigenvector columns).
-    Norms square the entries, so inputs must stay within about 1e+-150.
+    Norms square the entries, so a matrix whose largest |entry| is below 1 is
+    first multiplied by the power of two that brings it into [1, 2): scaling
+    up by a power of two is exact, so the sweeps see exactly the given matrix,
+    and no square underflows at scales such as 1e-154, where the stopping test
+    would read an underflowed off-diagonal norm of 0 and stop early.  Larger
+    matrices are not scaled (scaling down could round tiny entries), so inputs
+    must stay below about 1e150.
     """
     a = np.array(stack, dtype=np.float64)
     m, d = a.shape[0], a.shape[1]
     v = np.broadcast_to(np.eye(d), (m, d, d)).copy()
     if d == 1:
         return a[:, :, 0].copy(), v
+    scale = np.minimum(np.ldexp(1.0, np.frexp(np.abs(a).max(axis=(1, 2)))[1] - 1), 1.0)
+    a /= scale[:, None, None]
 
     thresh = JACOBI_REL_TOL * np.sqrt((a * a).sum(axis=(1, 2)))
     off_mask = ~np.eye(d, dtype=bool)
@@ -85,7 +93,7 @@ def jacobi_stack(stack):
                 v[:, :, q] = ss * vp + cc * vq
     assert (off_norms(a) <= thresh).all(), "Jacobi sweeps exhausted"
 
-    lam = np.einsum("mii->mi", a).copy()
+    lam = np.einsum("mii->mi", a) * scale[:, None]
     order = np.argsort(lam, axis=1, kind="stable")
     lam = np.take_along_axis(lam, order, axis=1)
     v = np.take_along_axis(v, order[:, None, :], axis=2)
