@@ -5,7 +5,9 @@ Gaussian increments on the grid.  Randomness comes from counter-based Philox
 streams keyed by (master seed, path index), so independent paths can be drawn
 in any order, or in parallel, and still reproduce bit-identically.  Both key
 words are integers in [0, 2^64); anything else is refused with one ValueError
-before any state is touched.
+before any state is touched.  A grid's step count and a path's dimension are
+integers >= 1 (numpy integers taken, bools refused), else one ValueError
+names them.
 
 `sample_path` reuses one Philox state per thread: a generator, a two-word
 key list and one state dict that refers to it.  Each call writes (seed,
@@ -15,12 +17,21 @@ its draws equal those of a freshly built Philox generator keyed by (seed,
 path_index).  Only the state is reused: every returned path owns a fresh
 read-only increment array.
 
+One draw costs the re-key (the state setter), one `normal` call and little
+else: Python int arguments in range pass an inline check, the grid takes
+sqrt(dt) once, and the path takes its array without the constructor's copy
+and finiteness check.  Every per-path caller (`checks`' Monte Carlo checks
+and the CLI's `simulate` and `picard-convergence`) makes exactly one
+`sample_path` call per path, in path order; the benchmark counts these calls
+for its `brownian.paths` and `brownian.draws`.
+
 The path matrices are NOT symmetric: all d^2 entries are independent motions.
 Only the diffusion states built on top of them live in the symmetric space.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import threading
@@ -40,6 +51,35 @@ _PHILOX_ZEROS = (0, 0, 0, 0)  # counter and buffer words of a fresh Philox
 _streams = threading.local()
 
 
+def _integer(value, low: int, high):
+    """`value` as an int in [low, high), or None; bools are refused and numpy
+    integers taken."""
+    if isinstance(value, (bool, np.bool_)):
+        return None
+    try:
+        number = operator.index(value)
+    except TypeError:
+        return None
+    return number if low <= number < high else None
+
+
+def _count(name: str, value) -> int:
+    """`value` as an integer >= 1, or one ValueError naming it."""
+    number = _integer(value, 1, math.inf)
+    if number is None:
+        raise ValueError(f"{name} must be a positive integer")
+    return number
+
+
+def _word(name: str, value) -> int:
+    """`value` as a Philox key word, an integer in [0, 2^64), or one ValueError
+    naming the key."""
+    word = _integer(value, 0, _KEY_LIMIT)
+    if word is None:
+        raise ValueError(f"{name} must be an integer in [0, 2^64), got {value!r}")
+    return word
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Equidistant grid 0 = t_0 < t_1 < ... < t_n = horizon."""
@@ -50,58 +90,39 @@ class TimeGrid:
     def __post_init__(self) -> None:
         if not (self.horizon > 0 and math.isfinite(self.horizon)):
             raise ValueError("horizon must be positive and finite")
-        if self.steps < 1:
-            raise ValueError("steps must be a positive integer")
+        object.__setattr__(self, "steps", _count("steps", self.steps))
 
     @property
     def dt(self) -> float:
         return self.horizon / self.steps
+
+    @functools.cached_property
+    def sqrt_dt(self) -> float:
+        """sqrt(dt), the scale of every increment."""
+        return math.sqrt(self.dt)
 
     @property
     def times(self) -> np.ndarray:
         return np.linspace(0.0, self.horizon, self.steps + 1)
 
 
-def _word(name: str, value) -> int:
-    """`value` as a Philox key word, an integer in [0, 2^64) (bools refused), or
-    one ValueError naming the key."""
-    if type(value) is int and 0 <= value < _KEY_LIMIT:  # the common key, tested first
-        return value
-    if not isinstance(value, (bool, np.bool_)):
-        try:
-            word = operator.index(value)
-        except TypeError:
-            pass
-        else:
-            if 0 <= word < _KEY_LIMIT:
-                return word
-    raise ValueError(f"{name} must be an integer in [0, 2^64), got {value!r}")
-
-
-def _stream(seed: int, path_index: int) -> np.random.Generator:
-    """This thread's generator, reset to the state of a fresh Philox generator
-    keyed by (seed, path_index): zero counter, the key, empty buffer.  Both key
-    words must already have passed `_word`."""
-    try:
-        gen, key, state = _streams.philox
-    except AttributeError:
-        # Python ints, not uint64 arrays: the setter converts each word it
-        # indexes, and an int converts without a numpy scalar in between
-        key = [0, 0]
-        state = {
-            "bit_generator": "Philox",
-            "state": {"counter": _PHILOX_ZEROS, "key": key},
-            "buffer": _PHILOX_ZEROS,
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        gen = np.random.Generator(np.random.Philox(0))
-        _streams.philox = gen, key, state
-    key[0] = seed
-    key[1] = path_index
-    gen.bit_generator.state = state  # the setter copies every word out of the dict
-    return gen
+def _stream():
+    """This thread's Philox state, built: a generator, its two-word key list and
+    the state dict that refers to it.  `sample_path` resets the generator by
+    writing the key words and assigning the dict."""
+    # Python ints, not uint64 arrays: the setter converts each word it
+    # indexes, and an int converts without a numpy scalar in between
+    key = [0, 0]
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _PHILOX_ZEROS, "key": key},
+        "buffer": _PHILOX_ZEROS,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    _streams.philox = np.random.Generator(np.random.Philox(0)), key, state
+    return _streams.philox
 
 
 class BrownianPath:
@@ -121,9 +142,6 @@ class BrownianPath:
             )
         if not np.isfinite(arr).all():
             raise ValueError("increments must be finite")
-        self._adopt(grid, arr)
-
-    def _adopt(self, grid: TimeGrid, arr: np.ndarray) -> None:
         arr.setflags(write=False)
         self.grid = grid
         self._increments = arr
@@ -139,17 +157,34 @@ class BrownianPath:
 
 def sample_path(grid: TimeGrid, dim: int, seed: int, path_index: int = 0) -> BrownianPath:
     """Draw one matrix Brownian path from the (seed, path_index) Philox stream."""
-    if dim < 1:
-        raise ValueError("dim must be a positive integer")
-    seed, path_index = _word("seed", seed), _word("path_index", path_index)
+    # Python ints in range pass inline; any other value is converted or refused
+    # by the general check, before the thread's key list is written
+    if type(dim) is not int or dim < 1:
+        dim = _count("dim", dim)
+    if type(seed) is not int or not 0 <= seed < _KEY_LIMIT:
+        seed = _word("seed", seed)
+    if type(path_index) is not int or not 0 <= path_index < _KEY_LIMIT:
+        path_index = _word("path_index", path_index)
+    try:
+        gen, key, state = _streams.philox
+    except AttributeError:  # this thread's first path
+        gen, key, state = _stream()
+    # zero counter, the key, empty buffer: the setter copies every word out of
+    # the dict, so the generator restarts as a fresh Philox keyed by (seed, path_index)
+    key[0] = seed
+    key[1] = path_index
+    gen.bit_generator.state = state
     # numpy draws loc + scale * z, and -0.0 is the additive identity, so every
     # entry has the bits of z * sqrt(dt), signed zeros included (+0.0 would
     # turn an underflowed -0.0 into +0.0)
-    increments = _stream(seed, path_index).normal(-0.0, math.sqrt(grid.dt), (grid.steps, dim, dim))
+    increments = gen.normal(-0.0, grid.sqrt_dt, (grid.steps, dim, dim))
     # normal draws times the root of a finite dt are finite, and the array is
-    # this call's own: adopt it without the constructor's copy and check
-    path = BrownianPath.__new__(BrownianPath)
-    path._adopt(grid, increments)
+    # this call's own: the path takes it without the constructor's copy and
+    # check.  setflags(False) is write=False; the keyword form costs twice as much
+    increments.setflags(False)
+    path = object.__new__(BrownianPath)
+    path.grid = grid
+    path._increments = increments
     return path
 
 

@@ -7,6 +7,10 @@ violation beyond rounding is an implementation bug).  `_per_path` draws at
 least 2 Monte Carlo paths from per-path Philox streams in blocks and returns
 one row per path, which the check reduces once over all paths; a row depends
 on its own path alone, so results depend on neither scheduling nor block size.
+Its fill loop makes one `sample_path` call per path, in path order, and
+gathers each chunk of `_FILL` paths with one `np.concatenate` into a
+path-major chunk, which one transposed assignment copies into the step-major
+block: no per-path index arithmetic and no per-path copy call.
 
 Sampling conventions: a random symmetric matrix has independent Gaussian
 entries on and above the diagonal, N(0, 1) on it and N(0, 1/2) off it, the law
@@ -192,14 +196,15 @@ def _per_path(name: str, grid: TimeGrid, dim: int, seed: int, n_paths: int, valu
     # one path at a time into the block would write it at a stride of the block's
     # width; a small path-major chunk is copied in with one transposed assignment
     chunk = np.empty((min(_FILL, n_paths), grid.steps, dim, dim))
+    flat = chunk.reshape(-1, dim, dim)  # the chunk's paths end to end
     rows = []
     for start in range(0, n_paths, _PATH_BLOCK):
         count = min(_PATH_BLOCK, n_paths - start)
         for lo in range(0, count, _FILL):
-            width = min(_FILL, count - lo)
-            for i in range(width):
-                chunk[i] = sample_path(grid, dim, seed, start + lo + i).increments
-            buf[:, lo:lo + width] = chunk[:width].swapaxes(0, 1)
+            paths = range(start + lo, start + min(lo + _FILL, count))
+            np.concatenate([sample_path(grid, dim, seed, i).increments for i in paths],
+                           out=flat[:len(paths) * grid.steps])
+            buf[:, lo:lo + len(paths)] = chunk[:len(paths)].swapaxes(0, 1)
         rows.append(values(buf[:, :count]))
     return np.concatenate(rows)
 

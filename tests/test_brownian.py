@@ -35,6 +35,16 @@ class TestTimeGrid:
         assert TimeGrid(1.0, 8) == TimeGrid(1.0, 8)
         assert TimeGrid(1.0, 8) != TimeGrid(1.0, 16)
 
+    @pytest.mark.parametrize("steps", [2.5, True, np.True_, np.float64(2.0), "2", None, 0, -1])
+    def test_steps_must_be_an_integer_of_at_least_one(self, steps):
+        with pytest.raises(ValueError, match="^steps must be a positive integer$"):
+            TimeGrid(1.0, steps)
+
+    def test_numpy_integer_steps_are_taken_as_int(self):
+        grid = TimeGrid(1.0, np.int64(4))
+        assert type(grid.steps) is int and grid == TimeGrid(1.0, 4)
+        assert grid.sqrt_dt == np.sqrt(0.25)
+
 
 class TestSampling:
     def test_single_step_shape(self):
@@ -134,7 +144,8 @@ class TestReKeyedStream:
         grid = TimeGrid(1.0, 3)
         for leftover in (1, 3, 6):
             # 32-bit draws also leave a half-used word behind
-            brownian._stream(11, 12).random(leftover, dtype=np.float32)
+            sample_path(grid, 2, 11, 12)
+            brownian._streams.philox[0].random(leftover, dtype=np.float32)
             drawn = sample_path(grid, 2, 11, 12).increments
             assert drawn.tobytes() == _fresh_increments(grid, 2, 11, 12).tobytes()
 
@@ -150,6 +161,17 @@ class TestReKeyedStream:
             for seed, index in ((7, 3), (8, 4)):
                 drawn = sample_path(grid, 2, seed, index).increments
                 assert drawn.tobytes() == _fresh_increments(grid, 2, seed, index).tobytes()
+
+    @pytest.mark.parametrize("dim", [2.0, True, np.True_, np.float64(2.0), "2", None, 0, -1])
+    def test_refused_dims_leave_no_trace(self, dim):
+        grid = TimeGrid(1.0, 5)
+        sample_path(grid, 2, 7, 3)
+        with pytest.raises(ValueError, match="^dim must be a positive integer$"):
+            sample_path(grid, dim, 8, 4)
+        drawn = sample_path(grid, 2, 8, 4).increments
+        assert drawn.tobytes() == _fresh_increments(grid, 2, 8, 4).tobytes()
+        # a numpy integer dimension is the same draw
+        assert sample_path(grid, np.int64(2), 8, 4).increments.tobytes() == drawn.tobytes()
 
     def test_each_path_owns_a_fresh_read_only_array(self):
         grid = TimeGrid(1.0, 4)

@@ -339,6 +339,35 @@ class TestBlockSizeIndependence:
         report = mc_isometry(a, c, x, y, paths, grid, seed=42)
         assert report.details["mean"] == float(np.array(values).mean())
 
+    def test_one_sample_path_call_per_path_in_order(self, monkeypatch):
+        # blocks of 7 and chunks of 3 over 70 paths: chunks end part-full in
+        # every block (7 = 3 + 3 + 1), and the benchmark counts these calls
+        rng = np.random.default_rng(41)
+        a = SymmetricMatrix(random_symmetric_stack(rng, 1, 3)[0])
+        c = SymmetricMatrix(random_psd_stack(rng, 1, 3)[0])
+        x, y = random_unit_stack(rng, 2, 3)
+        model = wishart_model(3, 4.0, x0=SymmetricMatrix.identity(3))
+        grid, paths = TimeGrid(1.0, 8), 70
+        runs = {  # seed: the check at d = 3
+            42: lambda: mc_isometry(a, c, x, y, paths, grid, seed=42).to_dict(),
+            43: lambda: mc_trace_moment(model, paths, grid, seed=43).to_dict(),
+            44: lambda: estimate_lemma_beta(a, c, paths, grid, x, seed=44),
+        }
+        plain = {seed: run() for seed, run in runs.items()}
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return sample_path(*args)
+
+        monkeypatch.setattr(checks, "_PATH_BLOCK", 7)
+        monkeypatch.setattr(checks, "_FILL", 3)
+        monkeypatch.setattr(checks, "sample_path", spy)
+        for seed, run in runs.items():
+            calls.clear()
+            assert run() == plain[seed], seed
+            assert calls == [(grid, 3, seed, i) for i in range(paths)], seed
+
 
 class TestWorstCase:
     # one NaN, which max() would pass over for the first block's worst, or a

@@ -192,7 +192,7 @@ def test_two_by_two_bits_do_not_depend_on_layout(kind):
     outputs = set()
     for stack, block, steps in zip(_layouts(_states(64, 33)), _layouts(inc), _layouts(path_inc)):
         path = object.__new__(BrownianPath)
-        path._adopt(grid, steps)  # as laid out, where the constructor would copy
+        path.grid, path._increments = grid, steps  # as laid out, where the constructor would copy
         solution, diag = picard_solve(model, path)
         outputs.add(b"".join(out.tobytes() for out in (
             *spectral_decompose_stack(stack), min_eigenvalues_stack(stack),

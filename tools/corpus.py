@@ -83,6 +83,9 @@ def corpus(head):
         # the path draw at d = 1 and 3, and on horizons 2.5 and 0.3, where sqrt(dt) is inexact
         "isometry --dim 1 --steps 16 --paths 2000", "isometry --dim 3 --steps 16 --paths 2000",
         "isometry --horizon 2.5", "trace-moment --horizon 0.3 --steps 64",
+        # the Monte Carlo fill loop's edges: one path past a full 64-path chunk with one-step
+        # paths, and 2048 + 64 + 1 paths, a second block of one full chunk and one path
+        "isometry --paths 65 --steps 1", "isometry --dim 3 --paths 2113 --steps 3",
         # starts refused where their norm overflows (exit 2)
         *(f"simulate --dim 5 --config {name}" for name in ("asym5.json", "indef5.json")),
         # the trace moment over 2048-path blocks and a last block of one path: the d = 2 kernels'
