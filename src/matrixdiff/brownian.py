@@ -5,9 +5,9 @@ Gaussian increments on the grid.  Randomness comes from counter-based Philox
 streams keyed by (master seed, path index), so independent paths can be drawn
 in any order, or in parallel, and still reproduce bit-identically.  Both key
 words are integers in [0, 2^64); anything else is refused with one ValueError
-before any state is touched.  A grid's step count and a path's dimension are
-integers >= 1 (numpy integers taken, bools refused), else one ValueError
-names them.
+before any state is touched.  A grid's step count, a path's dimension and a
+coarsening factor are integers >= 1 (numpy integers taken, bools refused),
+else one ValueError names them.
 
 `sample_path` reuses one Philox state per thread: a generator, a two-word
 key list and one state dict that refers to it.  Each call writes (seed,
@@ -63,11 +63,13 @@ def _integer(value, low: int, high):
     return number if low <= number < high else None
 
 
-def _count(name: str, value) -> int:
-    """`value` as an integer >= 1, or one ValueError naming it."""
-    number = _integer(value, 1, math.inf)
-    if number is None:
-        raise ValueError(f"{name} must be a positive integer")
+def _count(name: str, value, below_one: str = "") -> int:
+    """`value` as an integer >= 1, or one ValueError naming it; `below_one`,
+    when given, is the message for an integer below 1."""
+    number = _integer(value, -math.inf, math.inf)
+    if number is None or number < 1:
+        raise ValueError(below_one if number is not None and below_one
+                         else f"{name} must be a positive integer")
     return number
 
 
@@ -88,7 +90,8 @@ class TimeGrid:
     steps: int
 
     def __post_init__(self) -> None:
-        if not (self.horizon > 0 and math.isfinite(self.horizon)):
+        if isinstance(self.horizon, (bool, np.bool_)) \
+                or not (self.horizon > 0 and math.isfinite(self.horizon)):
             raise ValueError("horizon must be positive and finite")
         object.__setattr__(self, "steps", _count("steps", self.steps))
 
@@ -190,8 +193,10 @@ def sample_path(grid: TimeGrid, dim: int, seed: int, path_index: int = 0) -> Bro
 
 def coarsen_path(path: BrownianPath, factor: int) -> BrownianPath:
     """Restrict a path to every `factor`-th grid point by summing increments."""
-    if factor < 1 or path.grid.steps % factor != 0:
-        raise ValueError(f"factor {factor} must divide the step count {path.grid.steps}")
+    undivided = f"factor {factor} must divide the step count {path.grid.steps}"
+    factor = _count("factor", factor, undivided)
+    if path.grid.steps % factor != 0:
+        raise ValueError(undivided)
     n_coarse = path.grid.steps // factor
     inc = path.increments.reshape(n_coarse, factor, path.dim, path.dim).sum(axis=1)
     coarse_grid = TimeGrid(horizon=path.grid.horizon, steps=n_coarse)

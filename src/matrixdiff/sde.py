@@ -24,7 +24,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .brownian import BrownianPath, TimeGrid
+from .brownian import BrownianPath, TimeGrid, _count
 from .symmat import (
     ScalarFunctionSpec,
     SymmetricMatrix,
@@ -263,16 +263,15 @@ def picard_solve(model: SdeModel, path: BrownianPath, max_iter: int = 25,
     iterate, so the fixed point is the Euler path.  The per-iteration
     diagnostic is the sup over grid times and `default_test_vectors(d)` of
     |x^T (X_new - X_old) x|; iteration stops once it falls below `stop_tol`.
-    Non-convergence within `max_iter` is reported, not raised; `max_iter` below 1,
-    a `stop_tol` that is not positive and finite, or an iterate whose distance
-    is not finite raises `ValueError`.
+    Non-convergence within `max_iter` is reported, not raised; a `max_iter`
+    that is no integer >= 1, a `stop_tol` that is not positive and finite, or
+    an iterate whose distance is not finite raises `ValueError`.
 
     Returns (PathSolution, PicardDiagnostics).
     """
     if path.dim != model.dim:
         raise ValueError(f"dimension mismatch: model d={model.dim} vs path d={path.dim}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    max_iter = _count("max_iter", max_iter, f"max_iter must be at least 1, got {max_iter}")
     if not (stop_tol > 0 and math.isfinite(stop_tol)):
         raise ValueError(f"stop_tol must be positive and finite, got {stop_tol!r}")
     grid = path.grid
@@ -328,12 +327,11 @@ def wishart_model(d: int, alpha: float, x0: Optional[SymmetricMatrix] = None,
     The square root is clipped at `sqrt_clip_bound` so the coefficients are
     bounded; desk-scale paths never reach the clip.  A drift parameter outside
     the Wallach set only triggers a warning: the discretized dynamics remain
-    well defined for any alpha.  A start that is not d x d, or not positive
-    semidefinite (its least eigenvalue below -1e-10 ||x0||_F over its own
-    scale), is a `ValueError`.
+    well defined for any alpha.  A d that is no integer >= 1, a start that is
+    not d x d, or not positive semidefinite (its least eigenvalue below
+    -1e-10 ||x0||_F over its own scale), is a `ValueError`.
     """
-    if d < 1:
-        raise ValueError("d must be a positive integer")
+    d = _count("d", d)
     if not sqrt_clip_bound > 0:
         raise ValueError("sqrt_clip_bound must be positive")
     if x0 is None:

@@ -3,9 +3,10 @@
 The state space throughout the package is the set of real symmetric d x d
 matrices.  A scalar function g is lifted to a matrix argument through the
 spectral decomposition A = Q diag(lambda) Q^T as g(A) = Q diag(g(lambda)) Q^T,
-with eigenvalues kept in non-decreasing order.  The PSD predicate `is_psd`
-and the stacked minimum eigenvalue round out the deterministic substrate used
-by the stochastic layers.
+with eigenvalues kept in non-decreasing order and checked by one two-stage
+reconstruction guard at every d.  The PSD predicate `is_psd` and the stacked
+minimum eigenvalue round out the deterministic substrate used by the
+stochastic layers.
 """
 
 from __future__ import annotations
@@ -40,14 +41,14 @@ SYMMETRY_REJECT_RTOL = 1e-8
 
 RECONSTRUCTION_RTOL = 1e-8
 
-# `_reconstructs_2x2` trusts a plain sum of squares ||A||^2 that lands here: no
-# square overflowed, and the squares that underflowed are negligible against it
+# `_surely_reconstructs` trusts a plain sum of squares ||A||^2 that lands here:
+# no square overflowed, and the squares that underflowed are negligible against it
 _SUMSQ_LOW = np.finfo(np.float64).tiny * 2.0 ** 53
 _SUMSQ_HIGH = np.finfo(np.float64).max
-# A d = 2 residual whose plain sum of squares is at most this fraction of
-# RECONSTRUCTION_RTOL^2 ||A||^2 passes the `_frobenius` check for certain: a
-# plain and a max-scaled sum of squares differ by a few ulps, and the margin,
-# 1e-6 relative, outweighs that and the rounding of both checks' roots and products.
+# A residual whose plain sum of squares is at most this fraction of
+# RECONSTRUCTION_RTOL^2 ||A||^2 passes the `_frobenius` check for certain: plain
+# and max-scaled sums of d^2 squares differ by about d^2 ulps, and the margin,
+# 1e-6 relative, outweighs that and the checks' other roundings for d < 10^4.
 _ACCEPT_SUMSQ_RATIO = (1.0 - 1e-6) * RECONSTRUCTION_RTOL ** 2
 
 
@@ -224,16 +225,6 @@ def clipped_sqrt_fn(clip: float) -> ScalarFunctionSpec:
     )
 
 
-def _lift_2x2(vec: np.ndarray, vals: np.ndarray):
-    """The (0, 0), (0, 1) = (1, 0) and (1, 1) entry planes of Q diag(vals) Q^T
-    for d = 2, where Q must be the rotation [[-s, c], [c, s]] that `_eig_stack`
-    returns: s^2 l0 + c^2 l1, c s (l1 - l0) and c^2 l0 + s^2 l1."""
-    c, s = vec[:, 0, 1], vec[:, 1, 1]
-    lo, hi = vals[:, 0], vals[:, 1]
-    cc, ss = c * c, s * s
-    return ss * lo + cc * hi, c * s * (hi - lo), cc * lo + ss * hi
-
-
 def _empty_2x2(m: int) -> np.ndarray:
     """An unfilled (m, 2, 2) stack laid out entry-plane-major, so that each entry
     plane a[:, i, j] is contiguous: the d = 2 kernels read and write whole planes."""
@@ -241,14 +232,20 @@ def _empty_2x2(m: int) -> np.ndarray:
 
 
 def _lift(vec: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """Q diag(vals) Q^T for every matrix of a stack, exactly symmetric: written
-    out by `_lift_2x2` for d = 2 into a stack of `_empty_2x2`, otherwise the
-    matmul R averaged with R^T as 0.5 (R + R^T), or as 0.5 R + 0.5 R^T where
-    R + R^T overflowed."""
+    """Q diag(vals) Q^T for every matrix of a stack, exactly symmetric.  For
+    d = 2, where Q must be the rotation [[-s, c], [c, s]] that `_eig_stack`
+    returns, its entry planes s^2 l0 + c^2 l1, c s (l1 - l0) = (1, 0) and
+    c^2 l0 + s^2 l1 are written out into a stack of `_empty_2x2`; otherwise
+    it is the matmul R averaged with R^T as 0.5 (R + R^T), or as
+    0.5 R + 0.5 R^T where R + R^T overflowed."""
     if vec.shape[-1] == 2:
+        c, s = vec[:, 0, 1], vec[:, 1, 1]
+        lo, hi = vals[:, 0], vals[:, 1]
+        cc, ss = c * c, s * s
         out = _empty_2x2(vec.shape[0])
-        out[:, 0, 0], out[:, 0, 1], out[:, 1, 1] = _lift_2x2(vec, vals)
-        out[:, 1, 0] = out[:, 0, 1]
+        out[:, 0, 0] = ss * lo + cc * hi
+        out[:, 0, 1] = out[:, 1, 0] = c * s * (hi - lo)
+        out[:, 1, 1] = cc * lo + ss * hi
         return out
     # stacked matmul runs about twice as fast on a contiguous Q^T as on the view
     out = (vec * vals[:, None, :]) @ np.ascontiguousarray(vec.transpose(0, 2, 1))
@@ -288,24 +285,23 @@ def _eig_stack(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lam, vec
 
 
-def _reconstructs_2x2(stack: np.ndarray, lam: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """True for each matrix A of a d = 2 stack that certainly passes the
-    reconstruction check, judged in one elementwise pass over the entry planes.
+def _surely_reconstructs(stack: np.ndarray, lam: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """True for each matrix A of a stack that certainly passes the
+    reconstruction check, judged by plain sums of squares: the first stage of
+    the guard at every d.
 
-    The residual planes are those the check computes, all four of them, so a
-    not exactly symmetric A is judged as there.  Each sum of squares is plain;
-    ||A||^2 must lie in [_SUMSQ_LOW, _SUMSQ_HIGH], where no square overflowed
-    and underflowed squares are negligible.  The residual's sum needs no lower
-    end: a square that underflowed errs by at most 2^-1075, far below the
-    margin of `_ACCEPT_SUMSQ_RATIO` times ||A||^2 >= _SUMSQ_LOW.  (An exact
+    The residual is the one the check takes, `_lift(vec, lam) - A`, so a not
+    exactly symmetric A is judged as there.  ||A||^2 must lie in
+    [_SUMSQ_LOW, _SUMSQ_HIGH], where no square overflowed and underflowed
+    squares are negligible.  The residual's sum needs no lower end: a square
+    that underflowed errs by at most 2^-1075, far below the margin of
+    `_ACCEPT_SUMSQ_RATIO` times ||A||^2 >= _SUMSQ_LOW.  (An exact
     reconstruction, residual 0, is common.)  False sends A to the check.
     """
-    l00, l01, l11 = _lift_2x2(vec, lam)
     with np.errstate(over="ignore"):  # an overflowed sum is out of range
-        rr = ((l00 - stack[:, 0, 0]) ** 2 + (l01 - stack[:, 0, 1]) ** 2) \
-            + ((l01 - stack[:, 1, 0]) ** 2 + (l11 - stack[:, 1, 1]) ** 2)
-        aa = (stack[:, 0, 0] ** 2 + stack[:, 0, 1] ** 2) \
-            + (stack[:, 1, 0] ** 2 + stack[:, 1, 1] ** 2)
+        resid = _lift(vec, lam) - stack
+        rr = np.einsum("mij,mij->m", resid, resid)
+        aa = np.einsum("mij,mij->m", stack, stack)
         return (aa >= _SUMSQ_LOW) & (aa <= _SUMSQ_HIGH) & (rr <= _ACCEPT_SUMSQ_RATIO * aa)
 
 
@@ -336,18 +332,15 @@ def spectral_decompose_stack(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     are verified for the whole stack; non-finite input, or a residual above
     1e-8 * max(||A||_F, tiny), raises `EigensolverError`.  `tiny`, the smallest
     normal double, keeps the relative bound positive for zero and subnormal A.
-    At d = 2 only the matrices that `_reconstructs_2x2` is unsure of take the
-    check; the others would pass it.  The error names the whole stack's worst.
+    At every d only the matrices that `_surely_reconstructs` is unsure of take
+    the scaled `_reconstruction_check`.  The error names the whole stack's worst.
     """
     stack = _finite(stack)
     lam, vec = _eig_stack(stack)
-    unsure = slice(None)
-    if stack.shape[-1] == 2:
-        fits = _reconstructs_2x2(stack, lam, vec)
-        if np.count_nonzero(fits) == fits.size:
-            return lam, vec
-        unsure = ~fits
-    *_, fits = _reconstruction_check(stack[unsure], lam[unsure], vec[unsure])
+    fits = _surely_reconstructs(stack, lam, vec)
+    if np.count_nonzero(fits) == fits.size:
+        return lam, vec
+    *_, fits = _reconstruction_check(stack[~fits], lam[~fits], vec[~fits])
     if np.count_nonzero(fits) != fits.size:
         resid, bound, _ = _reconstruction_check(stack, lam, vec)
         raise EigensolverError(

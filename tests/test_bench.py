@@ -29,8 +29,10 @@ valid_frac                           1.000000 frac
 attempted 5 failed 0
 {"correct": true, "attempted": 5, "failed": 0, "metrics": {"setup_s": {"value": 0.28630596579725637, "unit": "s"}, "op_s": {"value": 0.21147730970794285, "unit": "s"}, "work_per_s": {"value": 1529050.2510284334, "unit": "units/s"}, "peak_rss_mb": {"value": 39.81640625, "unit": "MB"}, "valid_frac": {"value": 1.0, "unit": "frac"}}}
 """
+FAIL_LINE = "FAIL mc-isometry op 3 (untraced, seed 1): stdout differs from the first op"
 FAILED = CAPTURED.replace('"correct": true, "attempted": 5, "failed": 0',
-                          '"correct": false, "attempted": 5, "failed": 1')
+                          '"correct": false, "attempted": 5, "failed": 1').replace(
+    "attempted 5 failed 0\n", f"{FAIL_LINE}\nattempted 5 failed 1\n")
 
 
 def test_parse_reads_the_env_record_and_the_result():
@@ -43,7 +45,8 @@ def test_parse_reads_the_env_record_and_the_result():
 
 
 @pytest.mark.parametrize("stdout, code", [(CAPTURED, 0), (FAILED, 1), ("Traceback\n", 1)])
-def test_writes_every_run_and_exits_1_unless_each_reads_correct(stdout, code, tmp_path, monkeypatch):
+def test_writes_every_run_and_exits_1_unless_each_reads_correct(stdout, code, tmp_path, monkeypatch,
+                                                               capsys):
     calls = []
 
     def fake_run(argv, cwd, **kwargs):
@@ -64,8 +67,22 @@ def test_writes_every_run_and_exits_1_unless_each_reads_correct(stdout, code, tm
     assert doc["n"] == 7 and doc["commit"] is None and len(doc["runs"]) == 4
     assert [(r["workload"], r["seed"]) for r in doc["runs"]] == [
         ("mc-isometry", 1), ("path-solve", 1), ("mc-isometry", 2), ("path-solve", 2)]
+    printed = capsys.readouterr().out.splitlines()
     if code == 0:
         assert doc["runs"][0]["result"] == json.loads(CAPTURED.splitlines()[-1])
         assert doc["runs"][0]["env"]["workload"] == "mc-isometry"
+        assert "fail" not in doc["runs"][0]
+        assert printed[0] == ("BENCH_7 mc-isometry seed 1: correct True, "
+                              "op_s 0.2115, work_per_s 1.529e+06, peak_rss_mb 39.82")
+        assert len(printed) == 8
     else:
         assert all(("error" in r) == (stdout == "Traceback\n") for r in doc["runs"])
+    if stdout == FAILED:  # each run's line, then the reason it is not correct
+        assert doc["runs"][0]["fail"] == [FAIL_LINE]
+        assert printed[:2] == ["BENCH_7 mc-isometry seed 1: correct False, "
+                               "op_s 0.2115, work_per_s 1.529e+06, peak_rss_mb 39.82", FAIL_LINE]
+        assert len(printed) == 16
+    elif stdout == "Traceback\n":
+        assert printed[0] == ("BENCH_7 mc-isometry seed 1: correct False, "
+                              "op_s -, work_per_s -, peak_rss_mb -")
+        assert printed[1].startswith("no env record in run.py's output")

@@ -27,7 +27,7 @@ class TestTimeGrid:
             TimeGrid(horizon=0.0, steps=4)
         with pytest.raises(ValueError):
             TimeGrid(horizon=1.0, steps=0)
-        for horizon in (float("inf"), float("nan")):
+        for horizon in (float("inf"), float("nan"), True, np.True_):
             with pytest.raises(ValueError, match="positive and finite"):
                 TimeGrid(horizon=horizon, steps=4)
 
@@ -238,6 +238,23 @@ class TestRefinement:
         path = sample_path(TimeGrid(1.0, 6), 2, seed=8)
         with pytest.raises(ValueError):
             coarsen_path(path, 4)
+
+    @pytest.mark.parametrize("factor, message", [
+        (2.0, "factor must be a positive integer"), (True, "factor must be a positive integer"),
+        (np.True_, "factor must be a positive integer"), ("2", "factor must be a positive integer"),
+        (0, "factor 0 must divide the step count 6"), (-2, "factor -2 must divide the step count 6"),
+    ])
+    def test_factor_must_be_an_integer_of_at_least_one(self, factor, message):
+        path = sample_path(TimeGrid(1.0, 6), 2, seed=8)
+        with pytest.raises(ValueError) as raised:
+            coarsen_path(path, factor)
+        assert str(raised.value) == message
+
+    def test_numpy_integer_factor_is_taken(self):
+        path = sample_path(TimeGrid(1.0, 6), 2, seed=8)
+        coarse = coarsen_path(path, np.int64(3))
+        assert type(coarse.grid.steps) is int
+        np.testing.assert_array_equal(coarse.increments, coarsen_path(path, 3).increments)
 
     def test_coarsened_variance_matches_direct(self):
         # squared coarse increments estimate the coarse step size either way

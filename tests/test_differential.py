@@ -291,6 +291,34 @@ def test_guard_raises_exactly_when_the_reference_check_fails(case):
     assert raised == bool((ratios > 1.0).any())
 
 
+@pytest.mark.parametrize("d", [5, 8])
+@pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
+@pytest.mark.parametrize("target", [0.99, 1.01])
+def test_guard_raises_exactly_when_a_planted_residual_exceeds_the_bound(d, scale, target):
+    # at scale 1 the plain sums decide, at 1e+-300 ||A||^2 leaves their range
+    # and the scaled check does; every eigenvalue moves by target * bound / sqrt(d)
+    raw = np.random.default_rng(d).standard_normal((3, d, d))
+    stack = scale * (raw + raw.transpose(0, 2, 1))
+    solve, seen = symmat._eig_stack, []
+
+    def perturbed(arr):
+        lam, vec = solve(arr)
+        lam = lam + (target * _bounds(arr) / math.sqrt(d))[:, None]
+        seen.append((lam, vec))
+        return lam, vec
+
+    with mock.patch.object(symmat, "_eig_stack", perturbed):
+        try:
+            spectral_decompose_stack(stack)
+            raised = False
+        except EigensolverError as exc:
+            assert "reconstruction residual" in str(exc)
+            raised = True
+    ratios = _reference_ratios(stack, *seen[0])
+    assert ((ratios > 1.0) == (target > 1.0)).all()
+    assert raised == bool((ratios > 1.0).any())
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_entries_keep_their_own_refusal(d, bad):

@@ -121,6 +121,16 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             wishart_model(2, 1.0, sqrt_clip_bound=0.0)
 
+    @pytest.mark.parametrize("d", [2.0, True, np.True_, "2", 0, -1])
+    def test_d_must_be_an_integer_of_at_least_one(self, d):
+        with pytest.raises(ValueError, match="^d must be a positive integer$"):
+            wishart_model(d, 3.0)
+
+    def test_numpy_integer_d_is_taken(self):
+        model = wishart_model(np.int64(2), 3.0)
+        assert type(model.dim) is int and model.dim == 2
+        np.testing.assert_array_equal(model.x0.entries, np.zeros((2, 2)))
+
     @pytest.mark.parametrize("clip", [float("inf"), 1e999, float("nan")])
     def test_infinite_sqrt_clip_refused(self, clip):
         with pytest.raises(ValueError, match="bound"):
@@ -469,6 +479,26 @@ class TestPicard:
         path = sample_path(TimeGrid(1.0, 4), 2, seed=9)
         with pytest.raises(ValueError, match="max_iter" if max_iter < 1 else "stop_tol"):
             picard_solve(model, path, max_iter=max_iter, stop_tol=stop_tol)
+
+    @pytest.mark.parametrize("max_iter, message", [
+        (2.5, "max_iter must be a positive integer"), (2.0, "max_iter must be a positive integer"),
+        (True, "max_iter must be a positive integer"), (np.True_, "max_iter must be a positive integer"),
+        (0, "max_iter must be at least 1, got 0"), (np.int64(-1), "max_iter must be at least 1, got -1"),
+    ])
+    def test_max_iter_must_be_an_integer_of_at_least_one(self, max_iter, message):
+        model = wishart_model(2, 3.0, x0=SymmetricMatrix.identity(2), sqrt_clip_bound=10.0)
+        path = sample_path(TimeGrid(1.0, 4), 2, seed=9)
+        with pytest.raises(ValueError) as raised:
+            picard_solve(model, path, max_iter=max_iter)
+        assert str(raised.value) == message
+
+    def test_numpy_integer_max_iter_is_taken(self):
+        model = wishart_model(2, 3.0, x0=SymmetricMatrix.identity(2), sqrt_clip_bound=10.0)
+        path = sample_path(TimeGrid(1.0, 4), 2, seed=9)
+        sol, diag = picard_solve(model, path, max_iter=np.int32(2))
+        again, _ = picard_solve(model, path, max_iter=2)
+        assert diag.iterates_kept == 2
+        np.testing.assert_array_equal(sol.states, again.states)
 
     def test_overflowing_iterate_refused_at_once(self):
         # a constant drift of 1e308 overflows the first iterate; the huge

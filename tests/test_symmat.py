@@ -153,7 +153,7 @@ class TestSpectralDecompose:
                     spectral_decompose_stack(stack)
 
     def test_picard_from_zero_checks_only_its_zero_states(self, monkeypatch):
-        # a zero matrix is one the one-pass d = 2 test is unsure of (its
+        # a zero matrix is one the plain-sum first stage is unsure of (its
         # ||A||^2 is below _SUMSQ_LOW); it alone takes the full check, not the
         # stack of every Picard sweep, which keeps X0 = 0 at t = 0
         check, solve, checked, decomposed = symmat._reconstruction_check, symmat._eig_stack, [], []
@@ -177,6 +177,26 @@ class TestSpectralDecompose:
         assert zeros > len(decomposed)  # the first sweep's whole stack, and one per sweep
         assert sum(len(stack) for stack in checked) == zeros
         assert not any(stack.any() for stack in checked)
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_check_takes_only_the_matrices_the_first_stage_is_unsure_of(self, d, monkeypatch):
+        # ||A||^2 of the zero matrix and of the one at 1e-160 lies below
+        # _SUMSQ_LOW, so the plain sums cannot vouch for them; the moderate
+        # matrices around them reconstruct well inside the bound
+        check, checked = symmat._reconstruction_check, []
+
+        def spy(stack, lam, vec):
+            checked.append(stack.copy())
+            return check(stack, lam, vec)
+
+        monkeypatch.setattr(symmat, "_reconstruction_check", spy)
+        raw = np.random.default_rng(d).standard_normal((6, d, d))
+        stack = raw + raw.transpose(0, 2, 1)
+        stack[1] = 0.0
+        stack[4] *= 1e-160
+        spectral_decompose_stack(stack)
+        assert len(checked) == 1
+        np.testing.assert_array_equal(checked[0], stack[[1, 4]])
 
     def test_error_names_the_whole_stacks_worst(self, monkeypatch):
         # only the tiny matrix is sent to the full check, and it fails there;

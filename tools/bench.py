@@ -7,9 +7,12 @@ a temporary directory, which leaves no trace in `.git` even when the run is cut
 short) or a directory such as `.`, the working tree, used as it is.  For every
 seed, then every workload, each tree's own `perfbench/run.py --trace 0` runs
 once; the trees take turns going first, seed by seed, so host drift falls on
-all of them alike.  BENCH_<N>.json holds the commit (null for a directory),
-the settings and every run: its workload, seed, exit code, run.py's `env`
-record and its final JSON line.  The exit code is 1 when any run does not read
+all of them alike.  Each run prints one line: its tree, workload and seed,
+whether it is correct, its op_s, work_per_s and peak_rss_mb; a run that is
+not correct also prints run.py's FAIL lines, or the reason it has no result.
+BENCH_<N>.json holds the commit (null for a directory), the settings and every
+run: its workload, seed, exit code, run.py's `env` record, its FAIL lines if
+any and its final JSON line.  The exit code is 1 when any run does not read
 `"correct": true` (a failed op, or no result at all), else 0.
 """
 
@@ -38,6 +41,9 @@ def run(tree, workload, seed, seconds):
             "--seconds", str(seconds), "--trace", "0"]
     done = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
     record = {"workload": workload, "seed": seed, "exit": done.returncode}
+    fails = [line for line in done.stdout.splitlines() if line.startswith("FAIL ")]
+    if fails:
+        record["fail"] = fails
     try:
         record["env"], record["result"] = parse(done.stdout)
     except ValueError as exc:  # includes a last line that is not JSON
@@ -47,6 +53,22 @@ def run(tree, workload, seed, seconds):
 
 def correct(record):
     return record.get("result", {}).get("correct") is True
+
+
+def report(n, record):
+    """The run's line, and when it is not correct, the reasons it is not."""
+    metrics = record.get("result", {}).get("metrics", {})
+    cells = []
+    for name in ("op_s", "work_per_s", "peak_rss_mb"):
+        value = metrics.get(name, {}).get("value")
+        cells.append(f"{name} {value:.4g}" if isinstance(value, (int, float)) else f"{name} -")
+    lines = [f"BENCH_{n} {record['workload']} seed {record['seed']}: "
+             f"correct {correct(record)}, " + ", ".join(cells)]
+    if not correct(record):
+        lines += record.get("fail", [])
+        if "error" in record:
+            lines.append(record["error"])
+    return "\n".join(lines)
 
 
 def checkout(commit, into):
@@ -88,9 +110,7 @@ def main(argv=None):
                 for n in order if turn % 2 == 0 else order[::-1]:
                     record = run(files[n][1], workload, seed, args.seconds)
                     files[n][0]["runs"].append(record)
-                    op_s = record.get("result", {}).get("metrics", {}).get("op_s", {}).get("value")
-                    print(f"BENCH_{n} {workload} seed {seed}: correct {correct(record)}, "
-                          f"op_s {op_s}", flush=True)
+                    print(report(n, record), flush=True)
     for n, (doc, _) in files.items():
         (ROOT / f"BENCH_{n}.json").write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     return int(not all(correct(r) for doc, _ in files.values() for r in doc["runs"]))
