@@ -13,7 +13,8 @@
   twin does, matrix by matrix, from 1e-150 to 1e150.
 * `spectral_decompose_stack` raises exactly when a reconstruction check built
   on `frobenius_max_scaled` fails, from 1e-300 to 1e300, on subnormal stacks,
-  off-diagonals one ulp or more apart and perturbed eigenvalues.
+  off-diagonals one ulp or more apart and perturbed eigenvalues, and at d = 5
+  and 8 for residuals planted at 0.99 and 1.01 times the bound.
 * The three inequality checks report the worst violation that their plain-loop
   twins find on the same samples, at d = 2, 3, 5.
 * The Monte Carlo checks report the mean, and the lemma its beta, that their
