@@ -17,8 +17,10 @@ entries on and above the diagonal, N(0, 1) on it and N(0, 1/2) off it, the law
 of (R + R^T)/2 for a standard Gaussian R; a unit vector is uniform on the
 sphere.  For such a matrix A and a unit x, A x ~ N(0, (I + x x^T)/2), so a
 check that reads A only through A x draws that vector instead, from d normals
-w: A x = sqrt(1/2) w + (1 - sqrt(1/2)) (w.x) x.  `check_inq_nice` and
-`check_prop_cauchy` both do: x first, then one such vector per A.
+w: A x = sqrt(1/2) w + (1 - sqrt(1/2)) (w.x) x.  The integral Cauchy check
+`check_prop_cauchy` does: x first, then one such vector per step.
+`check_inq_nice`, (x^T A x)^2 <= x^T A^2 x, is its one-step case and runs its
+kernel with n = 1.
 """
 
 from __future__ import annotations
@@ -149,31 +151,10 @@ def _random_images(rng: np.random.Generator, x: np.ndarray, n: int) -> np.ndarra
     return ax
 
 
-def check_inq_nice(samples: int, d: int, seed: int) -> CheckReport:
-    """(x^T A x)^2 <= x^T A^2 x for unit x, to within 1e-12.
-
-    The kernel reads A only through A x, so a sample draws its unit x and then
-    A x from d normals (see the module's sampling conventions).
-    """
-    def violations(rng, count):
-        x = random_unit_stack(rng, count, d)
-        ax = _random_images(rng, x, 1)[:, 0]
-        quad = np.einsum("mi,mi->m", x, ax)
-        return quad * quad - np.einsum("mi,mi->m", ax, ax)
-
-    return _worst_case("inq_nice", 1e-12, samples, seed, {"dim": d}, violations)
-
-
-def check_prop_cauchy(process_samples: int, d: int, n: int, seed: int) -> CheckReport:
-    """Integral Cauchy inequality on piecewise-constant matrix processes on [0, 1].
-
-    Verifies sum_k x^T A_k^2 x dt - (sum_k x^T A_k x dt)^2 >= -1e-10, dt = 1 / n,
-    the discrete form whose refinement limit is the continuous inequality.  The
-    kernel reads each random symmetric A_k only through A_k x, so a sample draws
-    its unit x, then for k = 1..n d normals w_k, and sets
-    A_k x = sqrt(1/2) w_k + (1 - sqrt(1/2)) (w_k . x) x ~ N(0, (I + x x^T)/2):
-    the joint law of (x, A_1 x, ..., A_n x), from d normals per step.
-    """
+def _cauchy(name: str, tol: float, samples: int, d: int, n: int, seed: int,
+            details: dict) -> CheckReport:
+    """Worst of (sum_k x^T A_k x dt)^2 - sum_k x^T A_k^2 x dt, dt = 1 / n, over a
+    unit x and n random symmetric A_k, each read only through A_k x."""
     dt = 1.0 / n
 
     def violations(rng, count):
@@ -182,8 +163,23 @@ def check_prop_cauchy(process_samples: int, d: int, n: int, seed: int) -> CheckR
         lin = np.einsum("mi,mki->m", x, ax) * dt
         return lin * lin - np.einsum("mki,mki->m", ax, ax) * dt
 
-    return _worst_case("prop_cauchy", 1e-10, process_samples, seed, {"dim": d, "steps": n},
-                       violations, block=max(1, _BLOCK // max(1, n // 8)))
+    return _worst_case(name, tol, samples, seed, details, violations,
+                       block=max(1, _BLOCK // max(1, n // 8)))
+
+
+def check_inq_nice(samples: int, d: int, seed: int) -> CheckReport:
+    """(x^T A x)^2 <= x^T A^2 x for unit x, to within 1e-12: the integral Cauchy
+    check at one step of length 1."""
+    return _cauchy("inq_nice", 1e-12, samples, d, 1, seed, {"dim": d})
+
+
+def check_prop_cauchy(process_samples: int, d: int, n: int, seed: int) -> CheckReport:
+    """Integral Cauchy inequality on piecewise-constant matrix processes on [0, 1].
+
+    Verifies sum_k x^T A_k^2 x dt - (sum_k x^T A_k x dt)^2 >= -1e-10, dt = 1 / n,
+    the discrete form whose refinement limit is the continuous inequality.
+    """
+    return _cauchy("prop_cauchy", 1e-10, process_samples, d, n, seed, {"dim": d, "steps": n})
 
 
 def _per_path(name: str, grid: TimeGrid, dim: int, seed: int, n_paths: int, values) -> np.ndarray:

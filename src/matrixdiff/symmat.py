@@ -205,8 +205,6 @@ def constant_fn(value: float) -> ScalarFunctionSpec:
 
 def clipped_affine_fn(a: float, b: float, bound: float) -> ScalarFunctionSpec:
     """a*x + b clamped to [-bound, bound]: a bounded Lipschitz coefficient."""
-    if not bound > 0:
-        raise ValueError("bound must be positive")
     return ScalarFunctionSpec(
         fn=lambda x: np.clip(a * np.asarray(x, dtype=np.float64) + b, -bound, bound),
         bound=float(bound),
@@ -216,8 +214,6 @@ def clipped_affine_fn(a: float, b: float, bound: float) -> ScalarFunctionSpec:
 
 def clipped_sqrt_fn(clip: float) -> ScalarFunctionSpec:
     """min(sqrt(max(x, 0)), clip): the bounded square root used by the Wishart model."""
-    if not clip > 0:
-        raise ValueError("clip bound must be positive")
     return ScalarFunctionSpec(
         fn=lambda x: np.minimum(np.sqrt(np.maximum(x, 0.0)), clip),
         bound=float(clip),

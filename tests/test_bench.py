@@ -86,3 +86,14 @@ def test_writes_every_run_and_exits_1_unless_each_reads_correct(stdout, code, tm
         assert printed[0] == ("BENCH_7 mc-isometry seed 1: correct False, "
                               "op_s -, work_per_s -, peak_rss_mb -")
         assert printed[1].startswith("no env record in run.py's output")
+
+
+def test_refuses_a_repeated_n_before_any_run(tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(bench.subprocess, "run", lambda argv, **kwargs: calls.append(argv))
+    monkeypatch.setattr(bench, "ROOT", tmp_path)
+    with pytest.raises(SystemExit) as exit_:
+        bench.main([f"0={tmp_path}", f"0={tmp_path}"])
+    assert exit_.value.code == 2 and calls == []
+    assert capsys.readouterr().err.splitlines()[-1].endswith("error: N=0 is given twice")
+    assert list(tmp_path.iterdir()) == []

@@ -167,6 +167,16 @@ class TestInequalitySuites:
         assert rep.passed
         assert rep.worst_violation <= 1e-10
 
+    @pytest.mark.parametrize("d, inq_nice, prop_cauchy", [
+        (1, "0x0.0p+0", "-0x1.c8a93778b8515p-2"),
+        (2, "-0x1.53f3400000000p-34", "-0x1.6e94652802ec3p-1"),
+        (8, "-0x1.a761a7eb9cfbdp-5", "-0x1.a084a17ee79d4p+1"),
+    ])
+    def test_cauchy_family_bits(self, d, inq_nice, prop_cauchy):
+        # one full block plus one sample each: 4,096 + 1 at n = 1, 1,024 + 1 at n = 32
+        assert check_inq_nice(4097, d, seed=7).worst_violation.hex() == inq_nice
+        assert check_prop_cauchy(1025, d, n=32, seed=7).worst_violation.hex() == prop_cauchy
+
     def test_suite_runner(self):
         reports = run_inequality_suite(500, [2, 3], seed=46)
         assert len(reports) == 6

@@ -95,6 +95,8 @@ def main(argv=None):
             n, _, tree = spec.partition("=")
             if not n.isdigit() or not tree:
                 parser.error(f"{spec!r} is not N=TREE")
+            if n in files:  # a second tree would overwrite the first's file
+                parser.error(f"N={n} is given twice")
             path, commit = Path(tree), None
             if not path.is_dir():
                 path = Path(work, n)
