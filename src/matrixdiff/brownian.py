@@ -22,8 +22,11 @@ else: Python int arguments in range pass an inline check, the grid takes
 sqrt(dt) once, and the path takes its array without the constructor's copy
 and finiteness check.  Every per-path caller (`checks`' Monte Carlo checks
 and the CLI's `simulate` and `picard-convergence`) makes exactly one
-`sample_path` call per path, in path order; the benchmark counts these calls
-for its `brownian.paths` and `brownian.draws`.
+`sample_path` call per path, in path order within each process; the benchmark
+counts these calls for its `brownian.paths` and `brownian.draws`.  The Monte
+Carlo checks draw their path blocks in forked processes when more than one CPU
+is usable, so a traced run counts only the blocks of the process it traces,
+unless the run is on one CPU.
 
 The path matrices are NOT symmetric: all d^2 entries are independent motions.
 Only the diffusion states built on top of them live in the symmetric space.

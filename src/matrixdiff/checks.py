@@ -12,6 +12,12 @@ gathers each chunk of `_FILL` paths with one `np.concatenate` into a
 path-major chunk, which one transposed assignment copies into the step-major
 block: no per-path index arithmetic and no per-path copy call.
 
+Both `_per_path`'s blocks and `run_inequality_suite`'s dimensions are tasks of
+`_fan_out`, which spreads them over the usable CPUs in forked processes and
+returns their results in task order, so every report has the bits of a run in
+one process.  Restricting the CPU affinity (`taskset -c 0`) keeps the whole
+run in one process.
+
 Sampling conventions: a random symmetric matrix has independent Gaussian
 entries on and above the diagonal, N(0, 1) on it and N(0, 1/2) off it, the law
 of (R + R^T)/2 for a standard Gaussian R; a unit vector is uniform on the
@@ -25,6 +31,11 @@ kernel with n = 1.
 
 from __future__ import annotations
 
+import functools
+import os
+import pickle
+import signal
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -182,10 +193,118 @@ def check_prop_cauchy(process_samples: int, d: int, n: int, seed: int) -> CheckR
     return _cauchy("prop_cauchy", 1e-10, process_samples, d, n, seed, {"dim": d, "steps": n})
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, 1 where the platform cannot tell."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call outside Linux
+        return 1
+
+
+def _run(tasks: list, indices) -> tuple:
+    """(results, failure) of tasks[i] for i in `indices`, in order, stopping at
+    the first task that raises; failure is (i, exception), or None."""
+    results = []
+    for i in indices:
+        try:
+            results.append(tasks[i]())
+        except Exception as exc:
+            return results, (i, exc)
+    return results, None
+
+
+def _fork_worker(tasks: list, j: int, k: int):
+    """(pid, read end of its pipe) of a forked child that runs tasks j, j + k, ...
+    and pickles back its results, its first exception and its warnings; None
+    when no pipe or process can be had."""
+    try:
+        read, write = os.pipe()
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        return None
+    if pid:
+        os.close(write)
+        return pid, read
+    code = 1  # the child never returns: it leaves through os._exit, reported or not
+    try:
+        os.close(read)
+        with warnings.catch_warnings(record=True) as caught:
+            results, failure = _run(tasks, range(j, len(tasks), k))
+        report = pickle.dumps((results, failure, [(w.message, w.category, w.filename, w.lineno)
+                                                  for w in caught]), pickle.HIGHEST_PROTOCOL)
+        with open(write, "wb") as pipe:
+            pipe.write(report)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _fan_out(tasks) -> list:
+    """The results of the argument-free `tasks`, in task order, over the usable CPUs.
+
+    With k = min(len(tasks), usable CPUs) >= 2, forked children 1..k-1 run the
+    tasks i = j (mod k) and this process the tasks i = 0 (mod k), with those of
+    any child that could not be started (a process or descriptor limit).  Each
+    process runs its tasks in order and stops at its first exception.  The
+    first exception in task order is raised, as a sequential run raises it, and
+    warnings a child's tasks issued are issued again here.  Every child is
+    reaped before this returns or raises, and killed first when this leaves
+    without its reports.  With one task or one usable CPU every task runs here.
+    """
+    tasks = list(tasks)
+    k = min(len(tasks), _usable_cpus())
+    if k < 2:
+        return [task() for task in tasks]
+    workers = {}  # pid: read end of its pipe, for each child not yet reaped
+    reported = False
+    try:
+        for j in range(1, k):
+            worker = _fork_worker(tasks, j, k)
+            if worker is None:
+                break
+            workers[worker[0]] = worker[1]
+        mine = [i for i in range(len(tasks)) if i % k == 0 or i % k > len(workers)]
+        runs = [(mine, *_run(tasks, mine))]
+        for j, (pid, read) in enumerate(list(workers.items()), 1):
+            with open(read, "rb", closefd=False) as pipe:
+                report = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            os.close(workers.pop(pid))
+            if code:
+                how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+                raise RuntimeError(f"worker process {pid} ended without a report ({how})")
+            results, failure, caught = pickle.loads(report)
+            for message, category, filename, lineno in caught:
+                warnings.warn_explicit(message, category, filename, lineno)
+            runs.append((range(j, len(tasks), k), results, failure))
+        reported = True
+    finally:
+        for pid, read in workers.items():
+            if not reported:  # an unreaped child, running or not, can be signalled
+                os.kill(pid, signal.SIGKILL)
+            os.close(read)
+            os.waitpid(pid, 0)
+    out = [None] * len(tasks)
+    for indices, results, _ in runs:
+        for i, result in zip(indices, results):
+            out[i] = result
+    failures = [failure for _, _, failure in runs if failure is not None]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    return out
+
+
 def _per_path(name: str, grid: TimeGrid, dim: int, seed: int, n_paths: int, values) -> np.ndarray:
     """Rows of Philox paths 0..n_paths-1 in path order: `values(inc)` gives one row
     per path of `inc`, a step-major (steps, count, d, d) block of increments that
-    the next block overwrites, and a row must depend on its own path alone."""
+    the next block overwrites, and a row must depend on its own path alone.
+    Each block is one task of `_fan_out`; each process fills its own copy of the
+    block buffer."""
     if n_paths < 2:
         raise ValueError(f"{name} needs at least 2 paths, got {n_paths}")
     buf = np.empty((grid.steps, min(_PATH_BLOCK, n_paths), dim, dim))
@@ -193,16 +312,18 @@ def _per_path(name: str, grid: TimeGrid, dim: int, seed: int, n_paths: int, valu
     # width; a small path-major chunk is copied in with one transposed assignment
     chunk = np.empty((min(_FILL, n_paths), grid.steps, dim, dim))
     flat = chunk.reshape(-1, dim, dim)  # the chunk's paths end to end
-    rows = []
-    for start in range(0, n_paths, _PATH_BLOCK):
+
+    def block(start: int) -> np.ndarray:
         count = min(_PATH_BLOCK, n_paths - start)
         for lo in range(0, count, _FILL):
             paths = range(start + lo, start + min(lo + _FILL, count))
             np.concatenate([sample_path(grid, dim, seed, i).increments for i in paths],
                            out=flat[:len(paths) * grid.steps])
             buf[:, lo:lo + len(paths)] = chunk[:len(paths)].swapaxes(0, 1)
-        rows.append(values(buf[:, :count]))
-    return np.concatenate(rows)
+        return values(buf[:, :count])
+
+    return np.concatenate(_fan_out([functools.partial(block, start)
+                                    for start in range(0, n_paths, _PATH_BLOCK)]))
 
 
 def _three_se_report(name: str, values: np.ndarray, target_key: str, target: float,
@@ -293,10 +414,11 @@ def mc_trace_moment(model: SdeModel, paths: int, grid: TimeGrid, seed: int) -> C
 
 
 def run_inequality_suite(samples: int, dims, seed: int) -> list:
-    """All three operator-inequality checks at each dimension."""
-    reports = []
-    for d in dims:
-        reports.append(check_inq2(samples, d, seed))
-        reports.append(check_inq_nice(samples, d, seed + 1))
-        reports.append(check_prop_cauchy(samples, d, 32, seed + 2))
-    return reports
+    """All three operator-inequality checks at each dimension, one dimension per
+    task of `_fan_out`."""
+    def suite(d):
+        return [check_inq2(samples, d, seed), check_inq_nice(samples, d, seed + 1),
+                check_prop_cauchy(samples, d, 32, seed + 2)]
+
+    return [report for reports in _fan_out([functools.partial(suite, d) for d in dims])
+            for report in reports]

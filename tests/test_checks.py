@@ -1,5 +1,10 @@
 """Inequality checkers, the lemma-beta estimator, Monte Carlo identity checks."""
 
+import os
+import signal
+import time
+import warnings
+
 import numpy as np
 import pytest
 
@@ -349,20 +354,40 @@ class TestBlockSizeIndependence:
         report = mc_isometry(a, c, x, y, paths, grid, seed=42)
         assert report.details["mean"] == float(np.array(values).mean())
 
-    def test_one_sample_path_call_per_path_in_order(self, monkeypatch):
-        # blocks of 7 and chunks of 3 over 70 paths: chunks end part-full in
-        # every block (7 = 3 + 3 + 1), and the benchmark counts these calls
+    @staticmethod
+    def _mc_runs(paths: int) -> dict:
+        """seed: the Monte Carlo check run with that seed at d = 3 over `paths` paths"""
         rng = np.random.default_rng(41)
         a = SymmetricMatrix(random_symmetric_stack(rng, 1, 3)[0])
         c = SymmetricMatrix(random_psd_stack(rng, 1, 3)[0])
         x, y = random_unit_stack(rng, 2, 3)
         model = wishart_model(3, 4.0, x0=SymmetricMatrix.identity(3))
-        grid, paths = TimeGrid(1.0, 8), 70
-        runs = {  # seed: the check at d = 3
+        grid = TimeGrid(1.0, 8)
+        return {
             42: lambda: mc_isometry(a, c, x, y, paths, grid, seed=42).to_dict(),
             43: lambda: mc_trace_moment(model, paths, grid, seed=43).to_dict(),
             44: lambda: estimate_lemma_beta(a, c, paths, grid, x, seed=44),
         }
+
+    @pytest.mark.parametrize("block", [7, 2048])
+    def test_reports_do_not_depend_on_the_cpu_count(self, monkeypatch, block):
+        # the blocks and dimensions run in 1, 2 or 3 processes: the reports
+        # are reduced from the same rows in the same order, bit for bit
+        runs = self._mc_runs(2500)
+        outcomes = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(checks, "_usable_cpus", lambda: cpus)
+            monkeypatch.setattr(checks, "_PATH_BLOCK", block)
+            outcomes.append(([run() for run in runs.values()],
+                             [r.to_dict() for r in run_inequality_suite(300, (2, 3, 5), seed=45)]))
+        assert all(outcome == outcomes[0] for outcome in outcomes[1:])
+
+    def test_one_sample_path_call_per_path_in_order(self, monkeypatch):
+        # blocks of 7 and chunks of 3 over 70 paths: chunks end part-full in
+        # every block (7 = 3 + 3 + 1), and the benchmark counts these calls;
+        # on one CPU every call is made in this process
+        grid, paths = TimeGrid(1.0, 8), 70
+        runs = self._mc_runs(paths)
         plain = {seed: run() for seed, run in runs.items()}
         calls = []
 
@@ -370,6 +395,7 @@ class TestBlockSizeIndependence:
             calls.append(args)
             return sample_path(*args)
 
+        monkeypatch.setattr(checks, "_usable_cpus", lambda: 1)
         monkeypatch.setattr(checks, "_PATH_BLOCK", 7)
         monkeypatch.setattr(checks, "_FILL", 3)
         monkeypatch.setattr(checks, "sample_path", spy)
@@ -377,6 +403,141 @@ class TestBlockSizeIndependence:
             calls.clear()
             assert run() == plain[seed], seed
             assert calls == [(grid, 3, seed, i) for i in range(paths)], seed
+
+    def test_fanned_out_paths_are_drawn_once_in_order_per_process(self, monkeypatch, tmp_path):
+        # the ten blocks run in three processes, which append their draws to one file
+        paths = 70
+        runs = self._mc_runs(paths)
+        plain = {seed: run() for seed, run in runs.items()}
+        log = tmp_path / "draws"
+
+        def spy(grid, dim, seed, i):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {i}\n")
+            return sample_path(grid, dim, seed, i)
+
+        monkeypatch.setattr(checks, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(checks, "_PATH_BLOCK", 7)
+        monkeypatch.setattr(checks, "_FILL", 3)
+        monkeypatch.setattr(checks, "sample_path", spy)
+        for seed, run in runs.items():
+            log.write_text("")
+            assert run() == plain[seed], seed
+            draws = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+            assert sorted(i for _, i in draws) == list(range(paths)), seed
+            by_process = {}
+            for pid, i in draws:
+                by_process.setdefault(pid, []).append(i)
+            assert len(by_process) == 3 and os.getpid() in by_process, seed
+            assert all(drawn == sorted(drawn) for drawn in by_process.values()), seed
+
+
+class TestFanOut:
+    @pytest.fixture(autouse=True)
+    def bounded_and_reaped(self):
+        # a test that would wait on a child for a minute fails instead, and
+        # every test leaves no child behind, running or unreaped
+        def expire(signum, frame):
+            raise TimeoutError("the fan-out did not return within 60 s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(60)
+        try:
+            yield
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @staticmethod
+    def _cpus(monkeypatch, count):
+        monkeypatch.setattr(checks, "_usable_cpus", lambda: count)
+
+    def test_results_come_back_in_task_order(self, monkeypatch):
+        self._cpus(monkeypatch, 3)
+        here = os.getpid()
+        results = checks._fan_out([lambda i=i: (i, os.getpid() == here) for i in range(8)])
+        assert results == [(i, i % 3 == 0) for i in range(8)]
+
+    @pytest.mark.parametrize("cpus", [1, 4])
+    def test_one_task_or_one_cpu_runs_here(self, monkeypatch, cpus):
+        self._cpus(monkeypatch, cpus)
+        here = os.getpid()
+        tasks = [lambda: os.getpid() == here] * (5 if cpus == 1 else 1)
+        assert checks._fan_out(tasks) == [True] * len(tasks)
+
+    @pytest.mark.parametrize("failing", ["pipe", "fork", "second fork"])
+    def test_tasks_of_unstarted_children_run_here(self, monkeypatch, failing):
+        # a process or descriptor limit: the parent takes on the tasks i = 2 (mod 3)
+        # of the child it could not start, and those of the first child if that
+        # one did not start either
+        self._cpus(monkeypatch, 3)
+        real_fork, forks = os.fork, []
+
+        def fork():
+            forks.append(None)
+            if failing == "fork" or len(forks) == 2:
+                raise OSError("no more processes")
+            return real_fork()
+
+        def pipe():
+            raise OSError("no more descriptors")
+
+        monkeypatch.setattr(os, "pipe" if failing == "pipe" else "fork",
+                            pipe if failing == "pipe" else fork)
+        here = os.getpid()
+        results = checks._fan_out([lambda i=i: (i, os.getpid() == here) for i in range(7)])
+        local = {0, 2} if failing == "second fork" else {0, 1, 2}
+        assert results == [(i, i % 3 in local) for i in range(7)]
+
+    def test_a_child_that_dies_without_a_report_is_named(self, monkeypatch):
+        # child 1 kills itself; child 2 would sleep for two minutes, and is
+        # killed when the parent raises instead of being waited for
+        self._cpus(monkeypatch, 3)
+        here = os.getpid()
+
+        def die():
+            if os.getpid() != here:  # never the test's own process
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        def sleep():
+            if os.getpid() != here:
+                time.sleep(120)
+
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match=r"ended without a report \(killed by signal 9\)"):
+            checks._fan_out([lambda: 0, die, sleep])
+        assert time.monotonic() - start < 30
+
+    @pytest.mark.parametrize("failing, raised", [((0, 1), 0), ((1, 2), 1)])
+    def test_the_first_failure_in_task_order_wins(self, monkeypatch, failing, raised):
+        # parent task 0 against child task 1, and child task 1 against parent task 2
+        kinds = [ValueError, KeyError, ZeroDivisionError]
+
+        def task(i):
+            if i in failing:
+                raise kinds[i](f"task {i} failed")
+            return i
+
+        tasks = [lambda i=i: task(i) for i in range(3)]
+        for cpus in (1, 2):
+            self._cpus(monkeypatch, cpus)
+            with pytest.raises(kinds[raised]) as caught:
+                checks._fan_out(tasks)
+            assert str(caught.value) == str(kinds[raised](f"task {raised} failed"))
+
+    def test_a_childs_warning_is_issued_here(self, monkeypatch):
+        self._cpus(monkeypatch, 2)
+
+        def warn():
+            warnings.warn(f"from process {os.getpid()}", UserWarning)
+            return 1
+
+        with pytest.warns(UserWarning) as caught:
+            assert checks._fan_out([lambda: 0, warn]) == [0, 1]
+        (message,) = [str(w.message) for w in caught]
+        assert message.startswith("from process ") and int(message.split()[-1]) != os.getpid()
 
 
 class TestWorstCase:
