@@ -332,8 +332,6 @@ def wishart_model(d: int, alpha: float, x0: Optional[SymmetricMatrix] = None,
     -1e-10 ||x0||_F over its own scale), is a `ValueError`.
     """
     d = _count("d", d)
-    if not sqrt_clip_bound > 0:
-        raise ValueError("sqrt_clip_bound must be positive")
     if x0 is None:
         x0 = SymmetricMatrix.zeros(d)
     elif x0.dim != d:

@@ -3,7 +3,7 @@
 The state space throughout the package is the set of real symmetric d x d
 matrices.  A scalar function g is lifted to a matrix argument through the
 spectral decomposition A = Q diag(lambda) Q^T as g(A) = Q diag(g(lambda)) Q^T,
-with eigenvalues kept in non-decreasing order and checked by one two-stage
+with eigenvalues kept in non-decreasing order and checked by one
 reconstruction guard at every d.  The PSD predicate `is_psd` and the stacked
 minimum eigenvalue round out the deterministic substrate used by the
 stochastic layers.
@@ -41,15 +41,10 @@ SYMMETRY_REJECT_RTOL = 1e-8
 
 RECONSTRUCTION_RTOL = 1e-8
 
-# `_surely_reconstructs` trusts a plain sum of squares ||A||^2 that lands here:
+# `_check_reconstruction` trusts a plain sum of squares ||A||^2 that lands here:
 # no square overflowed, and the squares that underflowed are negligible against it
 _SUMSQ_LOW = np.finfo(np.float64).tiny * 2.0 ** 53
 _SUMSQ_HIGH = np.finfo(np.float64).max
-# A residual whose plain sum of squares is at most this fraction of
-# RECONSTRUCTION_RTOL^2 ||A||^2 passes the `_frobenius` check for certain: plain
-# and max-scaled sums of d^2 squares differ by about d^2 ulps, and the margin,
-# 1e-6 relative, outweighs that and the checks' other roundings for d < 10^4.
-_ACCEPT_SUMSQ_RATIO = (1.0 - 1e-6) * RECONSTRUCTION_RTOL ** 2
 
 
 class EigensolverError(RuntimeError):
@@ -281,35 +276,39 @@ def _eig_stack(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lam, vec
 
 
-def _surely_reconstructs(stack: np.ndarray, lam: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """True for each matrix A of a stack that certainly passes the
-    reconstruction check, judged by plain sums of squares: the first stage of
-    the guard at every d.
-
-    The residual is the one the check takes, `_lift(vec, lam) - A`, so a not
-    exactly symmetric A is judged as there.  ||A||^2 must lie in
-    [_SUMSQ_LOW, _SUMSQ_HIGH], where no square overflowed and underflowed
-    squares are negligible.  The residual's sum needs no lower end: a square
-    that underflowed errs by at most 2^-1075, far below the margin of
-    `_ACCEPT_SUMSQ_RATIO` times ||A||^2 >= _SUMSQ_LOW.  (An exact
-    reconstruction, residual 0, is common.)  False sends A to the check.
+def _check_reconstruction(stack: np.ndarray, lam: np.ndarray, vec: np.ndarray) -> None:
+    """The reconstruction guard, one lift per matrix A of a stack: each
+    residual R = _lift(vec, lam) - A must have ||R||_F <= RECONSTRUCTION_RTOL
+    * max(||A||_F, tiny), so a not exactly symmetric A is judged against its
+    symmetric lift.  Where ||A||^2 lies in [_SUMSQ_LOW, _SUMSQ_HIGH] plain sums
+    decide, ||R||^2 <= RTOL^2 ||A||^2; the residual's sum needs no lower end,
+    as a square that underflowed errs by at most 2^-1075.  Every other A, and
+    its R, is divided by its scale s of `_unit` and judged by the same sums
+    against RTOL^2 max(||A / s||^2, 1), which cannot overflow.  The first A
+    refused raises `EigensolverError` with its own residual, bound and index.
     """
-    with np.errstate(over="ignore"):  # an overflowed sum is out of range
+    rtol2 = RECONSTRUCTION_RTOL ** 2
+    with np.errstate(over="ignore"):  # an overflowed sum is out of range, or refused
         resid = _lift(vec, lam) - stack
         rr = np.einsum("mij,mij->m", resid, resid)
         aa = np.einsum("mij,mij->m", stack, stack)
-        return (aa >= _SUMSQ_LOW) & (aa <= _SUMSQ_HIGH) & (rr <= _ACCEPT_SUMSQ_RATIO * aa)
-
-
-def _reconstruction_check(stack: np.ndarray, lam: np.ndarray, vec: np.ndarray):
-    """Residual r = ||Q diag(lam) Q^T - A||_F, its bound 1e-8 * max(||A||_F, tiny)
-    and r <= bound of every matrix A of a stack, tested over A's scale s of
-    `_unit`, where the bound is 1e-8 * max(||A / s||_F, 1) and cannot overflow."""
-    unit, scale = _unit(stack)
-    resid = _frobenius(_lift(vec, lam) - stack)
-    bound = RECONSTRUCTION_RTOL * np.maximum(_frobenius(unit), 1.0)
-    with np.errstate(over="ignore"):
-        return resid, bound * scale, resid / scale <= bound
+        fits = (aa >= _SUMSQ_LOW) & (aa <= _SUMSQ_HIGH) & (rr <= rtol2 * aa)
+        if np.count_nonzero(fits) == fits.size:
+            return
+        out = (aa < _SUMSQ_LOW) | (aa > _SUMSQ_HIGH)
+        scale = np.ones_like(aa)
+        unit, scale[out] = _unit(stack[out])
+        resid = resid[out] / scale[out, None, None]
+        rr[out] = np.einsum("mij,mij->m", resid, resid)
+        aa[out] = np.maximum(np.einsum("mij,mij->m", unit, unit), 1.0)
+        fits[out] = rr[out] <= rtol2 * aa[out]
+    if np.count_nonzero(fits) != fits.size:
+        i = int(np.argmin(fits))
+        s = float(scale[i])
+        raise EigensolverError(
+            f"eigendecomposition reconstruction residual {s * math.sqrt(rr[i]):.3e} exceeds "
+            f"tolerance {s * RECONSTRUCTION_RTOL * math.sqrt(aa[i]):.3e} (matrix {i} of {fits.size})"
+        )
 
 
 def _finite(stack) -> np.ndarray:
@@ -324,25 +323,15 @@ def spectral_decompose_stack(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     """Decompose a stack of symmetric matrices; returns (eigenvalues, eigenvectors).
 
     Eigenvalues come back as (m, d) sorted non-decreasing per matrix, with
-    eigenvector columns (m, d, d) in matching order.  Reconstruction residuals
-    are verified for the whole stack; non-finite input, or a residual above
+    eigenvector columns (m, d, d) in matching order.  Every matrix is checked
+    once by `_check_reconstruction`: non-finite input, or a residual above
     1e-8 * max(||A||_F, tiny), raises `EigensolverError`.  `tiny`, the smallest
     normal double, keeps the relative bound positive for zero and subnormal A.
-    At every d only the matrices that `_surely_reconstructs` is unsure of take
-    the scaled `_reconstruction_check`.  The error names the whole stack's worst.
+    The error names the first matrix refused.
     """
     stack = _finite(stack)
     lam, vec = _eig_stack(stack)
-    fits = _surely_reconstructs(stack, lam, vec)
-    if np.count_nonzero(fits) == fits.size:
-        return lam, vec
-    *_, fits = _reconstruction_check(stack[~fits], lam[~fits], vec[~fits])
-    if np.count_nonzero(fits) != fits.size:
-        resid, bound, _ = _reconstruction_check(stack, lam, vec)
-        raise EigensolverError(
-            f"eigendecomposition reconstruction residual {float(resid.max()):.3e} "
-            f"exceeds tolerance {float(bound.max()):.3e}"
-        )
+    _check_reconstruction(stack, lam, vec)
     return lam, vec
 
 
@@ -390,8 +379,8 @@ def min_eigenvalues_stack(stack: np.ndarray) -> np.ndarray:
 
 
 def is_psd(a: SymmetricMatrix, tol: float = 0.0) -> bool:
-    """True iff the smallest eigenvalue is >= -tol."""
-    if tol < 0:
-        raise ValueError("tol must be non-negative")
+    """True iff the smallest eigenvalue is >= -tol, for a finite tol >= 0."""
+    if not 0 <= tol < math.inf:
+        raise ValueError("tol must be finite and non-negative")
     return bool(min_eigenvalues_stack(a.entries[None, :, :])[0] >= -tol)
 

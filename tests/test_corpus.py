@@ -27,10 +27,10 @@ def built():
         sys.path[:] = path  # corpus() puts perfbench first, to import its workloads
 
 
-def test_corpus_has_149_distinct_argvs(built):
+def test_corpus_has_158_distinct_argvs(built):
     argvs, _ = built
-    assert len(argvs) == 149
-    assert len({tuple(argv) for argv in argvs}) == 149
+    assert len(argvs) == 158
+    assert len({tuple(argv) for argv in argvs}) == 158
 
 
 def test_every_argv_parses_and_every_config_loads(built, tmp_path):

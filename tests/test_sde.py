@@ -118,8 +118,9 @@ class TestModelValidation:
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             wishart_model(0, 1.0)
-        with pytest.raises(ValueError):
-            wishart_model(2, 1.0, sqrt_clip_bound=0.0)
+        for clip in (0.0, -1.0):
+            with pytest.raises(ValueError, match="bound"):
+                wishart_model(2, 1.0, sqrt_clip_bound=clip)
 
     @pytest.mark.parametrize("d", [2.0, True, np.True_, "2", 0, -1])
     def test_d_must_be_an_integer_of_at_least_one(self, d):

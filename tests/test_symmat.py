@@ -1,5 +1,6 @@
 """Core symmetric-matrix layer: decomposition, functional calculus, the PSD predicate."""
 
+import sys
 import warnings
 
 import numpy as np
@@ -35,6 +36,20 @@ IDENTITY = ScalarFunctionSpec(fn=lambda x: np.asarray(x, dtype=np.float64).copy(
 def random_symmetric(rng, d, scale=1.0):
     raw = rng.standard_normal((d, d))
     return SymmetricMatrix(scale * 0.5 * (raw + raw.T))
+
+
+def _spy_rescaled(monkeypatch):
+    """The stacks that reach the reconstruction guard's rescaled branch, one
+    per guard call: the `_unit` calls that `_check_reconstruction` makes."""
+    unit, seen = symmat._unit, []
+
+    def spy(a):
+        if sys._getframe(1).f_code.co_name == "_check_reconstruction":
+            seen.append(a.copy())
+        return unit(a)
+
+    monkeypatch.setattr(symmat, "_unit", spy)
+    return seen
 
 
 def reassemble(dec):
@@ -153,14 +168,11 @@ class TestSpectralDecompose:
                     spectral_decompose_stack(stack)
 
     def test_picard_from_zero_checks_only_its_zero_states(self, monkeypatch):
-        # a zero matrix is one the plain-sum first stage is unsure of (its
-        # ||A||^2 is below _SUMSQ_LOW); it alone takes the full check, not the
+        # a zero matrix is one the plain sums cannot vouch for (its ||A||^2 is
+        # below _SUMSQ_LOW); it alone takes the rescaled branch, not the
         # stack of every Picard sweep, which keeps X0 = 0 at t = 0
-        check, solve, checked, decomposed = symmat._reconstruction_check, symmat._eig_stack, [], []
-
-        def spy(stack, lam, vec):
-            checked.append(stack.copy())
-            return check(stack, lam, vec)
+        solve, decomposed = symmat._eig_stack, []
+        rescaled = _spy_rescaled(monkeypatch)
 
         def recording(stack):
             decomposed.append(stack.copy())
@@ -168,39 +180,32 @@ class TestSpectralDecompose:
 
         model = wishart_model(2, 3.0)
         path = sample_path(TimeGrid(1.0, 64), 2, seed=5, path_index=0)
-        monkeypatch.setattr(symmat, "_reconstruction_check", spy)
         monkeypatch.setattr(symmat, "_eig_stack", recording)
         _, diag = picard_solve(model, path, max_iter=25, stop_tol=1e-300)
         assert diag.iterates_kept == 25
         zeros = sum(int((~stack.reshape(len(stack), -1).any(axis=1)).sum())
                     for stack in decomposed)
         assert zeros > len(decomposed)  # the first sweep's whole stack, and one per sweep
-        assert sum(len(stack) for stack in checked) == zeros
-        assert not any(stack.any() for stack in checked)
+        assert sum(len(stack) for stack in rescaled) == zeros
+        assert not any(stack.any() for stack in rescaled)
 
     @pytest.mark.parametrize("d", [2, 3, 5])
     def test_check_takes_only_the_matrices_the_first_stage_is_unsure_of(self, d, monkeypatch):
         # ||A||^2 of the zero matrix and of the one at 1e-160 lies below
         # _SUMSQ_LOW, so the plain sums cannot vouch for them; the moderate
         # matrices around them reconstruct well inside the bound
-        check, checked = symmat._reconstruction_check, []
-
-        def spy(stack, lam, vec):
-            checked.append(stack.copy())
-            return check(stack, lam, vec)
-
-        monkeypatch.setattr(symmat, "_reconstruction_check", spy)
+        rescaled = _spy_rescaled(monkeypatch)
         raw = np.random.default_rng(d).standard_normal((6, d, d))
         stack = raw + raw.transpose(0, 2, 1)
         stack[1] = 0.0
         stack[4] *= 1e-160
         spectral_decompose_stack(stack)
-        assert len(checked) == 1
-        np.testing.assert_array_equal(checked[0], stack[[1, 4]])
+        assert len(rescaled) == 1
+        np.testing.assert_array_equal(rescaled[0], stack[[1, 4]])
 
-    def test_error_names_the_whole_stacks_worst(self, monkeypatch):
-        # only the tiny matrix is sent to the full check, and it fails there;
-        # the error still words the residual and bound of the whole stack
+    def test_error_names_the_first_refused_matrix(self, monkeypatch):
+        # only the tiny matrix is refused, over its own scale; the error words
+        # its own residual and bound, not the stack's largest of each
         solve = symmat._eig_stack
 
         def perturbed(stack):
@@ -211,12 +216,40 @@ class TestSpectralDecompose:
         stack = np.array([[[3.0, 0.0], [0.0, 2.0]], [[3e-200, 1e-200], [1e-200, 2e-200]]])
         lam, vec = perturbed(stack)
         lift = np.einsum("mik,mk,mjk->mij", vec, lam, vec)
-        resid = frobenius_max_scaled(lift - stack).max()
-        bound = symmat.RECONSTRUCTION_RTOL * frobenius_max_scaled(stack).max()
+        resid = frobenius_max_scaled(lift - stack)[1]
+        bound = symmat.RECONSTRUCTION_RTOL * frobenius_max_scaled(stack)[1]
         with pytest.raises(EigensolverError) as raised:
             spectral_decompose_stack(stack)
         assert str(raised.value) == (f"eigendecomposition reconstruction residual "
-                                     f"{resid:.3e} exceeds tolerance {bound:.3e}")
+                                     f"{resid:.3e} exceeds tolerance {bound:.3e} (matrix 1 of 2)")
+        assert str(raised.value).startswith("eigendecomposition reconstruction residual "
+                                            "3.873e-206 exceeds tolerance 3.873e-208")
+
+    @pytest.mark.parametrize("case", ["passes", "holds a zero matrix", "is refused"])
+    def test_each_matrix_is_lifted_once(self, case, monkeypatch):
+        # one lift of the whole stack judges every matrix, whether the plain
+        # sums vouch for it, it is rescaled, or it is refused
+        lift, calls = symmat._lift, []
+
+        def counting(vec, vals):
+            calls.append(len(vec))
+            return lift(vec, vals)
+
+        stack = np.array([[[3.0, 1.0], [1.0, 2.0]], [[3e-200, 1e-200], [1e-200, 2e-200]]])
+        if case == "holds a zero matrix":
+            stack[1] = 0.0
+        elif case == "is refused":
+            solve = symmat._eig_stack
+            monkeypatch.setattr(symmat, "_eig_stack",
+                                lambda arr: (solve(arr)[0] * (1.0 + 1e-6), solve(arr)[1]))
+        else:
+            stack[1] *= 1e200
+        monkeypatch.setattr(symmat, "_lift", counting)
+        try:
+            spectral_decompose_stack(stack)
+        except EigensolverError:
+            assert case == "is refused"
+        assert calls == [2]
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("scale", [1e-315, 1e-320])
@@ -509,9 +542,12 @@ class TestOrderPredicates:
         assert not is_psd(SymmetricMatrix.diagonal([1.0, -1.0]), tol=0.0)
         assert is_psd(SymmetricMatrix.diagonal([-1e-12, 1.0]), tol=1e-10)
 
-    def test_is_psd_rejects_negative_tol(self):
-        with pytest.raises(ValueError):
-            is_psd(SymmetricMatrix.identity(2), tol=-1.0)
+    @pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
+    def test_is_psd_rejects_negative_tol(self, tol):
+        # a NaN tolerance would read every matrix as not PSD, and an infinite
+        # one diag(1, -1) as PSD
+        with pytest.raises(ValueError, match="^tol must be finite and non-negative$"):
+            is_psd(SymmetricMatrix.diagonal([1.0, -1.0]), tol=tol)
 
     def test_psd_iff_quadratic_forms_nonnegative(self):
         rng = np.random.default_rng(2718)

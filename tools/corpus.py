@@ -75,6 +75,10 @@ def corpus(head):
         # Picard's d_n at d = 5 and 8 from 16 I, converged and cut short by --max-iter 3 (exit 1)
         *(f"picard-convergence --dim {d} --alpha {d} --paths 2 --config contraction{d}.json{cut}"
           for d in (5, 8) for cut in ("", " --max-iter 3")),
+        # Picard from the default X0 = 0, whose zero state the reconstruction guard judges over
+        # its own scale on every sweep, cut short by --max-iter 5 (exit 1)
+        *(f"picard-convergence --dim {d} --alpha {d + 1} --steps 64 --paths 2 --max-iter 5"
+          for d in (2, 3, 5)),
         # the custom models' coefficient kinds on every solver, and a custom model that
         # runs from an indefinite start
         *(f"{solver} --model custom --paths 2 --config {name}"
