@@ -1,8 +1,8 @@
 """Simulation and numerical verification of diffusions on symmetric matrices."""
 
 from .symmat import (
-    DomainPolicyError,
     EigensolverError,
+    NonFiniteValueError,
     ScalarFunctionSpec,
     SpectralDecomposition,
     SymmetricMatrix,

@@ -5,6 +5,10 @@ functions lifted through the spectral calculus.  Two solvers share a Brownian
 path: Euler-Maruyama stepping, one loop over the steps of a stack of paths,
 and the fixed-point (Picard) iteration that rebuilds the whole path from the
 integral equation, with per-iteration sup distances and a factorial-decay fit.
+Each step or sweep lifts the coefficients over its whole stack of states from
+one guarded decomposition: at d = 2 by `lift_2x2`, whose rotation products come
+from the double angle with no trigonometry, at d >= 3 from the eigenvectors of
+`spectral_decompose_stack`.
 
 States are assembled from exactly symmetric summands, so every state of every
 solution is exactly symmetric.  Positive semidefiniteness is NOT enforced on
@@ -34,6 +38,7 @@ from .symmat import (
     clipped_sqrt_fn,
     constant_fn,
     is_psd,
+    lift_2x2,
     min_eigenvalues_stack,
     spectral_decompose_stack,
 )
@@ -122,11 +127,17 @@ def _lift_gfb(model: SdeModel, stack: np.ndarray):
 
     Returns, per coefficient, its exactly symmetric (m, d, d) lift, or the
     float value of a coefficient declared constant (standing for value * I).
+    At d = 2 the lifts are `lift_2x2`'s, whose rotation products come from the
+    double angle; d >= 3 lifts the eigenvectors of `spectral_decompose_stack`.
     """
-    lam, vec = spectral_decompose_stack(stack)
-    return tuple(spec.constant_value if spec.constant
-                 else _lift(vec, spec.map_eigenvalues(lam))
-                 for spec in (model.g, model.f, model.b))
+    specs = (model.g, model.f, model.b)
+    varying = [spec for spec in specs if not spec.constant]
+    if stack.shape[-1] == 2:
+        lifts = iter(lift_2x2(stack, varying))
+    else:
+        lam, vec = spectral_decompose_stack(stack)
+        lifts = (_lift(vec, spec.map_eigenvalues(lam)) for spec in varying)
+    return tuple(spec.constant_value if spec.constant else next(lifts) for spec in specs)
 
 
 def _planes(a):

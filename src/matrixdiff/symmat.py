@@ -4,7 +4,10 @@ The state space throughout the package is the set of real symmetric d x d
 matrices.  A scalar function g is lifted to a matrix argument through the
 spectral decomposition A = Q diag(lambda) Q^T as g(A) = Q diag(g(lambda)) Q^T,
 with eigenvalues kept in non-decreasing order and checked by one
-reconstruction guard at every d.  The PSD predicate `is_psd` and the stacked
+reconstruction guard at every d.  At d = 2 the lift needs only the products
+cos^2, sin^2 and cos sin of the eigenvector rotation, which `lift_2x2` takes
+from the double angle without trigonometry; `atan2`, `cos` and `sin` serve
+only the public decomposition.  The PSD predicate `is_psd` and the stacked
 minimum eigenvalue round out the deterministic substrate used by the
 stochastic layers.
 """
@@ -20,7 +23,7 @@ import numpy as np
 
 __all__ = [
     "EigensolverError",
-    "DomainPolicyError",
+    "NonFiniteValueError",
     "SymmetricMatrix",
     "SpectralDecomposition",
     "ScalarFunctionSpec",
@@ -29,6 +32,7 @@ __all__ = [
     "clipped_sqrt_fn",
     "spectral_decompose",
     "spectral_decompose_stack",
+    "lift_2x2",
     "apply_scalar_fn",
     "matrix_sqrt",
     "is_psd",
@@ -51,8 +55,9 @@ class EigensolverError(RuntimeError):
     """Raised when an eigendecomposition fails or does not reconstruct its input."""
 
 
-class DomainPolicyError(ValueError):
-    """Raised when a scalar function returns a non-finite value on an eigenvalue."""
+class NonFiniteValueError(ValueError):
+    """Raised when a scalar function returns a non-finite value (NaN or an
+    infinity) on an eigenvalue."""
 
 
 def _unit(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -154,7 +159,7 @@ class ScalarFunctionSpec:
     `fn` must act elementwise on float arrays and is evaluated on every
     eigenvalue as it is: a function defined on part of the line clamps its own
     argument, as `clipped_sqrt_fn` takes sqrt(max(x, 0)).  A non-finite value
-    of `fn` raises `DomainPolicyError`.  `bound`, when set, declares
+    of `fn` raises `NonFiniteValueError`.  `bound`, when set, declares
     sup |fn| <= bound on the whole line; the SDE solver requires it.
     `constant` declares that fn takes one value everywhere, so its lift is
     that value times the identity and needs no eigendecomposition.
@@ -175,7 +180,8 @@ class ScalarFunctionSpec:
         if out.shape != lam.shape:
             raise ValueError("scalar function must evaluate elementwise")
         if np.count_nonzero(np.isfinite(out)) != out.size:
-            raise DomainPolicyError(f"scalar function {self.name or self.fn!r} returned non-finite values")
+            raise NonFiniteValueError(
+                f"scalar function {self.name or self.fn!r} returned non-finite values")
         return out
 
     @cached_property
@@ -222,24 +228,33 @@ def _empty_2x2(m: int) -> np.ndarray:
     return np.empty((2, 2, m)).transpose(2, 0, 1)
 
 
-def _lift(vec: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """Q diag(vals) Q^T for every matrix of a stack, exactly symmetric.  For
-    d = 2, where Q must be the rotation [[-s, c], [c, s]] that `_eig_stack`
-    returns, its entry planes s^2 l0 + c^2 l1, c s (l1 - l0) = (1, 0) and
-    c^2 l0 + s^2 l1 are written out into a stack of `_empty_2x2`; otherwise
-    it is the matmul R averaged with R^T as 0.5 (R + R^T), or as
-    0.5 R + 0.5 R^T where R + R^T overflowed."""
-    if vec.shape[-1] == 2:
-        c, s = vec[:, 0, 1], vec[:, 1, 1]
+def _lift(basis, vals: np.ndarray) -> np.ndarray:
+    """Q diag(vals) Q^T for every matrix of a stack, exactly symmetric, where
+    `basis` is the (m, d, d) stack of eigenvector columns Q, or for d = 2 the
+    products (cc, ss, cs) of `_rotation_2x2`.  At d = 2, where Q must be the
+    rotation [[-s, c], [c, s]] that `_eig_stack` returns and gives cc = c^2,
+    ss = s^2 and cs = c s, the entry planes ss l0 + cc l1, cs (l1 - l0) = (1, 0)
+    and cc l0 + ss l1 are written out into a stack of `_empty_2x2`, so that no
+    two eigenvalues are summed; otherwise it is the matmul R averaged with R^T
+    as 0.5 (R + R^T), or as 0.5 R + 0.5 R^T where R + R^T overflowed."""
+    if not isinstance(basis, tuple) and basis.shape[-1] == 2:
+        c, s = basis[:, 0, 1], basis[:, 1, 1]
+        basis = (c * c, s * s, c * s)
+    if isinstance(basis, tuple):
+        cc, ss, cs = basis
         lo, hi = vals[:, 0], vals[:, 1]
-        cc, ss = c * c, s * s
-        out = _empty_2x2(vec.shape[0])
-        out[:, 0, 0] = ss * lo + cc * hi
-        out[:, 0, 1] = out[:, 1, 0] = c * s * (hi - lo)
-        out[:, 1, 1] = cc * lo + ss * hi
+        out = _empty_2x2(len(vals))
+        a00, a01, a11 = out[:, 0, 0], out[:, 0, 1], out[:, 1, 1]
+        np.multiply(ss, lo, out=a00)  # each plane computed in place
+        a00 += cc * hi
+        np.subtract(hi, lo, out=a01)
+        a01 *= cs
+        out[:, 1, 0] = a01
+        np.multiply(cc, lo, out=a11)
+        a11 += ss * hi
         return out
     # stacked matmul runs about twice as fast on a contiguous Q^T as on the view
-    out = (vec * vals[:, None, :]) @ np.ascontiguousarray(vec.transpose(0, 2, 1))
+    out = (basis * vals[:, None, :]) @ np.ascontiguousarray(basis.transpose(0, 2, 1))
     flip = out.transpose(0, 2, 1)
     # halving before adding can round a subnormal entry, so only where the sum overflowed
     with np.errstate(over="ignore"):
@@ -262,23 +277,66 @@ def _eigvals_2x2(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _eig_stack(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues and eigenvectors: the closed form of `_eigvals_2x2`
-    rotated by atan2(b, (a - c)/2)/2 for d = 2, its eigenvectors in a stack of
-    `_empty_2x2`, LAPACK otherwise (for d = 1 the entry and +1.0, bit for bit)."""
+    """Ascending eigenvalues and eigenvectors: LAPACK (for d = 1 the entry and
+    +1.0, bit for bit), or for d = 2 the closed form of `_eigvals_2x2` with its
+    eigenvectors in a stack of `_empty_2x2`.  These are the rotation by
+    theta = atan2(b, (a - c)/2)/2, from phi = atan2(b, |a - c|/2)/2 in
+    [-pi/4, pi/4]: theta = phi where a >= c, and where a < c the complementary
+    angle, cos and sin swapped (a sign flip of both columns where b < 0), so
+    that a diagonal matrix gets a signed permutation."""
     if stack.shape[-1] != 2:
         return np.linalg.eigh(stack)
     lam, half_gap = _eigvals_2x2(stack)
-    theta = 0.5 * np.arctan2(stack[:, 0, 1], half_gap)
-    cos, sin = np.cos(theta), np.sin(theta)
+    phi = 0.5 * np.arctan2(stack[:, 0, 1], np.abs(half_gap))
+    cos, sin = np.cos(phi), np.sin(phi)
+    swap = half_gap < 0.0
+    cos, sin = np.where(swap, sin, cos), np.where(swap, cos, sin)
     vec = _empty_2x2(stack.shape[0])
     vec[:, 0, 0], vec[:, 1, 0] = -sin, cos  # eigenvector of mid - radius
     vec[:, 0, 1], vec[:, 1, 1] = cos, sin   # eigenvector of mid + radius
     return lam, vec
 
 
-def _check_reconstruction(stack: np.ndarray, lam: np.ndarray, vec: np.ndarray) -> None:
+def _rotation_2x2(stack: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """Ascending eigenvalues mid -+ r of a d = 2 stack, as `_eigvals_2x2` lays
+    them out, and the products (cc, ss, cs) of the rotation that `_eig_stack`
+    returns, from the double angle without trigonometry: with h = (a - c)/2,
+    cos 2 theta = h / r and sin 2 theta = b / r give cc = 1/2 + h / (2 r),
+    ss = 1/2 - h / (2 r) and cs = b / (2 r), and theta = 0 where r = 0.
+
+    r = sqrt(h^2 + b^2) wherever that sum lies in [_SUMSQ_LOW, _SUMSQ_HIGH],
+    so that no square overflowed and none that matters underflowed, and
+    `np.hypot` elsewhere: a rounding or two from `_eigvals_2x2`'s r, and exact
+    where b = 0, so that a diagonal matrix gets exact zeros and ones.
+    """
+    half_a, half_c = 0.5 * stack[:, 0, 0], 0.5 * stack[:, 1, 1]
+    half_gap, off = half_a - half_c, stack[:, 0, 1]
+    with np.errstate(over="ignore"):  # an overflowed sum is out of range
+        sumsq = half_gap * half_gap
+        sumsq += off * off
+    radius = divisor = np.sqrt(sumsq)
+    if np.maximum.reduce(sumsq, initial=0.0) > _SUMSQ_HIGH:  # a square overflowed
+        np.hypot(half_gap, off, out=radius, where=sumsq > _SUMSQ_HIGH)
+    if np.minimum.reduce(sumsq, initial=np.inf) < _SUMSQ_LOW:  # one underflowed, or h = b = 0
+        np.hypot(half_gap, off, out=radius, where=sumsq < _SUMSQ_LOW)
+        flat = radius == 0.0  # h = b = 0: the angle of h = 1, b = 0 there, theta = 0
+        half_gap, divisor = half_gap + flat, radius + flat
+    mid = half_a + half_c
+    lam = np.empty((2, len(stack))).T
+    np.subtract(mid, radius, out=lam[:, 0])
+    np.add(mid, radius, out=lam[:, 1])
+    half_cos = half_gap / divisor
+    half_cos *= 0.5
+    cs = off / divisor
+    cs *= 0.5
+    cc = 0.5 + half_cos
+    ss = np.subtract(0.5, half_cos, out=half_cos)
+    return lam, (cc, ss, cs)
+
+
+def _check_reconstruction(stack: np.ndarray, lam: np.ndarray, basis) -> None:
     """The reconstruction guard, one lift per matrix A of a stack: each
-    residual R = _lift(vec, lam) - A must have ||R||_F <= RECONSTRUCTION_RTOL
+    residual R = _lift(basis, lam) - A must have ||R||_F <= RECONSTRUCTION_RTOL
     * max(||A||_F, tiny), so a not exactly symmetric A is judged against its
     symmetric lift.  Where ||A||^2 lies in [_SUMSQ_LOW, _SUMSQ_HIGH] plain sums
     decide, ||R||^2 <= RTOL^2 ||A||^2; the residual's sum needs no lower end,
@@ -289,7 +347,7 @@ def _check_reconstruction(stack: np.ndarray, lam: np.ndarray, vec: np.ndarray) -
     """
     rtol2 = RECONSTRUCTION_RTOL ** 2
     with np.errstate(over="ignore"):  # an overflowed sum is out of range, or refused
-        resid = _lift(vec, lam) - stack
+        resid = _lift(basis, lam) - stack
         rr = np.einsum("mij,mij->m", resid, resid)
         aa = np.einsum("mij,mij->m", stack, stack)
         fits = (aa >= _SUMSQ_LOW) & (aa <= _SUMSQ_HIGH) & (rr <= rtol2 * aa)
@@ -341,9 +399,33 @@ def spectral_decompose(a: SymmetricMatrix) -> SpectralDecomposition:
     return SpectralDecomposition(eigenvalues=lam[0], eigenvectors=vec[0])
 
 
+def lift_2x2(stack: np.ndarray, specs) -> tuple[np.ndarray, ...]:
+    """The lifts g(A) = Q diag(g(lambda)) Q^T of each spec g in `specs` over
+    every matrix A of an (m, 2, 2) stack, in the order of `specs`, from one
+    decomposition of the stack.
+
+    The rotation Q enters only through its products cos^2, sin^2 and cos sin,
+    taken from the double angle by `_rotation_2x2`, with no trigonometry; so a
+    diagonal A lifts to exactly diag(g(a_ii)).  The decomposition is checked
+    as `spectral_decompose_stack` checks its own, and refused alike.  Each
+    lift is exactly symmetric and laid out plane by plane; a stack of another
+    shape raises `ValueError`.
+    """
+    stack = _finite(stack)
+    if stack.ndim != 3 or stack.shape[1:] != (2, 2):
+        raise ValueError(f"expected an (m, 2, 2) stack, got shape {stack.shape}")
+    lam, products = _rotation_2x2(stack)
+    _check_reconstruction(stack, lam, products)
+    return tuple(_lift(products, spec.map_eigenvalues(lam)) for spec in specs)
+
+
 def apply_scalar_fn(spec: ScalarFunctionSpec, a: SymmetricMatrix) -> SymmetricMatrix:
-    """Evaluate the lifted scalar function: g(A) = Q diag(g(lambda)) Q^T."""
-    lam, vec = spectral_decompose_stack(a.entries[None, :, :])
+    """Evaluate the lifted scalar function: g(A) = Q diag(g(lambda)) Q^T, by
+    `lift_2x2` at d = 2."""
+    stack = a.entries[None, :, :]
+    if a.dim == 2:
+        return SymmetricMatrix(lift_2x2(stack, (spec,))[0][0])
+    lam, vec = spectral_decompose_stack(stack)
     return SymmetricMatrix(_lift(vec, spec.map_eigenvalues(lam))[0])
 
 

@@ -273,6 +273,13 @@ def _lift_reference(lam, vec, fn):
     return out
 
 
+def jacobi_lift(stack, fn):
+    """fn lifted over each matrix of a stack through `jacobi_stack`'s eigenpairs,
+    one matrix at a time by `_lift_reference`."""
+    lam, vec = jacobi_stack(stack)
+    return np.array([_lift_reference(w, v, fn) for w, v in zip(lam, vec)])
+
+
 def _increment_reference(g, f, b, x, db, dt):
     """g dB f + (g dB f)^T + b dt of one state x (nested lists) and increment
     dB, its coefficients lifted through the eigenpairs of `jacobi_stack`."""

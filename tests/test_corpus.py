@@ -73,3 +73,40 @@ def test_verdict_names_the_check_reports_that_moved():
         return corpus.outcome(0, json.dumps(doc).encode(), b"")
 
     assert corpus.verdict(report(True), report(False)) == "moved: prop_cauchy d=3"
+
+
+def test_verdict_sizes_a_move_that_changes_only_numbers():
+    def printed(*values, code=0, sep=","):
+        return corpus.outcome(code, ("t,x\n" + sep.join(values) + "\n").encode(), b"")
+
+    base = printed("0.25", "2.0000000000000004", "-1e-300")
+    assert corpus.verdict(base, printed("0.25", "2.0", "-1e-300")) \
+        == "moved (numbers only, max rel 2e-16)"
+    assert corpus.verdict(base, printed("0.25", "2.0000000000000004", "-1.5e-300")) \
+        == "moved (numbers only, max rel 0.3)"
+    assert corpus.verdict(base, printed("0.25", "2", "-1e-300")) \
+        == "moved (numbers only, max rel 2e-16)"
+    # other text, another count of numbers, another exit code or a change outside the output
+    assert corpus.verdict(base, printed("0.25", "2.0", "-1e-300", sep=";")) == "moved"
+    assert corpus.verdict(base, printed("0.25", "2.0")) == "moved"
+    assert corpus.verdict(base, printed("0.25", "2.0", "-1e-300", code=1)) == "moved"
+    assert corpus.verdict(base, corpus.outcome(0, base[2], b"warning: x\n")) == "moved"
+    assert corpus.numbers_moved(base, base) is None
+
+    def report(beta):
+        doc = [{"name": "lemma", "details": {"dim": 2, "beta": beta}, "pass": True}]
+        return corpus.outcome(0, json.dumps(doc).encode(), b"")
+
+    assert corpus.verdict(report(0.5), report(0.5000000000000001)) \
+        == "moved: lemma d=2 (numbers only, max rel 2e-16)"
+
+
+def test_a_move_on_stderr_or_in_the_out_file_is_sized_too():
+    refused = corpus.outcome(2, b"", b"error: d_25 = 2.0208e-10\n")
+    assert corpus.verdict(refused, corpus.outcome(2, b"", b"error: d_25 = 2.0212e-10\n")) \
+        == "moved (numbers only, max rel 0.0002)"
+    written = corpus.outcome(0, b"", b"", b"t,x\n1,1.5\n")
+    assert corpus.verdict(written, corpus.outcome(0, b"", b"", b"t,x\n1,1.5000000000000002\n")) \
+        == "moved (numbers only, max rel 1e-16)"
+    # the same text moved from stdout to stderr is not a change of numbers
+    assert corpus.verdict(corpus.outcome(0, b"1\n", b""), corpus.outcome(0, b"", b"1\n")) == "moved"

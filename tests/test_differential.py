@@ -220,7 +220,7 @@ def test_two_by_two_kernels_write_contiguous_entry_planes():
 # rounding decides either way.
 _RATIO_EXCLUSION = 1e-7
 # Residuals planted as multiples of the bound: none, either side of it, close
-# to it (where the guard's own margin sits) and far past it.
+# to it (where only rounding decides, as the guard has no margin) and far past it.
 _TARGETS = st.sampled_from([0.0, 1e3]) | st.floats(0.5, 2.0) | st.floats(1 - 1e-5, 1 + 1e-5)
 
 

@@ -1,5 +1,6 @@
 """Core symmetric-matrix layer: decomposition, functional calculus, the PSD predicate."""
 
+import math
 import sys
 import warnings
 
@@ -8,12 +9,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from matrixdiff import symmat
+from matrixdiff import sde, symmat
 from matrixdiff.brownian import TimeGrid, sample_path
 from matrixdiff.integrals import MatrixProcess
 from matrixdiff.symmat import (
-    DomainPolicyError,
     EigensolverError,
+    NonFiniteValueError,
     ScalarFunctionSpec,
     SymmetricMatrix,
     apply_scalar_fn,
@@ -27,7 +28,7 @@ from matrixdiff.symmat import (
     spectral_decompose_stack,
 )
 from matrixdiff.sde import picard_solve, wishart_model
-from reference import frobenius_max_scaled, jacobi_stack
+from reference import frobenius_max_scaled, jacobi_lift, jacobi_stack
 
 
 IDENTITY = ScalarFunctionSpec(fn=lambda x: np.asarray(x, dtype=np.float64).copy(), name="identity")
@@ -171,21 +172,21 @@ class TestSpectralDecompose:
         # a zero matrix is one the plain sums cannot vouch for (its ||A||^2 is
         # below _SUMSQ_LOW); it alone takes the rescaled branch, not the
         # stack of every Picard sweep, which keeps X0 = 0 at t = 0
-        solve, decomposed = symmat._eig_stack, []
+        lift, lifted = sde.lift_2x2, []
         rescaled = _spy_rescaled(monkeypatch)
 
-        def recording(stack):
-            decomposed.append(stack.copy())
-            return solve(stack)
+        def recording(stack, specs):
+            lifted.append(np.array(stack))
+            return lift(stack, specs)
 
         model = wishart_model(2, 3.0)
         path = sample_path(TimeGrid(1.0, 64), 2, seed=5, path_index=0)
-        monkeypatch.setattr(symmat, "_eig_stack", recording)
+        monkeypatch.setattr(sde, "lift_2x2", recording)
         _, diag = picard_solve(model, path, max_iter=25, stop_tol=1e-300)
-        assert diag.iterates_kept == 25
+        assert diag.iterates_kept == len(lifted) == 25
         zeros = sum(int((~stack.reshape(len(stack), -1).any(axis=1)).sum())
-                    for stack in decomposed)
-        assert zeros > len(decomposed)  # the first sweep's whole stack, and one per sweep
+                    for stack in lifted)
+        assert zeros > len(lifted)  # the first sweep's whole stack, and one per sweep
         assert sum(len(stack) for stack in rescaled) == zeros
         assert not any(stack.any() for stack in rescaled)
 
@@ -509,7 +510,7 @@ class TestFunctionalCalculus:
         assert matrix_sqrt(SymmetricMatrix.diagonal([4.0, -1.0])).entries.tobytes() \
             == bytes.fromhex("0000000000000040" + "00" * 24)
         assert matrix_sqrt(SymmetricMatrix([[-0.0, 0.0], [0.0, 1.0]])).entries.tobytes() \
-            == bytes.fromhex("485d8a85ce773339" "075c143326a6913c" "075c143326a6913c" "000000000000f03f")
+            == bytes.fromhex("00" * 24 + "000000000000f03f")
 
     def test_constant_and_affine_factories(self):
         lam = np.array([-1.0, 0.0, 2.5])
@@ -569,7 +570,7 @@ class TestOrderPredicates:
     pytest.param(lambda: ScalarFunctionSpec(fn=np.sum).map_eigenvalues(np.ones(3)),
                  ValueError, "elementwise", id="not-elementwise"),
     pytest.param(lambda: ScalarFunctionSpec(fn=lambda x: np.full_like(x, np.inf))
-                 .map_eigenvalues(np.ones(3)), DomainPolicyError, "non-finite", id="non-finite"),
+                 .map_eigenvalues(np.ones(3)), NonFiniteValueError, "non-finite", id="non-finite"),
 ])
 def test_refusals_name_their_cause(call, error, match):
     with pytest.raises(error, match=match):
@@ -703,18 +704,153 @@ def test_seam_matches_jacobi_oracle(stack):
     assert (np.linalg.norm(recon - stack, axis=(1, 2)) <= tol).all()
 
 
+# multiples of I, where r = 0 and theta = 0, and diagonal matrices either way round
+_FLAT_AND_DIAGONAL = np.array([np.zeros((2, 2)), 3.0 * np.eye(2), -0.0 * np.eye(2),
+                               np.diag([1.0, 4.0]), np.diag([4.0, 1.0]), np.diag([-0.0, 1.0])])
+
+
 @settings(max_examples=100, deadline=None)
 @given(spectra(dims=(2,), sizes=st.sampled_from((1, 2048))), st.integers(0, 2**32 - 1))
+@example(_FLAT_AND_DIAGONAL, 0)
 def test_two_by_two_lift_matches_matmul(stack, seed):
-    # the d = 2 lift is written out from the rotation; the matmul is its oracle
+    # the d = 2 lift is written out from the rotation's products, those of the
+    # public eigenvectors or those `_rotation_2x2` takes from the double angle
+    # (with eigenvalues a rounding or two from the public ones); the matmul of
+    # the public eigenvectors is the oracle of both, on the eigenvalues and on
+    # values that differ where the eigenvalues do not
     lam, vec = spectral_decompose_stack(stack)
+    double_lam, products = symmat._rotation_2x2(stack)
+    eps = np.finfo(np.float64).eps
+    assert (np.abs(double_lam - lam) <= 4.0 * eps * np.abs(lam).max(axis=1, keepdims=True)).all()
     other = np.random.default_rng(seed).standard_normal(lam.shape) * (np.abs(lam).max() or 1.0)
     for vals in (lam, other):
-        lifted = symmat._lift(vec, vals)
         ref = (vec * vals[:, None, :]) @ vec.transpose(0, 2, 1)
         tol = 1e-15 * np.abs(vals).max(axis=1)
-        assert lifted.shape == ref.shape
-        assert (np.abs(lifted - ref).max(axis=(1, 2)) <= tol).all()
+        for basis in (vec, products):
+            lifted = symmat._lift(basis, vals)
+            assert lifted.shape == ref.shape
+            assert (np.abs(lifted - ref).max(axis=(1, 2)) <= tol).all()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
+def test_diagonal_matrices_lift_to_their_diagonal(d):
+    # halves of small integers, so that the d = 2 closed form's eigenvalues
+    # mid -+ r are exact too: the lift is exactly diag(g(a_ii)), and the
+    # eigenvectors a signed permutation, whichever way round the entries lie
+    rng = np.random.default_rng(70 + d)
+    diagonals = [rng.integers(-16, 17, d) / 2.0 for _ in range(6)]
+    diagonals += [np.arange(1.0, d + 1.0), np.arange(d, 0.0, -1.0), np.full(d, -0.0)]
+    specs = (IDENTITY, clipped_sqrt_fn(2.0), ScalarFunctionSpec(fn=np.tanh, name="tanh"))
+    for values in diagonals:
+        a = SymmetricMatrix.diagonal(values)
+        for spec in specs:
+            assert np.array_equal(apply_scalar_fn(spec, a).entries, np.diag(spec.fn(values)))
+        vec = spectral_decompose(a).eigenvectors
+        assert np.isin(np.abs(vec), (0.0, 1.0)).all()
+        assert np.array_equal(np.abs(vec) @ np.abs(vec).T, np.eye(d))
+    if d == 2:
+        stack = np.array([np.diag(values) for values in diagonals])
+        for spec, lifted in zip(specs, symmat.lift_2x2(stack, specs)):
+            assert np.array_equal(lifted, [np.diag(spec.fn(values)) for values in diagonals])
+
+
+def _jacobi_cases():
+    """d = 2 matrices at unit scale: multiples of I (r = 0, the zero matrix
+    included), r << |mid|, eigenvalues a clamp maps to 0, and general ones."""
+    rng = np.random.default_rng(34)
+    raw = rng.standard_normal((6, 2, 2))
+    sym = raw + raw.transpose(0, 2, 1)
+    q = np.linalg.qr(rng.standard_normal((4, 2, 2)))[0]
+    lam = np.array([[-1.0, 4.0], [-3.0, -0.5], [-0.25, 2.0], [0.5, 3.0]])
+    rotated = (q * lam[:, None, :]) @ q.transpose(0, 2, 1)
+    close = [5.0 * np.eye(2) + 1e-9 * sym[0], -4.0 * np.eye(2) + 1e-12 * sym[1],
+             np.eye(2) + 1e-15 * sym[2]]
+    stack = np.concatenate([[np.zeros((2, 2)), 3.0 * np.eye(2), -2.0 * np.eye(2)], close,
+                            rotated, sym[3:]])
+    return np.triu(stack) + np.triu(stack, 1).transpose(0, 2, 1)
+
+
+# a scalar function g as an array function and a float function, and its
+# degree p: g(2^k x) = 2^(k p) g(x) for every even k
+_HOMOGENEOUS = {
+    "identity": (IDENTITY, lambda v: v, 1.0),
+    "clamp": (ScalarFunctionSpec(fn=lambda x: np.maximum(x, 0.0), name="clamp"),
+              lambda v: max(v, 0.0), 1.0),
+    "sqrt": (ScalarFunctionSpec(fn=lambda x: np.sqrt(np.maximum(x, 0.0)), name="sqrt"),
+             lambda v: math.sqrt(max(v, 0.0)), 0.5),
+}
+
+
+@pytest.mark.parametrize("k", [0, 498, -498, 996, -996])  # 2^k near 1, 1e+-150 and 1e+-300
+@pytest.mark.parametrize("name", sorted(_HOMOGENEOUS))
+def test_two_by_two_lift_matches_the_jacobi_lift(name, k):
+    # the reference takes matrices below about 1e150, so it lifts A / 2^k
+    # (exact, as A's subnormal entries only scale up) and the result is
+    # scaled back by 2^(k p); the lift is within 8 ulps of the largest |g(lam)|
+    spec, fn, degree = _HOMOGENEOUS[name]
+    stack = _jacobi_cases() * 2.0 ** k
+    unit = stack * 2.0 ** -k
+    ref = jacobi_lift(unit, fn) * 2.0 ** (k * degree)
+    lifted, = symmat.lift_2x2(stack, [spec])
+    lam, _ = spectral_decompose_stack(stack)
+    tol = 8.0 * np.finfo(np.float64).eps * np.abs(spec.fn(lam)).max(axis=1)
+    assert (np.abs(lifted - ref).max(axis=(1, 2)) <= tol).all()
+    assert lifted.tobytes() == np.ascontiguousarray(lifted.transpose(0, 2, 1)).tobytes()
+    assert not lifted[0].any()  # g(0) = 0 lifts the zero matrix to exact zeros
+
+
+def test_lift_2x2_lifts_each_matrix_as_it_would_alone():
+    # r comes from the plain sum h^2 + b^2 or, where that sum leaves its range,
+    # from np.hypot, matrix by matrix: a stack that mixes both gives each
+    # matrix the bits it has alone
+    raw = np.random.default_rng(35).standard_normal((3, 2, 2))
+    unit = raw + raw.transpose(0, 2, 1)
+    stack = np.concatenate([unit, 1e300 * unit, 1e-300 * unit, [np.zeros((2, 2)), 16.0 * np.eye(2)],
+                            [np.diag([1e-170, 2e-170]), np.eye(2) + 1e-170 * unit[0]]])
+    specs = (IDENTITY, clipped_sqrt_fn(1e300))
+    lifts = symmat.lift_2x2(stack, specs)
+    for k in range(len(stack)):
+        alone = symmat.lift_2x2(stack[k:k + 1], specs)
+        assert all(a.tobytes() == b[k:k + 1].tobytes() for a, b in zip(alone, lifts))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e160, 1e-160])
+@pytest.mark.parametrize("entry", ["lift_2x2", "apply_scalar_fn", "euler_final_states"])
+def test_lift_path_refuses_perturbed_eigenvalues_naming_the_matrix(entry, scale, monkeypatch):
+    # one matrix's eigenvalues moved by 1e-6 of themselves, on the path that
+    # takes the rotation from the double angle
+    rotation = symmat._rotation_2x2
+
+    def perturbed(stack):
+        lam, products = rotation(stack)
+        lam = lam.copy()
+        lam[-1] *= 1.0 + 1e-6
+        return lam, products
+
+    raw = np.random.default_rng(12).standard_normal((4, 2, 2))
+    stack = scale * (raw + raw.transpose(0, 2, 1) + 6.0 * np.eye(2))
+    monkeypatch.setattr(symmat, "_rotation_2x2", perturbed)
+    calls = {
+        "lift_2x2": lambda: symmat.lift_2x2(stack, [IDENTITY]),
+        "apply_scalar_fn": lambda: apply_scalar_fn(IDENTITY, SymmetricMatrix(stack[0])),
+        "euler_final_states": lambda: sde.euler_final_states(
+            sde.SdeModel(g=clipped_affine_fn(1.0, 0.0, 10.0), f=constant_fn(1.0),
+                         b=constant_fn(1.0), x0=SymmetricMatrix(stack[0])),
+            TimeGrid(1.0, 1), np.zeros((1, 4, 2, 2))),
+    }
+    where = "matrix 0 of 1" if entry == "apply_scalar_fn" else "matrix 3 of 4"
+    with pytest.raises(EigensolverError, match=rf"^eigendecomposition reconstruction residual "
+                                               rf".* \({where}\)$"):
+        calls[entry]()
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 3, 3), (4, 2, 3), (1, 1, 1)])
+def test_lift_2x2_takes_only_two_by_two_stacks(shape):
+    with pytest.raises(ValueError, match=r"expected an \(m, 2, 2\) stack"):
+        symmat.lift_2x2(np.ones(shape), [IDENTITY])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(EigensolverError, match="non-finite"):
+            symmat.lift_2x2(np.array([[[1.0, bad], [bad, 1.0]]]), [IDENTITY])
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 5, 8])

@@ -122,27 +122,46 @@ def readme(root=ROOT):
 
 
 def outcome(code, stdout, stderr, out=None):
-    """Exit code, one SHA-256 over stdout, stderr and the --out file, and the output to read."""
-    digest = hashlib.sha256()
-    for part in (stdout, stderr, out or b""):
+    """Exit code, one SHA-256 over stdout, stderr and the --out file, the output to read,
+    and the three of them."""
+    parts, digest = (stdout, stderr, out or b""), hashlib.sha256()
+    for part in parts:
         digest.update(len(part).to_bytes(8, "big") + part)
-    return code, digest.hexdigest(), stdout if out is None else out
+    return code, digest.hexdigest(), stdout if out is None else out, parts
+
+
+# a decimal number as the CLI prints one, sign, fraction and exponent included
+NUMBER = re.compile(rb"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
+
+
+def numbers_moved(before, after):
+    """The largest relative change |a - b| / max(|a|, |b|) between the numbers of two
+    outcomes whose exit codes match and whose stdout, stderr and --out file differ only in
+    their numbers, else None."""
+    old, new = b"\n".join(before[3]), b"\n".join(after[3])
+    if before[0] != after[0] or old == new or NUMBER.split(old) != NUMBER.split(new):
+        return None
+    pairs = zip(map(float, NUMBER.findall(old)), map(float, NUMBER.findall(new)))
+    return max((abs(a - b) / max(abs(a), abs(b)) for a, b in pairs if a != b), default=0.0)
 
 
 def verdict(before, after):
-    """`same` when exit code and digest match, else `moved` and the check reports that did."""
+    """`same` when exit code and digest match, else `moved`, the check reports that did, and
+    the largest relative change where the outputs differ only in their numbers."""
     if before[:2] == after[:2]:
         return "same"
+    rel = numbers_moved(before, after)
+    size = "" if rel is None else f" (numbers only, max rel {rel:.1g})"
     try:
         old, new = json.loads(before[2]), json.loads(after[2])
     except ValueError:
-        return "moved"
+        return "moved" + size
     if not all(isinstance(doc, list) and all(isinstance(r, dict) and "name" in r for r in doc)
                for doc in (old, new)) or len(old) != len(new):
-        return "moved"
+        return "moved" + size
     moved = ", ".join(f"{b['name']} d={(b.get('details') or {}).get('dim')}"
                       for a, b in zip(old, new) if a != b)
-    return f"moved: {moved}" if moved else "moved"
+    return (f"moved: {moved}" if moved else "moved") + size
 
 
 def run(root, work, argv):
