@@ -844,10 +844,10 @@ def test_lift_path_refuses_perturbed_eigenvalues_naming_the_matrix(entry, scale,
         calls[entry]()
 
 
-@pytest.mark.parametrize("shape", [(2, 2), (3, 3, 3), (4, 2, 3), (1, 1, 1)])
-def test_lift_2x2_takes_only_two_by_two_stacks(shape):
-    with pytest.raises(ValueError, match=r"expected an \(m, 2, 2\) stack"):
-        symmat.lift_2x2(np.ones(shape), [IDENTITY])
+def test_lift_2x2_takes_only_finite_two_by_two_stacks():
+    for shape in ((2, 2), (3, 3, 3), (4, 2, 3), (1, 1, 1)):
+        with pytest.raises(ValueError, match=r"expected an \(m, 2, 2\) stack"):
+            symmat.lift_2x2(np.ones(shape), [IDENTITY])
     for bad in (np.nan, np.inf):
         with pytest.raises(EigensolverError, match="non-finite"):
             symmat.lift_2x2(np.array([[[1.0, bad], [bad, 1.0]]]), [IDENTITY])
