@@ -4,12 +4,13 @@ The state space throughout the package is the set of real symmetric d x d
 matrices.  A scalar function g is lifted to a matrix argument through the
 spectral decomposition A = Q diag(lambda) Q^T as g(A) = Q diag(g(lambda)) Q^T,
 with eigenvalues kept in non-decreasing order and checked by one
-reconstruction guard at every d.  At d = 2 the lift needs only the products
-cos^2, sin^2 and cos sin of the eigenvector rotation, which `lift_2x2` takes
-from the double angle without trigonometry; `atan2`, `cos` and `sin` serve
-only the public decomposition.  The PSD predicate `is_psd` and the stacked
-minimum eigenvalue round out the deterministic substrate used by the
-stochastic layers.
+reconstruction guard at every d.  At d = 2 one closed form, with no
+trigonometry, gives every eigenvalue and eigenvector: the eigenvalues
+mid -+ r and the products cos^2, sin^2 and cos sin of the eigenvector
+rotation, from the double angle.  A lift needs only those products; the
+public decomposition reads cos and sin from them.  The PSD predicate `is_psd`
+and the stacked minimum eigenvalue round out the deterministic substrate used
+by the stochastic layers.
 """
 
 from __future__ import annotations
@@ -109,7 +110,7 @@ class SymmetricMatrix:
 
     def __init__(self, entries) -> None:
         arr = np.array(entries, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
             raise ValueError(f"expected a square matrix, got shape {arr.shape}")
         self._entries = _symmetric(arr)
 
@@ -262,52 +263,41 @@ def _lift(basis, vals: np.ndarray) -> np.ndarray:
     return np.where(np.isinf(sym), 0.5 * out + 0.5 * flip, sym)
 
 
-def _eigvals_2x2(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues mid -+ hypot((a - c)/2, b) of a d = 2 stack, as an
-    (m, 2) array whose two columns are contiguous, and (a - c)/2, halved before
-    subtracting so that it stays finite."""
-    half_a, half_c = 0.5 * stack[:, 0, 0], 0.5 * stack[:, 1, 1]
-    half_gap = half_a - half_c
-    mid = half_a + half_c
-    radius = np.hypot(half_gap, stack[:, 0, 1])
-    lam = np.empty((2, len(stack))).T
-    np.subtract(mid, radius, out=lam[:, 0])
-    np.add(mid, radius, out=lam[:, 1])
-    return lam, half_gap
-
-
 def _eig_stack(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues and eigenvectors: LAPACK (for d = 1 the entry and
-    +1.0, bit for bit), or for d = 2 the closed form of `_eigvals_2x2` with its
-    eigenvectors in a stack of `_empty_2x2`.  These are the rotation by
-    theta = atan2(b, (a - c)/2)/2, from phi = atan2(b, |a - c|/2)/2 in
-    [-pi/4, pi/4]: theta = phi where a >= c, and where a < c the complementary
-    angle, cos and sin swapped (a sign flip of both columns where b < 0), so
-    that a diagonal matrix gets a signed permutation."""
+    +1.0, bit for bit), or for d = 2 the eigenvalues of `_rotation_2x2` and
+    the rotation [[-sin, cos], [cos, sin]] in a stack of `_empty_2x2`, read
+    from its products: the larger of cos^2 and sin^2, at least 1/2, gives its
+    factor by a square root, cos = sqrt(cc) or sin = sqrt(ss), and the other
+    is cs divided by it, so that nothing cancels.  cos > 0 where cc >= ss
+    (a >= c) and sin > 0 elsewhere, so that a diagonal matrix gets a signed
+    permutation."""
     if stack.shape[-1] != 2:
         return np.linalg.eigh(stack)
-    lam, half_gap = _eigvals_2x2(stack)
-    phi = 0.5 * np.arctan2(stack[:, 0, 1], np.abs(half_gap))
-    cos, sin = np.cos(phi), np.sin(phi)
-    swap = half_gap < 0.0
-    cos, sin = np.where(swap, sin, cos), np.where(swap, cos, sin)
+    lam, (cc, ss, cs) = _rotation_2x2(stack)
+    wide = cc >= ss
+    big = np.sqrt(np.maximum(cc, ss))
+    small = cs / big
+    cos, sin = np.where(wide, big, small), np.where(wide, small, big)
     vec = _empty_2x2(stack.shape[0])
-    vec[:, 0, 0], vec[:, 1, 0] = -sin, cos  # eigenvector of mid - radius
-    vec[:, 0, 1], vec[:, 1, 1] = cos, sin   # eigenvector of mid + radius
+    vec[:, 0, 0], vec[:, 1, 0] = -sin, cos  # eigenvector of mid - r
+    vec[:, 0, 1], vec[:, 1, 1] = cos, sin   # eigenvector of mid + r
     return lam, vec
 
 
 def _rotation_2x2(stack: np.ndarray) -> tuple[np.ndarray, tuple]:
-    """Ascending eigenvalues mid -+ r of a d = 2 stack, as `_eigvals_2x2` lays
-    them out, and the products (cc, ss, cs) of the rotation that `_eig_stack`
-    returns, from the double angle without trigonometry: with h = (a - c)/2,
-    cos 2 theta = h / r and sin 2 theta = b / r give cc = 1/2 + h / (2 r),
-    ss = 1/2 - h / (2 r) and cs = b / (2 r), and theta = 0 where r = 0.
+    """The d = 2 closed form: ascending eigenvalues mid -+ r of a stack, as an
+    (m, 2) array whose two columns are contiguous, and the products
+    (cc, ss, cs) of the eigenvector rotation by theta, from the double angle
+    without trigonometry: with h = (a - c)/2, halved before subtracting so
+    that it stays finite, cos 2 theta = h / r and sin 2 theta = b / r give
+    cc = 1/2 + h / (2 r), ss = 1/2 - h / (2 r) and cs = b / (2 r), and
+    theta = 0 where r = 0.
 
     r = sqrt(h^2 + b^2) wherever that sum lies in [_SUMSQ_LOW, _SUMSQ_HIGH],
     so that no square overflowed and none that matters underflowed, and
-    `np.hypot` elsewhere: a rounding or two from `_eigvals_2x2`'s r, and exact
-    where b = 0, so that a diagonal matrix gets exact zeros and ones.
+    `np.hypot` elsewhere: exact where b = 0, so that a diagonal matrix gets
+    exact zeros and ones.
     """
     half_a, half_c = 0.5 * stack[:, 0, 0], 0.5 * stack[:, 1, 1]
     half_gap, off = half_a - half_c, stack[:, 0, 1]
@@ -370,8 +360,11 @@ def _check_reconstruction(stack: np.ndarray, lam: np.ndarray, basis) -> None:
 
 
 def _finite(stack) -> np.ndarray:
-    """`stack` as a float array, or `EigensolverError` if an entry is not finite."""
+    """`stack` as a float array: `ValueError` unless it is an (m, d, d) stack
+    with d >= 1, and `EigensolverError` if an entry is not finite."""
     stack = np.asarray(stack, dtype=np.float64)
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or stack.shape[1] == 0:
+        raise ValueError(f"expected an (m, d, d) stack with d >= 1, got shape {stack.shape}")
     if np.count_nonzero(np.isfinite(stack)) != stack.size:
         raise EigensolverError("cannot decompose a matrix with non-finite entries")
     return stack
@@ -385,7 +378,8 @@ def spectral_decompose_stack(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     once by `_check_reconstruction`: non-finite input, or a residual above
     1e-8 * max(||A||_F, tiny), raises `EigensolverError`.  `tiny`, the smallest
     normal double, keeps the relative bound positive for zero and subnormal A.
-    The error names the first matrix refused.
+    The error names the first matrix refused.  Any shape but (m, d, d) with
+    d >= 1 raises `ValueError`.
     """
     stack = _finite(stack)
     lam, vec = _eig_stack(stack)
@@ -412,7 +406,7 @@ def lift_2x2(stack: np.ndarray, specs) -> tuple[np.ndarray, ...]:
     shape raises `ValueError`.
     """
     stack = _finite(stack)
-    if stack.ndim != 3 or stack.shape[1:] != (2, 2):
+    if stack.shape[1] != 2:
         raise ValueError(f"expected an (m, 2, 2) stack, got shape {stack.shape}")
     lam, products = _rotation_2x2(stack)
     _check_reconstruction(stack, lam, products)
@@ -438,13 +432,15 @@ def matrix_sqrt(a: SymmetricMatrix) -> SymmetricMatrix:
 
 def min_eigenvalues_stack(stack: np.ndarray) -> np.ndarray:
     """Smallest eigenvalue of each matrix A of a stack, from its eigenvalues lam
-    alone: `_eigvals_2x2` for d = 2, LAPACK `eigvalsh` otherwise.  Non-finite
-    A raises `EigensolverError`, as does a lam that is not non-decreasing or
-    misses a power sum tr A^p (p = 1, 2) by more than RECONSTRUCTION_RTOL * n^p,
-    n = max(||A||_F, tiny); a non-finite lam misses.  The sums are taken on A
-    and lam over the scale s of `_unit`, so no square overflows or underflows."""
+    alone: `_rotation_2x2`'s for d = 2, so the decomposition's bits, LAPACK
+    `eigvalsh` otherwise.  A shape other than (m, d, d) with d >= 1 raises
+    `ValueError`.  Non-finite A raises `EigensolverError`, as does a lam that is
+    not non-decreasing or misses a power sum tr A^p (p = 1, 2) by more than
+    RECONSTRUCTION_RTOL * n^p, n = max(||A||_F, tiny); a non-finite lam misses.
+    The sums are taken on A and lam over the scale s of `_unit`, so no square
+    overflows or underflows."""
     stack = _finite(stack)
-    lam = _eigvals_2x2(stack)[0] if stack.shape[-1] == 2 else np.linalg.eigvalsh(stack)
+    lam = _rotation_2x2(stack)[0] if stack.shape[-1] == 2 else np.linalg.eigvalsh(stack)
     unit, scale = _unit(stack)
     sumsq = np.einsum("mij,mij->m", unit, unit)
     norm = np.maximum(np.sqrt(sumsq), 1.0)  # n / s: ||A / s||_F >= 1 once max |A_ij| >= tiny

@@ -85,9 +85,10 @@ class TestConstruction:
         assert SymmetricMatrix([[value, value], [value, value]]).entries[0, 0] == value
         assert SymmetricMatrix([[value]]).entries[0, 0] == value
 
-    def test_rejects_non_square(self):
+    @pytest.mark.parametrize("shape", [(2, 3), (0, 0)])
+    def test_rejects_non_square(self, shape):
         with pytest.raises(ValueError, match="square"):
-            SymmetricMatrix(np.ones((2, 3)))
+            SymmetricMatrix(np.ones(shape))
 
     def test_entries_read_only(self):
         a = SymmetricMatrix.identity(3)
@@ -713,15 +714,16 @@ _FLAT_AND_DIAGONAL = np.array([np.zeros((2, 2)), 3.0 * np.eye(2), -0.0 * np.eye(
 @given(spectra(dims=(2,), sizes=st.sampled_from((1, 2048))), st.integers(0, 2**32 - 1))
 @example(_FLAT_AND_DIAGONAL, 0)
 def test_two_by_two_lift_matches_matmul(stack, seed):
-    # the d = 2 lift is written out from the rotation's products, those of the
-    # public eigenvectors or those `_rotation_2x2` takes from the double angle
-    # (with eigenvalues a rounding or two from the public ones); the matmul of
-    # the public eigenvectors is the oracle of both, on the eigenvalues and on
+    # one d = 2 closed form: the public decomposition, the minimum eigenvalues
+    # and `_rotation_2x2` share its eigenvalue bits.  The d = 2 lift is written
+    # out from the rotation's products, those of the public eigenvectors or
+    # those `_rotation_2x2` takes from the double angle; the matmul of the
+    # public eigenvectors is the oracle of both, on the eigenvalues and on
     # values that differ where the eigenvalues do not
     lam, vec = spectral_decompose_stack(stack)
     double_lam, products = symmat._rotation_2x2(stack)
-    eps = np.finfo(np.float64).eps
-    assert (np.abs(double_lam - lam) <= 4.0 * eps * np.abs(lam).max(axis=1, keepdims=True)).all()
+    assert double_lam.tobytes() == lam.tobytes()
+    assert min_eigenvalues_stack(stack).tobytes() == lam[:, 0].tobytes()
     other = np.random.default_rng(seed).standard_normal(lam.shape) * (np.abs(lam).max() or 1.0)
     for vals in (lam, other):
         ref = (vec * vals[:, None, :]) @ vec.transpose(0, 2, 1)
@@ -752,6 +754,22 @@ def test_diagonal_matrices_lift_to_their_diagonal(d):
         stack = np.array([np.diag(values) for values in diagonals])
         for spec, lifted in zip(specs, symmat.lift_2x2(stack, specs)):
             assert np.array_equal(lifted, [np.diag(spec.fn(values)) for values in diagonals])
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e150, 1e-150])
+def test_near_diagonal_eigenvectors_keep_their_small_factor(scale):
+    # cos sin = b / (lam1 - lam0): the factor of order b comes from cs divided
+    # by the larger one, not from the square root of a product that cancels
+    off = np.array([1e-9, -1e-9, 3e-13, -2e-17])
+    stack = np.zeros((2 * len(off), 2, 2))
+    stack[:len(off), 0, 0] = 1.0  # [[1, b], [b, 0]]
+    stack[len(off):, 1, 1] = 1.0  # [[0, b], [b, 1]]
+    stack[:, 0, 1] = stack[:, 1, 0] = np.tile(off, 2)
+    stack *= scale
+    lam, vec = spectral_decompose_stack(stack)
+    expected = stack[:, 0, 1] / (lam[:, 1] - lam[:, 0])
+    cos_sin = vec[:, 0, 1] * vec[:, 1, 1]
+    assert (np.abs(cos_sin - expected) <= 1e-14 * np.abs(expected)).all()
 
 
 def _jacobi_cases():
@@ -844,13 +862,21 @@ def test_lift_path_refuses_perturbed_eigenvalues_naming_the_matrix(entry, scale,
         calls[entry]()
 
 
-def test_lift_2x2_takes_only_finite_two_by_two_stacks():
-    for shape in ((2, 2), (3, 3, 3), (4, 2, 3), (1, 1, 1)):
-        with pytest.raises(ValueError, match=r"expected an \(m, 2, 2\) stack"):
-            symmat.lift_2x2(np.ones(shape), [IDENTITY])
+@pytest.mark.parametrize("entry", [
+    lambda stack: symmat.lift_2x2(stack, [IDENTITY]), spectral_decompose_stack,
+    min_eigenvalues_stack], ids=["lift_2x2", "spectral_decompose_stack", "min_eigenvalues_stack"])
+def test_lift_2x2_takes_only_finite_two_by_two_stacks(entry):
+    # one shape rule for the three stack entries, an (m, d, d) stack with
+    # d >= 1, and lift_2x2 asks for d = 2
+    for shape in ((2, 2), (4, 2, 3), (3, 0, 0), (2, 2, 2, 2)):
+        with pytest.raises(ValueError, match=r"expected an \(m, d, d\) stack with d >= 1"):
+            entry(np.ones(shape))
     for bad in (np.nan, np.inf):
         with pytest.raises(EigensolverError, match="non-finite"):
-            symmat.lift_2x2(np.array([[[1.0, bad], [bad, 1.0]]]), [IDENTITY])
+            entry(np.array([[[1.0, bad], [bad, 1.0]]]))
+    for shape in ((3, 3, 3), (1, 1, 1)):
+        with pytest.raises(ValueError, match=r"expected an \(m, 2, 2\) stack"):
+            symmat.lift_2x2(np.ones(shape), [IDENTITY])
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
