@@ -13,7 +13,7 @@ resolver both come from that declaration.  A setting is taken from its flag,
 else the flat JSON config file (--config), else its default; the seed falls
 back to the MATRIXDIFF_SEED environment variable before its default.  One
 config file may serve several subcommands, so it may hold any key that some
-subcommand reads, and a key that none reads is refused.
+subcommand reads, and a key that none reads, or one given twice, is refused.
 Exit codes: 0 all requested checks passed, 1 a check failed, 2 bad
 configuration or an --out that cannot be written.  Output is deterministic
 byte for byte under a fixed seed.
@@ -65,12 +65,22 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object's pairs as a dict; `json` alone lets a repeated key's last value win."""
+    cfg = {}
+    for key, value in pairs:
+        if key in cfg:
+            raise ConfigError(f"config key {key!r} is given twice")
+        cfg[key] = value
+    return cfg
+
+
 def _load_config(path) -> dict:
     if path is None:
         return {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
+            cfg = json.load(fh, object_pairs_hook=_unique_keys)
     except (OSError, json.JSONDecodeError, RecursionError) as exc:  # nested deeper than the stack
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(cfg, dict):

@@ -4,13 +4,13 @@ The state space throughout the package is the set of real symmetric d x d
 matrices.  A scalar function g is lifted to a matrix argument through the
 spectral decomposition A = Q diag(lambda) Q^T as g(A) = Q diag(g(lambda)) Q^T,
 with eigenvalues kept in non-decreasing order and checked by one
-reconstruction guard at every d.  At d = 2 one closed form, with no
-trigonometry, gives every eigenvalue and eigenvector: the eigenvalues
-mid -+ r and the products cos^2, sin^2 and cos sin of the eigenvector
-rotation, from the double angle.  A lift needs only those products; the
-public decomposition reads cos and sin from them.  The PSD predicate `is_psd`
-and the stacked minimum eigenvalue round out the deterministic substrate used
-by the stochastic layers.
+reconstruction guard at every d, which lifts every eigenvector column it is
+given.  At d = 2 one closed form, with no trigonometry, gives every eigenvalue
+and eigenvector: the eigenvalues mid -+ r and the products cos^2, sin^2 and
+cos sin of the eigenvector rotation, from the double angle.  A lift needs only
+those products; the public decomposition reads cos and sin from them.  The PSD
+predicate `is_psd` and the stacked minimum eigenvalue round out the
+deterministic substrate used by the stochastic layers.
 """
 
 from __future__ import annotations
@@ -230,17 +230,12 @@ def _empty_2x2(m: int) -> np.ndarray:
 
 
 def _lift(basis, vals: np.ndarray) -> np.ndarray:
-    """Q diag(vals) Q^T for every matrix of a stack, exactly symmetric, where
-    `basis` is the (m, d, d) stack of eigenvector columns Q, or for d = 2 the
-    products (cc, ss, cs) of `_rotation_2x2`.  At d = 2, where Q must be the
-    rotation [[-s, c], [c, s]] that `_eig_stack` returns and gives cc = c^2,
-    ss = s^2 and cs = c s, the entry planes ss l0 + cc l1, cs (l1 - l0) = (1, 0)
-    and cc l0 + ss l1 are written out into a stack of `_empty_2x2`, so that no
-    two eigenvalues are summed; otherwise it is the matmul R averaged with R^T
-    as 0.5 (R + R^T), or as 0.5 R + 0.5 R^T where R + R^T overflowed."""
-    if not isinstance(basis, tuple) and basis.shape[-1] == 2:
-        c, s = basis[:, 0, 1], basis[:, 1, 1]
-        basis = (c * c, s * s, c * s)
+    """Q diag(vals) Q^T for every matrix of a stack, exactly symmetric.  `basis`
+    is the products (cc, ss, cs) of `_rotation_2x2`, whose entry planes
+    ss l0 + cc l1, cs (l1 - l0) = (1, 0) and cc l0 + ss l1 are written into a
+    stack of `_empty_2x2` so that no two eigenvalues are summed, or an (m, d, d)
+    stack of eigenvector columns Q at any d, whose matmul R is averaged with
+    R^T as 0.5 (R + R^T), or as 0.5 R + 0.5 R^T where R + R^T overflowed."""
     if isinstance(basis, tuple):
         cc, ss, cs = basis
         lo, hi = vals[:, 0], vals[:, 1]
@@ -325,15 +320,17 @@ def _rotation_2x2(stack: np.ndarray) -> tuple[np.ndarray, tuple]:
 
 
 def _check_reconstruction(stack: np.ndarray, lam: np.ndarray, basis) -> None:
-    """The reconstruction guard, one lift per matrix A of a stack: each
-    residual R = _lift(basis, lam) - A must have ||R||_F <= RECONSTRUCTION_RTOL
-    * max(||A||_F, tiny), so a not exactly symmetric A is judged against its
-    symmetric lift.  Where ||A||^2 lies in [_SUMSQ_LOW, _SUMSQ_HIGH] plain sums
-    decide, ||R||^2 <= RTOL^2 ||A||^2; the residual's sum needs no lower end,
-    as a square that underflowed errs by at most 2^-1075.  Every other A, and
-    its R, is divided by its scale s of `_unit` and judged by the same sums
-    against RTOL^2 max(||A / s||^2, 1), which cannot overflow.  The first A
-    refused raises `EigensolverError` with its own residual, bound and index.
+    """The reconstruction guard, one lift per matrix A of a stack of what its
+    entry returns, `lift_2x2`'s products or every column Q of
+    `spectral_decompose_stack`: each residual R = _lift(basis, lam) - A must
+    have ||R||_F <= RECONSTRUCTION_RTOL * max(||A||_F, tiny), so a not exactly
+    symmetric A is judged against its symmetric lift.  Where ||A||^2 lies in
+    [_SUMSQ_LOW, _SUMSQ_HIGH] plain sums decide, ||R||^2 <= RTOL^2 ||A||^2; the
+    residual's sum needs no lower end, as a square that underflowed errs by at
+    most 2^-1075.  Every other A, and its R, is divided by its scale s of
+    `_unit` and judged by the same sums against RTOL^2 max(||A / s||^2, 1),
+    which cannot overflow.  The first A refused raises `EigensolverError` with
+    its own residual, bound and index.
     """
     rtol2 = RECONSTRUCTION_RTOL ** 2
     with np.errstate(over="ignore"):  # an overflowed sum is out of range, or refused
@@ -375,11 +372,12 @@ def spectral_decompose_stack(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
     Eigenvalues come back as (m, d) sorted non-decreasing per matrix, with
     eigenvector columns (m, d, d) in matching order.  Every matrix is checked
-    once by `_check_reconstruction`: non-finite input, or a residual above
-    1e-8 * max(||A||_F, tiny), raises `EigensolverError`.  `tiny`, the smallest
-    normal double, keeps the relative bound positive for zero and subnormal A.
-    The error names the first matrix refused.  Any shape but (m, d, d) with
-    d >= 1 raises `ValueError`.
+    once by `_check_reconstruction`, which lifts every column returned, both
+    at d = 2: non-finite input, or a residual above 1e-8 * max(||A||_F, tiny),
+    raises `EigensolverError`.  `tiny`, the smallest normal double, keeps the
+    relative bound positive for zero and subnormal A.  The error names the
+    first matrix refused.  Any shape but (m, d, d) with d >= 1 raises
+    `ValueError`.
     """
     stack = _finite(stack)
     lam, vec = _eig_stack(stack)

@@ -219,6 +219,16 @@ class TestConfigHandling:
             assert captured.out == ""
             assert captured.err == "error: unknown config key 'stpes': no subcommand reads it\n"
 
+    def test_config_key_given_twice_exits_two(self, tmp_path, capsys):
+        # json lets the last value win: this used to run 3 steps, exit 0
+        cfg = tmp_path / "dup.json"
+        cfg.write_text('{"steps": 2, "steps": 3}')
+        for command in SUBCOMMANDS:
+            assert run_cli([command, "--seed", "1", "--config", str(cfg)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: config key 'steps' is given twice\n"
+
     def test_one_config_serves_every_subcommand(self, tmp_path, capsys):
         # each key is read by some subcommand, so none is refused, and a
         # subcommand ignores the keys of the others

@@ -13,8 +13,9 @@
   twin does, matrix by matrix, from 1e-150 to 1e150.
 * `spectral_decompose_stack` raises exactly when a reconstruction check built
   on `frobenius_max_scaled` fails, from 1e-300 to 1e300, on subnormal stacks,
-  off-diagonals one ulp or more apart and perturbed eigenvalues, and at d = 5
-  and 8 for residuals planted at 0.99 and 1.01 times the bound.
+  off-diagonals one ulp or more apart and perturbed eigenvalues, at d = 5 and
+  8 for residuals planted in the eigenvalues at 0.99 and 1.01 times the bound,
+  and at d = 1, 2, 3, 5, 8 for residuals planted alike in eigenvector column 0.
 * The three inequality checks report the worst violation that their plain-loop
   twins find on the same samples, at d = 2, 3, 5.
 * The Monte Carlo checks report the mean, and the lemma its beta, that their
@@ -59,7 +60,6 @@ from matrixdiff.sde import (
 from matrixdiff.symmat import (
     EigensolverError,
     SymmetricMatrix,
-    _lift,
     clipped_affine_fn,
     clipped_sqrt_fn,
     constant_fn,
@@ -204,7 +204,7 @@ def test_two_by_two_bits_do_not_depend_on_layout(kind):
 def test_two_by_two_kernels_write_contiguous_entry_planes():
     x, db = _states(65, 64), 0.1 * np.random.default_rng(65).standard_normal((64, 2, 2))
     lam, vec = spectral_decompose_stack(x)
-    stacks = [vec, _lift(vec, lam)]
+    stacks = [vec]
     for kind in ("wishart", "state-dependent"):  # float and lifted coefficients
         model, _ = _models(2)[kind]
         stacks.append(_increment(*_lift_gfb(model, x), db, 0.01))
@@ -267,55 +267,73 @@ def _cases(draw):
     return stack, np.array(shifts)
 
 
-@settings(max_examples=400, deadline=None)
-@given(case=_cases())
-def test_guard_raises_exactly_when_the_reference_check_fails(case):
-    stack, shifts = case
-    solve = symmat._eig_stack
-    seen = []
+def _guard_verdict(stack, plant):
+    """Whether `spectral_decompose_stack` raises when `plant(arr, lam, vec)`
+    rewrites what `_eig_stack` returns, and the reference's ratios for what
+    the guard was given."""
+    solve, seen = symmat._eig_stack, []
 
-    def perturbed(arr):  # every eigenvalue moved by shift * bound / sqrt(d)
-        lam, vec = solve(arr)
-        lam = lam + (shifts * _bounds(arr) / math.sqrt(arr.shape[-1]))[:, None]
-        seen.append((lam, vec))
-        return lam, vec
+    def planted(arr):
+        seen.append(plant(arr, *solve(arr)))
+        return seen[-1]
 
-    with mock.patch.object(symmat, "_eig_stack", perturbed):
+    with mock.patch.object(symmat, "_eig_stack", planted):
         try:
             spectral_decompose_stack(stack)
             raised = False
         except EigensolverError as exc:
             assert "reconstruction residual" in str(exc)
             raised = True
-    ratios = _reference_ratios(stack, *seen[0])
+    return raised, _reference_ratios(stack, *seen[0])
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_cases())
+def test_guard_raises_exactly_when_the_reference_check_fails(case):
+    stack, shifts = case
+
+    def plant(arr, lam, vec):  # every eigenvalue moved by shift * bound / sqrt(d)
+        return lam + (shifts * _bounds(arr) / math.sqrt(arr.shape[-1]))[:, None], vec
+
+    raised, ratios = _guard_verdict(stack, plant)
     assume(not (np.abs(ratios - 1.0) < _RATIO_EXCLUSION).any())
     assert raised == bool((ratios > 1.0).any())
+
+
+def _planted_stack(d, scale):
+    # at scale 1 the plain sums decide, at 1e+-300 ||A||^2 leaves their range
+    # and the scaled check does
+    raw = np.random.default_rng(d).standard_normal((3, d, d))
+    return scale * (raw + raw.transpose(0, 2, 1))
 
 
 @pytest.mark.parametrize("d", [5, 8])
 @pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
 @pytest.mark.parametrize("target", [0.99, 1.01])
 def test_guard_raises_exactly_when_a_planted_residual_exceeds_the_bound(d, scale, target):
-    # at scale 1 the plain sums decide, at 1e+-300 ||A||^2 leaves their range
-    # and the scaled check does; every eigenvalue moves by target * bound / sqrt(d)
-    raw = np.random.default_rng(d).standard_normal((3, d, d))
-    stack = scale * (raw + raw.transpose(0, 2, 1))
-    solve, seen = symmat._eig_stack, []
+    def plant(arr, lam, vec):  # every eigenvalue moved by target * bound / sqrt(d)
+        return lam + (target * _bounds(arr) / math.sqrt(d))[:, None], vec
 
-    def perturbed(arr):
-        lam, vec = solve(arr)
-        lam = lam + (target * _bounds(arr) / math.sqrt(d))[:, None]
-        seen.append((lam, vec))
+    raised, ratios = _guard_verdict(_planted_stack(d, scale), plant)
+    assert ((ratios > 1.0) == (target > 1.0)).all()
+    assert raised == bool((ratios > 1.0).any())
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
+@pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
+@pytest.mark.parametrize("target", [0.99, 1.01])
+def test_guard_raises_exactly_when_a_planted_eigenvector_residual_exceeds_the_bound(
+        d, scale, target):
+    # column 0 of Q scaled by 1 + eps leaves the residual |lam_0| ((1 + eps)^2 - 1)
+    # q_0 q_0^T, whose norm is target * bound for eps = sqrt(1 + target *
+    # bound / |lam_0|) - 1: the guard must read column 0 too, at d = 2 as well
+    def plant(arr, lam, vec):
+        eps = np.sqrt(1.0 + target * _bounds(arr) / np.abs(lam[:, 0])) - 1.0
+        vec = vec.copy()
+        vec[:, :, 0] *= (1.0 + eps)[:, None]
         return lam, vec
 
-    with mock.patch.object(symmat, "_eig_stack", perturbed):
-        try:
-            spectral_decompose_stack(stack)
-            raised = False
-        except EigensolverError as exc:
-            assert "reconstruction residual" in str(exc)
-            raised = True
-    ratios = _reference_ratios(stack, *seen[0])
+    raised, ratios = _guard_verdict(_planted_stack(d, scale), plant)
     assert ((ratios > 1.0) == (target > 1.0)).all()
     assert raised == bool((ratios > 1.0).any())
 
