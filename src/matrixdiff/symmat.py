@@ -320,9 +320,9 @@ def _rotation_2x2(stack: np.ndarray) -> tuple[np.ndarray, tuple]:
 
 
 def _check_reconstruction(stack: np.ndarray, lam: np.ndarray, basis) -> None:
-    """The reconstruction guard, one lift per matrix A of a stack of what its
-    entry returns, `lift_2x2`'s products or every column Q of
-    `spectral_decompose_stack`: each residual R = _lift(basis, lam) - A must
+    """The reconstruction guard, one lift per matrix A of a stack, from the
+    basis its entry returns (`lift_2x2`'s products, or every column Q of
+    `spectral_decompose_stack`): each residual R = _lift(basis, lam) - A must
     have ||R||_F <= RECONSTRUCTION_RTOL * max(||A||_F, tiny), so a not exactly
     symmetric A is judged against its symmetric lift.  Where ||A||^2 lies in
     [_SUMSQ_LOW, _SUMSQ_HIGH] plain sums decide, ||R||^2 <= RTOL^2 ||A||^2; the
