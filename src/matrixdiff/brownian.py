@@ -26,7 +26,7 @@ and the CLI's `simulate` and `picard-convergence`) makes exactly one
 counts these calls for its `brownian.paths` and `brownian.draws`.  The Monte
 Carlo checks draw their path blocks in forked processes when more than one CPU
 is usable, so a traced run counts only the blocks of the process it traces,
-unless the run is on one CPU.
+a share that changes from run to run, unless the run is on one CPU.
 
 The path matrices are NOT symmetric: all d^2 entries are independent motions.
 Only the diffusion states built on top of them live in the symmetric space.

@@ -13,10 +13,13 @@ path-major chunk, which one transposed assignment copies into the step-major
 block: no per-path index arithmetic and no per-path copy call.
 
 Both `_per_path`'s blocks and `run_inequality_suite`'s dimensions are tasks of
-`_fan_out`, which spreads them over the usable CPUs in forked processes and
-returns their results in task order, so every report has the bits of a run in
-one process.  Restricting the CPU affinity (`taskset -c 0`) keeps the whole
-run in one process.
+`_fan_out`, which runs them in forked processes over the usable CPUs: each
+process runs one fixed task first, then claims the others in ascending order
+from one shared queue pipe whenever it is free, so the costliest tasks go
+first (`run_inequality_suite` hands over the largest dimension first).  Which
+process runs a task changes from run to run, but the results come back in task
+order, so every report has the bits of a run in one process.  Restricting
+the CPU affinity (`taskset -c 0`) keeps the whole run in one process.
 
 Sampling conventions: a random symmetric matrix has independent Gaussian
 entries on and above the diagonal, N(0, 1) on it and N(0, 1/2) off it, the law
@@ -32,8 +35,10 @@ kernel with n = 1.
 from __future__ import annotations
 
 import functools
+import itertools
 import os
 import pickle
+import select
 import signal
 import warnings
 from dataclasses import dataclass
@@ -201,22 +206,32 @@ def _usable_cpus() -> int:
         return 1
 
 
-def _run(tasks: list, indices) -> tuple:
-    """(results, failure) of tasks[i] for i in `indices`, in order, stopping at
-    the first task that raises; failure is (i, exception), or None."""
-    results = []
-    for i in indices:
-        try:
-            results.append(tasks[i]())
-        except Exception as exc:
-            return results, (i, exc)
-    return results, None
+def _claims(queue: int):
+    """Task indices read from the queue pipe, whose write end is closed, until it
+    is empty; a 4-byte read, at most PIPE_BUF, takes one whole index."""
+    while claim := os.read(queue, 4):
+        yield int.from_bytes(claim, "little")
 
 
-def _fork_worker(tasks: list, j: int, k: int):
-    """(pid, read end of its pipe) of a forked child that runs tasks j, j + k, ...
-    and pickles back its results, its first exception and its warnings; None
-    when no pipe or process can be had."""
+def _run(tasks: list, claims):
+    """Run tasks[i] for each i that `claims` yields, and yield (i, raised, its
+    result or exception, its warnings) after each; stop after the first task
+    that raises."""
+    for i in claims:
+        with warnings.catch_warnings(record=True) as caught:
+            try:
+                value, raised = tasks[i](), False
+            except Exception as exc:
+                value, raised = exc, True
+        yield i, raised, value, [(w.message, w.category, w.filename, w.lineno) for w in caught]
+        if raised:
+            return
+
+
+def _fork_worker(tasks: list, first: int, queue: int):
+    """(pid, read end of its pipe) of a forked child that runs tasks[first], then
+    the tasks it claims from the queue, and pickles back what `_run` yielded;
+    None when no pipe or process can be had."""
     try:
         read, write = os.pipe()
     except OSError:
@@ -233,10 +248,8 @@ def _fork_worker(tasks: list, j: int, k: int):
     code = 1  # the child never returns: it leaves through os._exit, reported or not
     try:
         os.close(read)
-        with warnings.catch_warnings(record=True) as caught:
-            results, failure = _run(tasks, range(j, len(tasks), k))
-        report = pickle.dumps((results, failure, [(w.message, w.category, w.filename, w.lineno)
-                                                  for w in caught]), pickle.HIGHEST_PROTOCOL)
+        entries = list(_run(tasks, itertools.chain([first], _claims(queue))))
+        report = pickle.dumps(entries, pickle.HIGHEST_PROTOCOL)
         with open(write, "wb") as pipe:
             pipe.write(report)
         code = 0
@@ -247,30 +260,46 @@ def _fork_worker(tasks: list, j: int, k: int):
 def _fan_out(tasks) -> list:
     """The results of the argument-free `tasks`, in task order, over the usable CPUs.
 
-    With k = min(len(tasks), usable CPUs) >= 2, forked children 1..k-1 run the
-    tasks i = j (mod k) and this process the tasks i = 0 (mod k), with those of
-    any child that could not be started (a process or descriptor limit).  Each
-    process runs its tasks in order and stops at its first exception.  The
-    first exception in task order is raised, as a sequential run raises it, and
-    warnings a child's tasks issued are issued again here.  Every child is
-    reaped before this returns or raises, and killed first when this leaves
-    without its reports.  With one task or one usable CPU every task runs here.
+    With k = min(len(tasks), usable CPUs) >= 2, tasks k, k + 1, ... go into one
+    queue pipe, as far as it holds them, whose write end is closed before
+    forked children j = 1..k-1 start.  Child j runs task j - 1 first, and this
+    process task k - 1 with those of any child that could not be started (a
+    process or descriptor limit).  Then every process claims queued tasks in
+    ascending order until the queue is empty, so the costliest tasks should
+    come first; the tasks the pipe could not hold run here after it.  Each
+    process stops at its first exception.  Every task before the first
+    exception in task order runs, so that one is raised, as a sequential run
+    raises it, and the warnings of the tasks up to it are issued here in task
+    order, a repeated one once.  Every child is reaped before this returns or
+    raises, and killed first when this leaves without its reports.  With one
+    task or one usable CPU, or no queue pipe, every task runs here.
     """
     tasks = list(tasks)
     k = min(len(tasks), _usable_cpus())
     if k < 2:
         return [task() for task in tasks]
+    try:
+        queue, feed = os.pipe()
+    except OSError:  # a descriptor limit: no child could claim a task
+        return [task() for task in tasks]
+    entries = []  # what `_run` yielded, in every process
     workers = {}  # pid: read end of its pipe, for each child not yet reaped
     reported = False
     try:
+        rest, queued = np.arange(k, len(tasks), dtype="<u4").tobytes(), 0
+        with open(feed, "wb", buffering=0) as pipe:  # raw: a write to a full pipe returns None
+            os.set_blocking(feed, False)
+            # whole chunks, as a write of at most PIPE_BUF bytes is never split
+            while queued < len(rest) and (sent := pipe.write(rest[queued:][:select.PIPE_BUF])):
+                queued += sent
         for j in range(1, k):
-            worker = _fork_worker(tasks, j, k)
+            worker = _fork_worker(tasks, j - 1, queue)
             if worker is None:
                 break
             workers[worker[0]] = worker[1]
-        mine = [i for i in range(len(tasks)) if i % k == 0 or i % k > len(workers)]
-        runs = [(mine, *_run(tasks, mine))]
-        for j, (pid, read) in enumerate(list(workers.items()), 1):
+        entries.extend(_run(tasks, itertools.chain(range(len(workers), k), _claims(queue),
+                                                   range(k + queued // 4, len(tasks)))))
+        for pid, read in list(workers.items()):
             with open(read, "rb", closefd=False) as pipe:
                 report = pipe.read()
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
@@ -278,24 +307,27 @@ def _fan_out(tasks) -> list:
             if code:
                 how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
                 raise RuntimeError(f"worker process {pid} ended without a report ({how})")
-            results, failure, caught = pickle.loads(report)
-            for message, category, filename, lineno in caught:
-                warnings.warn_explicit(message, category, filename, lineno)
-            runs.append((range(j, len(tasks), k), results, failure))
+            entries.extend(pickle.loads(report))
         reported = True
     finally:
+        os.close(queue)
         for pid, read in workers.items():
             if not reported:  # an unreaped child, running or not, can be signalled
                 os.kill(pid, signal.SIGKILL)
             os.close(read)
             os.waitpid(pid, 0)
-    out = [None] * len(tasks)
-    for indices, results, _ in runs:
-        for i, result in zip(indices, results):
-            out[i] = result
-    failures = [failure for _, _, failure in runs if failure is not None]
-    if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
+    entries.sort(key=lambda entry: entry[0])
+    out, shown = [], {}  # one registry, so a repeated warning shows once, as in one process
+    for i, (claimed, raised, value, caught) in enumerate(entries):
+        if claimed != i:  # the queue gave an index twice, or lost one
+            break
+        for warning in caught:
+            warnings.warn_explicit(*warning, registry=shown)
+        if raised:
+            raise value
+        out.append(value)
+    if not len(out) == len(entries) == len(tasks):
+        raise RuntimeError(f"task {len(out)}, or the one before it, did not run exactly once")
     return out
 
 
@@ -414,11 +446,14 @@ def mc_trace_moment(model: SdeModel, paths: int, grid: TimeGrid, seed: int) -> C
 
 
 def run_inequality_suite(samples: int, dims, seed: int) -> list:
-    """All three operator-inequality checks at each dimension, one dimension per
-    task of `_fan_out`."""
+    """All three operator-inequality checks at each dimension, in the order of
+    `dims`.  Each dimension is one task of `_fan_out`, handed to it largest
+    first, since the cost grows with the dimension."""
     def suite(d):
         return [check_inq2(samples, d, seed), check_inq_nice(samples, d, seed + 1),
                 check_prop_cauchy(samples, d, 32, seed + 2)]
 
-    return [report for reports in _fan_out([functools.partial(suite, d) for d in dims])
-            for report in reports]
+    dims = list(dims)
+    order = sorted(range(len(dims)), key=dims.__getitem__, reverse=True)
+    done = dict(zip(order, _fan_out([functools.partial(suite, dims[i]) for i in order])))
+    return [report for i in range(len(dims)) for report in done[i]]

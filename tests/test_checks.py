@@ -1,5 +1,7 @@
 """Inequality checkers, the lemma-beta estimator, Monte Carlo identity checks."""
 
+import fcntl
+import functools
 import os
 import signal
 import time
@@ -382,6 +384,17 @@ class TestBlockSizeIndependence:
                              [r.to_dict() for r in run_inequality_suite(300, (2, 3, 5), seed=45)]))
         assert all(outcome == outcomes[0] for outcome in outcomes[1:])
 
+    def test_suite_reports_keep_the_order_of_dims(self, monkeypatch):
+        # handed to the fan-out largest first, returned in the caller's order,
+        # with the bits of each dimension run alone in one process
+        monkeypatch.setattr(checks, "_usable_cpus", lambda: 1)
+        alone = {d: [r.to_dict() for r in run_inequality_suite(300, (d,), seed=46)]
+                 for d in (2, 3, 5, 8)}
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(checks, "_usable_cpus", lambda: cpus)
+            reports = [r.to_dict() for r in run_inequality_suite(300, (3, 8, 2, 5), seed=46)]
+            assert reports == [report for d in (3, 8, 2, 5) for report in alone[d]], cpus
+
     def test_one_sample_path_call_per_path_in_order(self, monkeypatch):
         # blocks of 7 and chunks of 3 over 70 paths: chunks end part-full in
         # every block (7 = 3 + 3 + 1), and the benchmark counts these calls;
@@ -436,7 +449,9 @@ class TestFanOut:
     @pytest.fixture(autouse=True)
     def bounded_and_reaped(self):
         # a test that would wait on a child for a minute fails instead, and
-        # every test leaves no child behind, running or unreaped
+        # every test leaves no child behind, running or unreaped, and no pipe open
+        opened = sorted(os.listdir("/proc/self/fd"))
+
         def expire(signum, frame):
             raise TimeoutError("the fan-out did not return within 60 s")
 
@@ -449,16 +464,41 @@ class TestFanOut:
             signal.signal(signal.SIGALRM, previous)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+        assert sorted(os.listdir("/proc/self/fd")) == opened
 
     @staticmethod
     def _cpus(monkeypatch, count):
         monkeypatch.setattr(checks, "_usable_cpus", lambda: count)
 
-    def test_results_come_back_in_task_order(self, monkeypatch):
+    def test_results_come_back_in_task_order(self, monkeypatch, tmp_path):
+        # child j runs task j - 1 first and this process task 2; then every
+        # process claims tasks from the queue, each once, in ascending order
         self._cpus(monkeypatch, 3)
-        here = os.getpid()
-        results = checks._fan_out([lambda i=i: (i, os.getpid() == here) for i in range(8)])
-        assert results == [(i, i % 3 == 0) for i in range(8)]
+        real_fork, children = os.fork, []
+
+        def fork():
+            pid = real_fork()
+            if pid:
+                children.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", fork)
+        log = tmp_path / "runs"
+
+        def task(i):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {i}\n")
+            return i
+
+        assert checks._fan_out([functools.partial(task, i) for i in range(8)]) == list(range(8))
+        runs = {}  # the tasks each process ran, in its order
+        for line in log.read_text().splitlines():
+            pid, i = map(int, line.split())
+            runs.setdefault(pid, []).append(i)
+        assert sorted(i for ran in runs.values() for i in ran) == list(range(8))
+        assert len(children) == 2 and set(runs) == {*children, os.getpid()}
+        assert [runs[pid][0] for pid in (*children, os.getpid())] == [0, 1, 2]
+        assert all(ran == sorted(ran) for ran in runs.values())
 
     @pytest.mark.parametrize("cpus", [1, 4])
     def test_one_task_or_one_cpu_runs_here(self, monkeypatch, cpus):
@@ -469,9 +509,9 @@ class TestFanOut:
 
     @pytest.mark.parametrize("failing", ["pipe", "fork", "second fork"])
     def test_tasks_of_unstarted_children_run_here(self, monkeypatch, failing):
-        # a process or descriptor limit: the parent takes on the tasks i = 2 (mod 3)
-        # of the child it could not start, and those of the first child if that
-        # one did not start either
+        # a process or descriptor limit: with no pipe or no child every task runs
+        # here; with child 1 alone, this process runs task 1, which child 2 would
+        # have run first, and the two claim the others
         self._cpus(monkeypatch, 3)
         real_fork, forks = os.fork, []
 
@@ -487,13 +527,17 @@ class TestFanOut:
         monkeypatch.setattr(os, "pipe" if failing == "pipe" else "fork",
                             pipe if failing == "pipe" else fork)
         here = os.getpid()
-        results = checks._fan_out([lambda i=i: (i, os.getpid() == here) for i in range(7)])
-        local = {0, 2} if failing == "second fork" else {0, 1, 2}
-        assert results == [(i, i % 3 in local) for i in range(7)]
+        results = checks._fan_out([lambda i=i: (i, os.getpid()) for i in range(7)])
+        assert [i for i, _ in results] == list(range(7))
+        ran = {pid for _, pid in results}
+        if failing == "second fork":
+            assert results[0][1] != here and results[1][1] == here and len(ran) == 2
+        else:
+            assert ran == {here}
 
     def test_a_child_that_dies_without_a_report_is_named(self, monkeypatch):
-        # child 1 kills itself; child 2 would sleep for two minutes, and is
-        # killed when the parent raises instead of being waited for
+        # child 1 kills itself at task 0; child 2 would sleep for two minutes at
+        # task 1, and is killed when the parent raises instead of being waited for
         self._cpus(monkeypatch, 3)
         here = os.getpid()
 
@@ -507,12 +551,13 @@ class TestFanOut:
 
         start = time.monotonic()
         with pytest.raises(RuntimeError, match=r"ended without a report \(killed by signal 9\)"):
-            checks._fan_out([lambda: 0, die, sleep])
+            checks._fan_out([die, sleep, lambda: 0])
         assert time.monotonic() - start < 30
 
     @pytest.mark.parametrize("failing, raised", [((0, 1), 0), ((1, 2), 1)])
     def test_the_first_failure_in_task_order_wins(self, monkeypatch, failing, raised):
-        # parent task 0 against child task 1, and child task 1 against parent task 2
+        # on 2 CPUs, child task 0 against parent task 1, and parent task 1 against
+        # task 2, which the child claims
         kinds = [ValueError, KeyError, ZeroDivisionError]
 
         def task(i):
@@ -528,6 +573,7 @@ class TestFanOut:
             assert str(caught.value) == str(kinds[raised](f"task {raised} failed"))
 
     def test_a_childs_warning_is_issued_here(self, monkeypatch):
+        # child 1 runs task 0
         self._cpus(monkeypatch, 2)
 
         def warn():
@@ -535,10 +581,75 @@ class TestFanOut:
             return 1
 
         with pytest.warns(UserWarning) as caught:
-            assert checks._fan_out([lambda: 0, warn]) == [0, 1]
+            assert checks._fan_out([warn, lambda: 0]) == [1, 0]
         (message,) = [str(w.message) for w in caught]
         assert message.startswith("from process ") and int(message.split()[-1]) != os.getpid()
 
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_warnings_are_issued_in_task_order(self, monkeypatch, cpus):
+        # whichever process ran a task, and in whatever order they finished; a
+        # warning every task repeats from one line shows once, as in one process
+        self._cpus(monkeypatch, cpus)
+
+        def warn(i):
+            warnings.warn(f"task {i}", UserWarning)
+            warnings.warn("every task", UserWarning)
+            return i
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            assert checks._fan_out([functools.partial(warn, i) for i in range(4)]) == [0, 1, 2, 3]
+        assert [str(w.message) for w in caught] == ["task 0", "every task", "task 1", "task 2",
+                                                    "task 3"]
+
+    @pytest.mark.parametrize("held", [False, True])
+    def test_a_queue_larger_than_its_pipe_runs_in_full(self, monkeypatch, held):
+        # 2,997 indices to queue (11,988 bytes) in pipes shrunk to one page,
+        # 4,096 bytes: 1,024 are queued and the rest run here after the queue.
+        # Held: both children wait at their first task until this process runs
+        # the last one, so it runs every other task itself
+        self._cpus(monkeypatch, 3)
+        real_pipe, here = os.pipe, os.getpid()
+        gate, opened = real_pipe()
+
+        def pipe():
+            read, write = real_pipe()
+            fcntl.fcntl(write, fcntl.F_SETPIPE_SZ, 4096)
+            return read, write
+
+        def task(i):
+            if held and i < 2 and os.getpid() != here:
+                os.read(gate, 1)
+            if held and i == 2999:
+                os.write(opened, b"go")
+            return i, os.getpid() == here
+
+        monkeypatch.setattr(os, "pipe", pipe)
+        try:
+            results = checks._fan_out([functools.partial(task, i) for i in range(3000)])
+        finally:
+            os.close(gate)
+            os.close(opened)
+        assert [i for i, _ in results] == list(range(3000))
+        assert all(here for _, here in results[3 + 1024:])
+        if held:
+            assert [here for _, here in results[:3 + 1024]] == [False, False] + [True] * 1025
+
+
+    @pytest.mark.parametrize("fault", ["twice", "lost"])
+    def test_a_task_not_run_exactly_once_is_refused(self, monkeypatch, fault):
+        # a faulty queue gives each claimed index twice, or drops it: on 2 CPUs
+        # task 2 is the one queued
+        self._cpus(monkeypatch, 2)
+        real = checks._claims
+
+        def faulty(queue):
+            for i in real(queue):
+                yield from [i, i] if fault == "twice" else []
+
+        monkeypatch.setattr(checks, "_claims", faulty)
+        with pytest.raises(RuntimeError, match="did not run exactly once"):
+            checks._fan_out([lambda i=i: i for i in range(3)])
 
 class TestWorstCase:
     # one NaN, which max() would pass over for the first block's worst, or a

@@ -110,3 +110,11 @@ def test_a_move_on_stderr_or_in_the_out_file_is_sized_too():
         == "moved (numbers only, max rel 1e-16)"
     # the same text moved from stdout to stderr is not a change of numbers
     assert corpus.verdict(corpus.outcome(0, b"1\n", b""), corpus.outcome(0, b"", b"1\n")) == "moved"
+
+
+def test_compare_refuses_a_tree_without_the_cli(tmp_path, capsys):
+    # a commit hash given for BASE names no directory; an empty directory holds no sources
+    for base, head in ((tmp_path / "7340356", ROOT), (ROOT, tmp_path)):
+        assert corpus.compare(base, head) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and "src/matrixdiff/cli.py" in err

@@ -1,7 +1,9 @@
 """The committed CLI corpus: README's examples, and the argvs whose output two trees compare.
 
     python tools/corpus.py readme              # run README's examples on this checkout
-    python tools/corpus.py compare BASE HEAD   # one markdown row per argv; never fails
+    python tools/corpus.py compare BASE HEAD   # one markdown row per argv; exit 0 even
+                                               # on moved rows, 2 on a BASE or HEAD
+                                               # without src/matrixdiff/cli.py
 """
 
 import hashlib, json, os, re, shlex, subprocess, sys, tempfile
@@ -176,8 +178,13 @@ def run(root, work, argv):
 
 
 def compare(base, head):
-    """Print each argv's exit code on both trees and whether its output moved."""
+    """Print each argv's exit code on both trees and whether its output moved; 2, with
+    one line on stderr, when either is not a checkout of this project."""
     base, head = Path(base).resolve(), Path(head).resolve()
+    for root in (base, head):
+        if not (root / "src" / "matrixdiff" / "cli.py").is_file():
+            print(f"error: {root} has no src/matrixdiff/cli.py", file=sys.stderr)
+            return 2
     argvs, files = corpus(head)
     print("| argv | exit (base) | exit (head) | output SHA-256 |\n|---|---|---|---|")
     with tempfile.TemporaryDirectory() as work:
