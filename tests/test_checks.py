@@ -507,13 +507,16 @@ class TestFanOut:
         tasks = [lambda: os.getpid() == here] * (5 if cpus == 1 else 1)
         assert checks._fan_out(tasks) == [True] * len(tasks)
 
-    @pytest.mark.parametrize("failing", ["pipe", "fork", "second fork"])
+    @pytest.mark.parametrize("failing", ["queue pipe", "report pipe", "second report pipe",
+                                         "fork", "second fork"])
     def test_tasks_of_unstarted_children_run_here(self, monkeypatch, failing):
-        # a process or descriptor limit: with no pipe or no child every task runs
-        # here; with child 1 alone, this process runs task 1, which child 2 would
-        # have run first, and the two claim the others
+        # a process or descriptor limit: with no queue pipe, no report pipe for
+        # child 1 or no child every task runs here; with child 1 alone, this
+        # process runs task 1, which child 2 would have run first, and the two
+        # claim the others
         self._cpus(monkeypatch, 3)
         real_fork, forks = os.fork, []
+        real_pipe, pipes = os.pipe, []
 
         def fork():
             forks.append(None)
@@ -522,15 +525,21 @@ class TestFanOut:
             return real_fork()
 
         def pipe():
-            raise OSError("no more descriptors")
+            # the queue's pipe first, then each child's report pipe
+            pipes.append(None)
+            if len(pipes) == ["queue pipe", "report pipe", "second report pipe"].index(failing) + 1:
+                raise OSError("no more descriptors")
+            return real_pipe()
 
-        monkeypatch.setattr(os, "pipe" if failing == "pipe" else "fork",
-                            pipe if failing == "pipe" else fork)
+        if failing.endswith("pipe"):
+            monkeypatch.setattr(os, "pipe", pipe)
+        else:
+            monkeypatch.setattr(os, "fork", fork)
         here = os.getpid()
         results = checks._fan_out([lambda i=i: (i, os.getpid()) for i in range(7)])
         assert [i for i, _ in results] == list(range(7))
         ran = {pid for _, pid in results}
-        if failing == "second fork":
+        if failing.startswith("second"):
             assert results[0][1] != here and results[1][1] == here and len(ran) == 2
         else:
             assert ran == {here}
